@@ -120,9 +120,7 @@ def _channel_guards(S: Sra, state: int):
     nregs = len(S.registers)
     reads = {r: [] for r in range(nregs)}
     fresh = []
-    for src, lab, _ in S.transitions:
-        if src != state:
-            continue
+    for _, lab, _ in S.out[state]:
         kind = sv_label_kind(nregs, lab)
         if kind is None:
             raise SraError("completion requires a single-valued automaton")

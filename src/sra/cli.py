@@ -31,22 +31,16 @@ class UsageError(Exception):
     pass
 
 
-def _load(path: str | None, pattern: str | None, what: str = "--sra") -> Sra:
+def _load(path: str | None, pattern: str | None = None) -> Sra:
     if (path is None) == (pattern is None):
-        raise UsageError(f"provide exactly one of {what} or --pattern")
+        raise UsageError("provide exactly one of --sra or --pattern")
     if path is not None:
         if path.endswith(".json"):
             return core.load(path)
-        with open(path) as fh:
-            pattern = fh.read().strip()
+        # only the line terminator is dropped: spaces belong to the pattern
+        with open(path, encoding="utf-8") as fh:
+            pattern = fh.read().removesuffix("\n")
     return rx.compile(pattern).sra
-
-
-def _load_side(path: str) -> Sra:
-    if path.endswith(".json"):
-        return core.load(path)
-    with open(path) as fh:
-        return rx.compile(fh.read().strip()).sra
 
 
 def _word(S: Sra, args) -> list:
@@ -209,8 +203,8 @@ def run(args) -> int:
         return 0 if det else 1
 
     if args.verb == "subset":
-        lhs = _load_side(args.lhs)
-        rhs = _load_side(args.rhs)
+        lhs = _load(args.lhs)
+        rhs = _load(args.rhs)
         ok, word = includes(lhs, rhs)
         if ok:
             print("subset")
@@ -219,15 +213,15 @@ def run(args) -> int:
         return 1
 
     if args.verb == "equiv":
-        lhs = _load_side(args.lhs)
-        rhs = _load_side(args.rhs)
+        lhs = _load(args.lhs)
+        rhs = _load(args.rhs)
         ok = equivalent(lhs, rhs)
         print("equivalent" if ok else "different")
         return 0 if ok else 1
 
     if args.verb == "intersect" or args.verb == "union":
         op = intersect if args.verb == "intersect" else union
-        _emit(op(_load_side(args.lhs), _load_side(args.rhs)), args.out)
+        _emit(op(_load(args.lhs), _load(args.rhs)), args.out)
         return 0
 
     if args.verb == "complement":

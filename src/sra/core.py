@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -55,14 +56,15 @@ class Sra:
     finals: frozenset
     transitions: tuple  # (src_index, Label, dst_index)
 
-    def state_name(self, q: int) -> str:
-        return self.states[q]
-
-    def register_name(self, r: int) -> str:
-        return self.registers[r]
-
-    def out_transitions(self, q: int):
-        return [(src, lab, dst) for src, lab, dst in self.transitions if src == q]
+    @cached_property
+    def out(self) -> list:
+        """Per-state index: out[q] lists the triples of `transitions`
+        leaving q, in order.  Built on first use; it is kept outside the
+        fields, so equality, hashing and JSON ignore it."""
+        out = [[] for _ in self.states]
+        for t in self.transitions:
+            out[t[0]].append(t)
+        return out
 
 
 def make_sra(
@@ -203,26 +205,26 @@ def compile_guard(algebra: Algebra, p: Predicate):
     raise AlgebraError(f"unknown predicate node {p!r}")
 
 
-def _adjacency(S: Sra):
-    out = [[] for _ in S.states]
-    for src, lab, dst in S.transitions:
-        out[src].append(
-            (
-                compile_guard(S.algebra, lab.guard),
-                tuple(sorted(lab.E)),
-                tuple(sorted(lab.I)),
-                tuple(sorted(lab.U)),
-                dst,
-            )
+def compiled_moves(S: Sra, q: int) -> list:
+    """The moves out of q as (guard closure, E, I, U, dst) rows."""
+    algebra = S.algebra
+    return [
+        (
+            compile_guard(algebra, lab.guard),
+            tuple(sorted(lab.E)),
+            tuple(sorted(lab.I)),
+            tuple(sorted(lab.U)),
+            dst,
         )
-    return out
+        for _, lab, dst in S.out[q]
+    ]
 
 
 def step(S: Sra, config: tuple, a: int) -> set:
     """All successor configurations of (state, valuation) on input a."""
     q, v = config
     succ = set()
-    for g, E, I, U, dst in _adjacency(S)[q]:
+    for g, E, I, U, dst in compiled_moves(S, q):
         if not g(a):
             continue
         if any(v[r] != a for r in E):
@@ -246,7 +248,7 @@ def membership(S: Sra, word: Sequence[int]) -> bool:
     the per-step configuration set is finite.  A deterministic SRA keeps
     the set at size one and this degenerates to a linear scan.
     """
-    out = _adjacency(S)
+    out = [compiled_moves(S, q) for q in range(len(S.states))]
     finals = S.finals
     cur = [(S.initial, S.initial_valuation)]
     for a in word:

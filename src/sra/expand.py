@@ -59,10 +59,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
             slots.append(None if d == 0 else dom[d - 1])
         return code, tuple(reversed(slots))
 
-    out = {}
-    for src, lab, dst in S.transitions:
-        out.setdefault(src, []).append((lab, dst))
-
+    out = S.out
     sat_cache = {}
 
     def sat_syms(guard):
@@ -81,7 +78,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
     while i < len(order):
         src_code = order[i]
         q, vals = decode(src_code)
-        for lab, q2 in out.get(q, ()):
+        for _, lab, q2 in out[q]:
             targets = []  # (new valuation, predicate)
             if lab.E:
                 held = {vals[r] for r in lab.E}

@@ -59,17 +59,6 @@ def count_matching_registers(theta: Abstraction, phi: Minterm) -> int:
     return sum(1 for m in theta if m == phi)
 
 
-def enabled(algebra, theta: Abstraction, kind: Tuple[str, int], guard: Minterm) -> bool:
-    """Can a read/fresh transition with this minterm guard fire under theta?"""
-    op, r = kind
-    if op == "read":
-        return theta[r] == guard
-    if op == "fresh":
-        needed = count_matching_registers(theta, guard) + 1
-        return algebra.has_min_size(guard.conjunction, needed)
-    raise SraError(f"not a read/fresh label kind: {kind!r}")
-
-
 class LazyNorm:
     """Reachable part of the normalized automaton, grown on demand.
 
@@ -84,9 +73,6 @@ class LazyNorm:
         self.algebra = S.algebra
         self.basis = minterm_basis(S) if basis is None else basis
         self.nregs = len(S.registers)
-        self._out = {}
-        for src, lab, dst in S.transitions:
-            self._out.setdefault(src, []).append((lab, dst))
         theta0 = tuple(
             None if v is None else self.algebra.minterm_of(self.basis, v)
             for v in S.initial_valuation
@@ -104,7 +90,7 @@ class LazyNorm:
             return cached
         q, theta = key
         out = []
-        for lab, q2 in self._out.get(q, ()):
+        for _, lab, q2 in self.S.out[q]:
             op, r = sv_label_kind(self.nregs, lab)
             if op == "read":
                 m = theta[r]
@@ -239,11 +225,8 @@ def _syntactically_deterministic(S: Sra) -> bool:
     a True result is conclusive.
     """
     algebra = S.algebra
-    by_state = {}
-    for src, lab, dst in S.transitions:
-        by_state.setdefault(src, set()).add((lab, dst))
-    for moves in by_state.values():
-        guards = [lab.guard for lab, _ in moves]
+    for moves in S.out:
+        guards = [lab.guard for _, lab, _ in set(moves)]
         for i in range(len(guards)):
             for j in range(i + 1, len(guards)):
                 if algebra.is_sat(And((guards[i], guards[j]))):

@@ -14,7 +14,7 @@ strings the pattern matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .algebra import (
@@ -24,10 +24,9 @@ from .algebra import (
     Predicate,
     TRUE,
     UNICODE,
-    conj,
     disj,
 )
-from .core import Label, Sra, SraError, compile_guard, membership, validate
+from .core import Label, Sra, SraError, compiled_moves, membership, validate
 from .normal import is_deterministic
 
 
@@ -563,16 +562,6 @@ def compile(ast_or_pattern) -> CompiledPattern:
 # matching
 
 
-def _build_scan(S: Sra):
-    table = [[] for _ in S.states]
-    for src, lab, dst in S.transitions:
-        table[src].append(
-            (compile_guard(S.algebra, lab.guard), tuple(lab.E), tuple(lab.I),
-             tuple(lab.U), dst)
-        )
-    return table
-
-
 def match(compiled: CompiledPattern, text: str) -> bool:
     """Does the whole text match?  Single linear scan when deterministic."""
     if compiled._deterministic is None:
@@ -581,7 +570,7 @@ def match(compiled: CompiledPattern, text: str) -> bool:
     if not compiled._deterministic:
         return membership(S, [ord(c) for c in text])
     if compiled._scan is None:
-        compiled._scan = _build_scan(S)
+        compiled._scan = [compiled_moves(S, q) for q in range(len(S.states))]
     table = compiled._scan
     v = list(S.initial_valuation)
     q = S.initial

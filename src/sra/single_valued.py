@@ -105,10 +105,6 @@ def to_single_valued(S: Sra) -> Sra:
             order.append(key)
         return index[key]
 
-    out_adj = {}
-    for src, lab, dst in S.transitions:
-        out_adj.setdefault(src, []).append((lab, dst))
-
     start = intern(S.initial, f0)
     transitions = []
     seen = set()
@@ -138,7 +134,7 @@ def to_single_valued(S: Sra) -> Sra:
         q, f = order[src_idx]
         mypn = filled[src_idx]
         classes = [frozenset(x for x in range(nregs) if f[x] == s) for s in range(nslots)]
-        for lab, q2 in out_adj.get(q, ()):
+        for _, lab, q2 in S.out[q]:
             E, I, U = lab.E, lab.I, lab.U
             for s in range(nslots):
                 if s not in mypn:
@@ -181,57 +177,5 @@ def to_single_valued(S: Sra) -> Sra:
         initial=0,
         initial_valuation=v0p,
         finals=finals,
-        transitions=tuple(transitions),
-    )
-
-
-def eliminate_bullet(S: Sra) -> Sra:
-    """Replace bullet labels (fresh input, stored nowhere) by register ops.
-
-    A new scratch register absorbs the bullet inputs: each bullet
-    transition becomes a fresh/read pair over the scratch register, and
-    every fresh transition gains a read companion over it (the scratch
-    content is fresh with respect to all other registers, so consuming
-    it again must stay possible).  With no bullets present the automaton
-    is returned unchanged apart from the extra (never written) register.
-    """
-    nregs = len(S.registers)
-    has_bullet = any(
-        sv_label_kind(nregs, lab) == ("bullet", -1) for _, lab, _ in S.transitions
-    )
-    scratch = nregs
-    new_names = tuple(S.registers) + (_fresh_register_name(set(S.registers)),)
-    all_new = frozenset(range(nregs + 1))
-
-    def widen(lab: Label) -> Label:
-        # fresh labels must exclude the scratch register too
-        kind = sv_label_kind(nregs, lab)
-        if kind is not None and kind[0] == "fresh":
-            return Label(lab.guard, lab.E, all_new, lab.U)
-        return lab
-
-    transitions = []
-    for src, lab, dst in S.transitions:
-        kind = sv_label_kind(nregs, lab)
-        if kind == ("bullet", -1):
-            transitions.append(
-                (src, Label(lab.guard, frozenset(), all_new, frozenset({scratch})), dst)
-            )
-            transitions.append(
-                (src, Label(lab.guard, frozenset({scratch}), frozenset(), frozenset()), dst)
-            )
-            continue
-        transitions.append((src, widen(lab), dst))
-        if has_bullet and kind is not None and kind[0] == "fresh":
-            transitions.append(
-                (src, Label(lab.guard, frozenset({scratch}), frozenset(), frozenset()), dst)
-            )
-    return Sra(
-        algebra=S.algebra,
-        registers=new_names,
-        states=S.states,
-        initial=S.initial,
-        initial_valuation=S.initial_valuation + (None,),
-        finals=S.finals,
         transitions=tuple(transitions),
     )

@@ -78,6 +78,17 @@ def test_equiv_verb(tmp_path):
     assert main(["equiv", "--lhs", a, "--rhs", c]) == 1
 
 
+def test_pattern_files_keep_trailing_spaces(tmp_path):
+    # a pattern file ends in a line terminator; the space before it is
+    # part of the pattern
+    spaced = write_text(tmp_path, "spaced.regex", "a \n")
+    assert main(["member", "--sra", spaced, "--input", "a "]) == 0
+    assert main(["member", "--sra", spaced, "--input", "a"]) == 1
+    plain = write_text(tmp_path, "plain.regex", "a\n")
+    assert main(["subset", "--lhs", spaced, "--rhs", plain]) == 1
+    assert main(["subset", "--lhs", spaced, "--rhs", spaced]) == 0
+
+
 # ---------------------------------------------------------------------------
 # constructions
 

@@ -93,6 +93,33 @@ def test_make_sra_rejects_unknown_names():
 
 
 # ---------------------------------------------------------------------------
+# per-state index
+
+
+def test_out_lists_each_states_transitions_in_order():
+    rng = random.Random(11)
+    for S in [example3(), remark1(), first_symbol_repeats()] + [
+        random_sra(rng) for _ in range(30)
+    ]:
+        assert len(S.out) == len(S.states)
+        for q, moves in enumerate(S.out):
+            expected = [t for t in S.transitions if t[0] == q]
+            assert moves == expected
+            # the index holds the automaton's own triples, not copies
+            assert all(a is b for a, b in zip(moves, expected))
+
+
+def test_out_and_membership_leave_identity_and_json_alone():
+    S = remark1()
+    S.out
+    assert membership(S, [2, 4, 2])
+    fresh = remark1()
+    assert S == fresh and fresh == S
+    assert hash(S) == hash(fresh)
+    assert dumps(S) == dumps(fresh)
+
+
+# ---------------------------------------------------------------------------
 # step
 
 

@@ -7,7 +7,6 @@ from sra.core import make_sra, membership
 from sra.normal import (
     LazyNorm,
     count_matching_registers,
-    enabled,
     is_deterministic,
     is_empty,
     minterm_basis,
@@ -118,6 +117,17 @@ def test_basis_rejects_mixed_algebras():
 
 # ---------------------------------------------------------------------------
 # count_matching_registers / enabled
+
+
+def enabled(algebra, theta, kind, guard) -> bool:
+    """Can a read/fresh transition with this minterm guard fire under theta?"""
+    op, r = kind
+    if op == "read":
+        return theta[r] == guard
+    if op == "fresh":
+        needed = count_matching_registers(theta, guard) + 1
+        return algebra.has_min_size(guard.conjunction, needed)
+    raise SraError(f"not a read/fresh label kind: {kind!r}")
 
 
 def test_register_counts():

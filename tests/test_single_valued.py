@@ -1,9 +1,8 @@
 import random
 
-from sra.algebra import TRUE, INTEGERS, Div
+from sra.algebra import TRUE, INTEGERS
 from sra.core import Label, make_sra, membership, validate
 from sra.single_valued import (
-    eliminate_bullet,
     is_single_valued,
     sv_label_kind,
     to_single_valued,
@@ -153,59 +152,3 @@ def test_translation_of_already_single_valued_automaton():
     for _ in range(50):
         w = [rng.randint(0, 6) for _ in range(rng.randint(0, 6))]
         assert membership(U, w) == membership(T, w)
-
-
-# ---------------------------------------------------------------------------
-# eliminate_bullet
-
-
-def bullet_fixture():
-    # reads one even number it does not keep, then one fresh value stored
-    # into r; r is never read back, so the flat rewrite stays faithful
-    all1 = ("r",)
-    return make_sra(
-        INTEGERS,
-        ["r"],
-        ["0", "1", "2"],
-        "0",
-        {"r": None},
-        ["2"],
-        [
-            ("0", Div(2), (), all1, (), "1"),  # bullet: fresh, stored nowhere
-            ("1", TRUE, (), all1, ("r",), "2"),  # fresh(r)
-        ],
-    )
-
-
-def test_eliminate_bullet_without_bullets_only_adds_register():
-    S = to_single_valued(remark1())
-    T = eliminate_bullet(S)
-    assert len(T.registers) == len(S.registers) + 1
-    assert len(T.transitions) == len(S.transitions)
-    assert T.states == S.states
-    for w in words_up_to(range(0, 4), 3):
-        assert membership(T, w) == membership(S, w)
-
-
-def test_eliminate_bullet_replaces_bullet_with_pair():
-    S = bullet_fixture()
-    T = eliminate_bullet(S)
-    assert len(T.registers) == 2
-    scratch = 1
-    from_0 = [lab for src, lab, _ in T.transitions if src == 0]
-    kinds = sorted(
-        sv_label_kind(2, lab)
-        for lab in from_0
-    )
-    assert kinds == [("fresh", scratch), ("read", scratch)]
-    # the fresh transition from state 1 gains a scratch-read companion
-    from_1 = sorted(sv_label_kind(2, lab) for src, lab, _ in T.transitions if src == 1)
-    assert from_1 == [("fresh", 0), ("read", scratch)]
-
-
-def test_eliminate_bullet_preserves_membership():
-    S = bullet_fixture()
-    T = eliminate_bullet(S)
-    assert is_single_valued(T)
-    for w in words_up_to(range(0, 4), 3):
-        assert membership(T, w) == membership(S, w), w
