@@ -193,7 +193,6 @@ class Minterm:
     conjunction: Predicate
     positives: frozenset
     bits: tuple
-    source_set_id: int
 
     def __repr__(self):  # compact, for debugging normalized automata
         return "m" + "".join(str(b) for b in self.bits)
@@ -220,9 +219,6 @@ class Algebra:
 
     name = "?"
     _domain_ivs: tuple = ((None, None),)
-
-    def __init__(self):
-        self._size_cache: dict = {}
 
     # -- structural checks -------------------------------------------------
 
@@ -375,18 +371,7 @@ class Algebra:
         """
         if k < 0:
             raise AlgebraError("k must be non-negative")
-        if k == 0:
-            self.check(p)
-            return True
-        cached = self._size_cache.get((p, k))
-        if cached is not None:
-            return cached
         self.check(p)
-        result = self._count_at_least(p, k)
-        self._size_cache[(p, k)] = result
-        return result
-
-    def _count_at_least(self, p: Predicate, k: int) -> bool:
         total = 0
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
@@ -397,7 +382,7 @@ class Algebra:
                     total += (hi - first) // L + 1
                     if total >= k:
                         return True
-        return False
+        return total >= k
 
     def witness(self, p: Predicate, excluded: Iterable[int] = ()) -> Optional[int]:
         """Deterministic pick from [[p]] minus the excluded set, or None.
@@ -432,7 +417,6 @@ class Algebra:
             if q not in sources:
                 sources.append(q)
         src = tuple(sources)
-        set_id = hash(src)
         cells = [((), ())]  # (literal tuple, bits tuple)
         for q in src:
             grown = []
@@ -447,7 +431,7 @@ class Algebra:
         out = []
         for lits, bits in cells:
             positives = frozenset(q for q, b in zip(src, bits) if b)
-            out.append(Minterm(conj(lits), positives, bits, set_id))
+            out.append(Minterm(conj(lits), positives, bits))
         return MintermSet(src, tuple(out))
 
     def minterm_of(self, mts: MintermSet, a: int) -> Minterm:
@@ -460,11 +444,14 @@ class Algebra:
     # -- concrete syntax -----------------------------------------------------
 
     def parse(self, text: str) -> Predicate:
-        p, pos = self._parse_pred(text, _skip_ws(text, 0))
-        pos = _skip_ws(text, pos)
-        if pos != len(text):
-            raise AlgebraError(f"trailing input at position {pos}: {text[pos:]!r}")
-        self.check(p)
+        try:
+            p, pos = self._parse_pred(text, _skip_ws(text, 0))
+            pos = _skip_ws(text, pos)
+            if pos != len(text):
+                raise AlgebraError(f"trailing input at position {pos}: {text[pos:]!r}")
+            self.check(p)
+        except RecursionError:
+            raise AlgebraError("predicate nested too deeply") from None
         return p
 
     def _parse_pred(self, s: str, i: int):

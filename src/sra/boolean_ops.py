@@ -156,13 +156,12 @@ def complete(S: Sra) -> Sra:
     """Total-ized automaton: every input has a move from every state.
 
     Uncovered inputs are routed to a fresh non-accepting sink that
-    absorbs everything, so the language is unchanged.  If the register
-    set is empty, one register is added as the fresh-transition target.
+    absorbs everything, so the language is unchanged, deterministic or
+    not.  If the register set is empty, one register is added as the
+    fresh-transition target.
     """
     if not is_single_valued(S):
         raise SraError("completion requires a single-valued automaton")
-    if not is_deterministic(S):
-        raise SraError("completion requires a deterministic automaton")
     algebra = S.algebra
     if not S.registers:
         # give the fresh-to-sink transitions a register to store into; the

@@ -374,6 +374,12 @@ def to_json_dict(S: Sra) -> dict:
     }
 
 
+def _field(d: dict, key: str, kind: type):
+    if not isinstance(d[key], kind):
+        raise TypeError(f"{key!r} is not a {kind.__name__}")
+    return d[key]
+
+
 def from_json_dict(d: dict) -> Sra:
     try:
         algebra = algebra_by_name(d["algebra"])
@@ -381,20 +387,20 @@ def from_json_dict(d: dict) -> Sra:
             (
                 t["from"],
                 algebra.parse(t["guard"]),
-                t["E"],
-                t["I"],
-                t["U"],
+                _field(t, "E", list),
+                _field(t, "I", list),
+                _field(t, "U", list),
                 t["to"],
             )
-            for t in d["transitions"]
+            for t in _field(d, "transitions", list)
         ]
         S = make_sra(
             algebra,
-            d["registers"],
-            d["states"],
+            _field(d, "registers", list),
+            _field(d, "states", list),
             d["initial"],
-            d["initial_valuation"],
-            d["finals"],
+            _field(d, "initial_valuation", dict),
+            _field(d, "finals", list),
             transitions,
         )
     except (KeyError, TypeError) as e:

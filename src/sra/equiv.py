@@ -19,13 +19,7 @@ from typing import Optional, Tuple
 
 from .boolean_ops import complement, complete, intersect
 from .core import Sra, SraError
-from .normal import (
-    LazyNorm,
-    count_matching_registers,
-    is_deterministic,
-    is_empty,
-    minterm_basis,
-)
+from .normal import LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis
 from .single_valued import is_single_valued, sv_label_kind, to_single_valued
 
 # a correspondence is a frozenset of (left register, right register) pairs
@@ -66,17 +60,20 @@ def _strict_single_valued(S: Sra) -> Sra:
 _FINALS_REASON = "left state is accepting, right state is not"
 
 
-def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma):
+def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
     """One-sided match of every move of key1 by a move of key2.
 
     Returns (required, None) with (triple, move) pairs forced into the
     relation — move records the matched pair of steps so a failure path
     can later be replayed into a concrete word — or (None, reason) when
-    some move cannot be matched.
+    some move cannot be matched.  sizes[i] counts minterm i's elements
+    up to one more than both sides' registers together, which decides
+    whether a value fresh on both sides exists.
     """
     if ln1.is_final(key1) and not ln2.is_final(key2):
         return None, _FINALS_REASON
     algebra = ln1.algebra
+    minterms = ln1.basis.minterms
     theta1 = key1[1]
     theta2 = key2[1]
     dom = {r for r, _ in sigma}
@@ -91,7 +88,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma):
                 if not matches:
                     return None, (
                         f"no matching read of the corresponding register"
-                        f" for guard {algebra.show(m.conjunction)}"
+                        f" for guard {algebra.show(minterms[m].conjunction)}"
                     )
                 for k2b in matches:
                     required.append(
@@ -102,7 +99,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma):
                 if not matches:
                     return None, (
                         f"no fresh move matches a read of an uncorrelated"
-                        f" register for guard {algebra.show(m.conjunction)}"
+                        f" register for guard {algebra.show(minterms[m].conjunction)}"
                     )
                 for s2, k2b in matches:
                     required.append(
@@ -112,14 +109,16 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma):
                         )
                     )
         else:
+            held = theta1.count(m)  # distinct values of m held on either side
             for s in range(ln2.nregs):
                 if s in img or theta2[s] != m:
                     continue
+                held += 1
                 matches = reads2.get((s, m))
                 if not matches:
                     return None, (
                         f"no read of register {ln2.S.registers[s]} matches a"
-                        f" fresh move for guard {algebra.show(m.conjunction)}"
+                        f" fresh move for guard {algebra.show(minterms[m].conjunction)}"
                     )
                 for k2b in matches:
                     required.append(
@@ -128,15 +127,12 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma):
                             (m, "fresh", r, ("read", s)),
                         )
                     )
-            occupied = count_matching_registers(theta1, m) + count_matching_registers(
-                theta2, m
-            )
-            if algebra.has_min_size(m.conjunction, occupied + 1):
+            if held < sizes[m]:
                 matches = fresh2.get(m)
                 if not matches:
                     return None, (
                         f"no fresh move matches a doubly-fresh input"
-                        f" for guard {algebra.show(m.conjunction)}"
+                        f" for guard {algebra.show(minterms[m].conjunction)}"
                     )
                 for s2, k2b in matches:
                     required.append(
@@ -156,6 +152,7 @@ def _run_worklist(S1: Sra, S2: Sra, bidirectional: bool):
     basis = minterm_basis(A, B)
     ln1 = LazyNorm(A, basis)
     ln2 = LazyNorm(B, basis)
+    sizes = capped_sizes(A.algebra, basis, ln1.nregs + ln2.nregs + 1)
     seed = (
         ln1.initial,
         ln2.initial,
@@ -166,12 +163,12 @@ def _run_worklist(S1: Sra, S2: Sra, bidirectional: bool):
     while queue:
         triple = queue.popleft()
         key1, key2, sigma = triple
-        required, reason = _check_direction(ln1, ln2, key1, key2, sigma)
+        required, reason = _check_direction(ln1, ln2, key1, key2, sigma, sizes)
         if reason is not None:
             return False, _Failure(parent, triple, reason, ln1, ln2)
         if bidirectional:
             back, reason = _check_direction(
-                ln2, ln1, key2, key1, _sigma_invert(sigma)
+                ln2, ln1, key2, key1, _sigma_invert(sigma), sizes
             )
             if reason is not None:
                 return False, _Failure(
@@ -246,7 +243,7 @@ def _materialize_word(failure: _Failure):
             a = v2[s]
         else:
             a = algebra.witness(
-                m.conjunction,
+                ln1.basis.minterms[m].conjunction,
                 excluded=[x for x in v1 + v2 if x is not None],
             )
         if op1 != "read" and r >= 0:

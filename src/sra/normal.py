@@ -1,10 +1,11 @@
 """Normalized automata: minterm guards plus per-register abstractions.
 
 A register abstraction assigns to every register either the minterm its
-current value lies in or the empty marker (None).  Re-guarding every
-transition by minterms and tracking abstractions per state turns the
-questions "can this transition fire?" and "is some final state
-reachable?" into finite-graph searches:
+current value lies in, named by its index in the minterm basis, or -1
+for an empty register.  Re-guarding every transition by minterms and
+tracking abstractions per state turns the questions "can this
+transition fire?" and "is some final state reachable?" into
+finite-graph searches:
 
 * a read on register r can fire exactly when its guard is the minterm
   the register's value lies in;
@@ -21,14 +22,9 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Tuple
 
-from .algebra import And, Atom, Minterm, MintermSet
+from .algebra import Algebra, And, Atom, MintermSet
 from .core import Label, Sra, SraError
 from .single_valued import is_single_valued, sv_label_kind, to_single_valued
-
-# an abstraction is a tuple with one entry per register: a Minterm for a
-# filled register, None for an empty one
-
-Abstraction = Tuple[Optional[Minterm], ...]
 
 
 def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
@@ -51,19 +47,19 @@ def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
     return algebra.minterms(predicates)
 
 
-def count_matching_registers(theta: Abstraction, phi: Minterm) -> int:
-    """Number of registers whose abstraction is exactly phi."""
-    for m in theta:
-        if m is not None and m.source_set_id != phi.source_set_id:
-            raise SraError("abstraction and minterm come from different bases")
-    return sum(1 for m in theta if m == phi)
+def capped_sizes(algebra: Algebra, basis: MintermSet, cap: int) -> List[int]:
+    """Per minterm index, how many elements the minterm has, up to cap."""
+    return [
+        next(k for k in range(cap, 0, -1) if algebra.has_min_size(m.conjunction, k))
+        for m in basis
+    ]
 
 
 class LazyNorm:
     """Reachable part of the normalized automaton, grown on demand.
 
     States are (base_state, abstraction) pairs; successors are cached
-    per state as (guard_minterm, op, register, successor_key) tuples.
+    per state as (minterm_index, op, register, successor_key) tuples.
     """
 
     def __init__(self, S: Sra, basis: Optional[MintermSet] = None):
@@ -73,8 +69,17 @@ class LazyNorm:
         self.algebra = S.algebra
         self.basis = minterm_basis(S) if basis is None else basis
         self.nregs = len(S.registers)
+        # a fresh move into minterm i is enabled while fewer than sizes[i]
+        # registers hold one of its elements
+        self.sizes = capped_sizes(self.algebra, self.basis, self.nregs + 1)
+        # source predicate -> indices of the minterms inside it
+        self.inside = {
+            q: tuple(i for i, m in enumerate(self.basis) if m.bits[j])
+            for j, q in enumerate(self.basis.sources)
+        }
+        minterms = self.basis.minterms
         theta0 = tuple(
-            None if v is None else self.algebra.minterm_of(self.basis, v)
+            -1 if v is None else minterms.index(self.algebra.minterm_of(self.basis, v))
             for v in S.initial_valuation
         )
         self.initial = (S.initial, theta0)
@@ -84,7 +89,7 @@ class LazyNorm:
     def is_final(self, key) -> bool:
         return key[0] in self.S.finals
 
-    def successors(self, key) -> List[Tuple[Minterm, str, int, tuple]]:
+    def successors(self, key) -> List[Tuple[int, str, int, tuple]]:
         cached = self._succ.get(key)
         if cached is not None:
             return cached
@@ -92,20 +97,15 @@ class LazyNorm:
         out = []
         for _, lab, q2 in self.S.out[q]:
             op, r = sv_label_kind(self.nregs, lab)
+            inside = self.inside.get(lab.guard, ())
             if op == "read":
-                m = theta[r]
-                if m is not None and lab.guard in m.positives:
-                    out.append((m, "read", r, (q2, theta)))
+                if theta[r] in inside:
+                    out.append((theta[r], "read", r, (q2, theta)))
             else:  # fresh, or register-free consume
-                for psi in self.basis:
-                    if lab.guard not in psi.positives:
-                        continue
-                    needed = count_matching_registers(theta, psi) + 1
-                    if self.algebra.has_min_size(psi.conjunction, needed):
-                        theta2 = tuple(
-                            psi if x == r else theta[x] for x in range(self.nregs)
-                        )
-                        out.append((psi, "fresh", r, (q2, theta2)))
+                for i in inside:
+                    if theta.count(i) < self.sizes[i]:
+                        theta2 = theta if r < 0 else theta[:r] + (i,) + theta[r + 1:]
+                        out.append((i, "fresh", r, (q2, theta2)))
         self._succ[key] = out
         return out
 
@@ -126,12 +126,12 @@ class LazyNorm:
         return cached
 
 
-def _abstraction_name(S: Sra, key) -> str:
+def _abstraction_name(ln: LazyNorm, key) -> str:
     q, theta = key
-    parts = ["_" if m is None else repr(m) for m in theta]
+    parts = ["_" if i < 0 else repr(ln.basis.minterms[i]) for i in theta]
     if not parts:
-        return S.states[q]
-    return S.states[q] + "|" + ",".join(parts)
+        return ln.S.states[q]
+    return ln.S.states[q] + "|" + ",".join(parts)
 
 
 def normalize(S: Sra) -> Sra:
@@ -142,6 +142,7 @@ def normalize(S: Sra) -> Sra:
     name.
     """
     ln = LazyNorm(S)
+    minterms = ln.basis.minterms
     order = [ln.initial]
     index = {ln.initial: 0}
     transitions = []
@@ -153,17 +154,18 @@ def normalize(S: Sra) -> Sra:
             if key2 not in index:
                 index[key2] = len(order)
                 order.append(key2)
+            guard = minterms[m].conjunction
             if op == "read":
-                lab = Label(m.conjunction, frozenset({r}), frozenset(), frozenset())
+                lab = Label(guard, frozenset({r}), frozenset(), frozenset())
             else:
                 upd = frozenset({r}) if r >= 0 else frozenset()
-                lab = Label(m.conjunction, frozenset(), all_regs, upd)
+                lab = Label(guard, frozenset(), all_regs, upd)
             transitions.append((index[key], lab, index[key2]))
         i += 1
     return Sra(
         algebra=S.algebra,
         registers=S.registers,
-        states=tuple(_abstraction_name(S, key) for key in order),
+        states=tuple(_abstraction_name(ln, key) for key in order),
         initial=0,
         initial_valuation=S.initial_valuation,
         finals=frozenset(i for i, key in enumerate(order) if ln.is_final(key)),
@@ -209,7 +211,8 @@ def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
             a = v[r]
         else:
             a = S.algebra.witness(
-                m.conjunction, excluded=[x for x in v if x is not None]
+                ln.basis.minterms[m].conjunction,
+                excluded=[x for x in v if x is not None],
             )
             if r >= 0:
                 v[r] = a

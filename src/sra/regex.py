@@ -493,6 +493,13 @@ class _Builder:
 
 def compile(ast_or_pattern) -> CompiledPattern:
     """Syntax tree (or pattern string) to an anchored automaton."""
+    try:
+        return _compile(ast_or_pattern)
+    except RecursionError:
+        raise RegexError("pattern nested too deeply", 0) from None
+
+
+def _compile(ast_or_pattern) -> CompiledPattern:
     ast = parse(ast_or_pattern) if isinstance(ast_or_pattern, str) else ast_or_pattern
     groups: dict = {}
     referenced: set = set()

@@ -227,3 +227,16 @@ def test_8_determinism_check_on_fixtures_and_benchmarks():
     assert is_deterministic(remark1())
     for name, cp in rx.benchmark_patterns().items():
         assert is_deterministic(cp.sra), name
+
+
+def test_9_inclusion_finishes_at_four_registers():
+    rows = [("Pr-CL4", "Pr-C4", False), ("IP6", "IP4", True)]
+    for n1, n2, expected in rows:
+        S1 = rx.compile(rx.BENCHMARK_PATTERNS[n1]).sra
+        S2 = rx.compile(rx.BENCHMARK_PATTERNS[n2]).sra
+        t0 = time.perf_counter()
+        ok, word = includes(S1, S2)
+        assert ok == expected, (n1, "included in", n2)
+        if not ok:
+            assert membership(S1, word) and not membership(S2, word)
+        assert time.perf_counter() - t0 < 30.0, (n1, "included in", n2)

@@ -358,6 +358,11 @@ def test_parse_errors_report_position():
         UNICODE.parse("div 3")
 
 
+def test_deep_nesting_is_an_algebra_error():
+    with pytest.raises(AlgebraError):
+        INTEGERS.parse("!(" * 2000 + "true" + ")" * 2000)
+
+
 def test_algebra_by_name():
     assert algebra_by_name("int") is INTEGERS
     assert algebra_by_name("unicode") is UNICODE

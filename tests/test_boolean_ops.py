@@ -8,7 +8,7 @@ from sra.core import SraError, make_sra, membership, step
 from sra.single_valued import to_single_valued
 
 from fixtures import digits_sfa, example3, first_symbol_repeats, remark1, remark1_oracle
-from oracles import words_up_to
+from oracles import brute_membership, words_up_to
 
 
 def strip_finals(S):
@@ -200,7 +200,7 @@ def test_complete_makes_every_step_possible():
         configs |= succ
 
 
-def test_complete_requires_determinism():
+def test_complete_keeps_nondeterministic_language_and_complement_refuses():
     S = make_sra(
         INTEGERS,
         ["r"],
@@ -213,8 +213,12 @@ def test_complete_requires_determinism():
             ("p", TRUE, (), ("r",), ("r",), "q2"),
         ],
     )
+    T = complete(S)
+    assert is_complete(T)
+    for w in words_up_to(range(0, 4), 3):
+        assert membership(T, w) == brute_membership(S, w), w
     with pytest.raises(SraError):
-        complete(S)
+        complement(T)
 
 
 def test_complete_rejects_mixed_labels():

@@ -4,7 +4,7 @@ import pytest
 
 from sra.algebra import And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
-from sra.core import loads, membership, save
+from sra.core import loads, membership, save, to_json_dict
 
 from fixtures import example3, first_symbol_repeats, remark1
 
@@ -179,6 +179,33 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     assert main(["compile", "--pattern", "(ab"]) == 2  # parse error
     capsys.readouterr()
+
+
+def json_text(**changes):
+    d = to_json_dict(remark1())
+    d.update(changes)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "verb, flag, text",
+    [
+        ("compile", "--pattern", "(" * 2000 + "a" + ")" * 2000),
+        ("compile", "--pattern", "a" + "*" * 2000),
+        ("compile", "--pattern", "a" + "{1}" * 2000),
+        ("empty", "--sra", json_text(transitions=[
+            {"from": "q0", "guard": "!(" * 2000 + "true" + ")" * 2000,
+             "E": [], "I": [], "U": [], "to": "qf"}
+        ])),
+        ("empty", "--sra", json_text(initial_valuation=[])),
+    ],
+    ids=["groups", "stars", "counts", "guard", "valuation"],
+)
+def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):
+    if flag == "--sra":
+        text = write_text(tmp_path, "hostile.json", text)
+    assert main([verb, flag, text]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_domain_parsing():

@@ -282,6 +282,22 @@ def test_json_rejects_malformed_documents():
     d["transitions"][0]["E"] = ["ghost"]
     with pytest.raises(SraError):
         from_json_dict(d)
+    # a container of the wrong type is refused, not iterated or indexed
+    for key, value in [
+        ("initial_valuation", []),
+        ("registers", "r"),
+        ("states", "pq"),
+        ("finals", "q"),
+        ("transitions", {}),
+    ]:
+        d = to_json_dict(simple_sra())
+        d[key] = value
+        with pytest.raises(SraError):
+            from_json_dict(d)
+    d = to_json_dict(simple_sra())
+    d["transitions"][0]["E"] = "r"
+    with pytest.raises(SraError):
+        from_json_dict(d)
 
 
 def test_json_unicode_values_and_guards():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from sra.algebra import Div, INTEGERS
+from sra.algebra import Div, Interval, INTEGERS
 from sra.boolean_ops import complete, union
 from sra.core import SraError, make_sra, membership
 from sra.equiv import (
@@ -10,11 +12,11 @@ from sra.equiv import (
     n_bisimilar,
     n_similar,
 )
-from sra.normal import normalize
+from sra.normal import is_deterministic, normalize
 from sra.single_valued import to_single_valued
 
-from fixtures import digits_sfa, example3, first_symbol_repeats, remark1
-from oracles import words_up_to
+from fixtures import digits_sfa, example3, first_symbol_repeats, random_sra, remark1
+from oracles import brute_membership, words_up_to
 
 
 def weakened_remark1():
@@ -144,3 +146,51 @@ def test_equivalence_checks():
     assert not equivalent(S, weakened_remark1())
     empty = make_sra(INTEGERS, [], ["z"], "z", {}, [], [])
     assert equivalent(S, union(S, empty))
+
+
+def deterministic_pool(seed, size):
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < size:
+        S = random_sra(rng)
+        if is_deterministic(S):
+            pool.append(S)
+    return pool
+
+
+def test_includes_and_equivalent_agree_with_bounded_brute_force():
+    pool = deterministic_pool(47, 14)
+    words = [tuple(w) for w in words_up_to(range(0, 4), 3)]
+    lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
+    for i, S1 in enumerate(pool):
+        for j, S2 in enumerate(pool):
+            ok, word = includes(S1, S2)
+            if ok:
+                assert word is None
+                assert lang[i] <= lang[j], (i, j)
+            else:
+                assert brute_membership(S1, word), (i, j)
+                assert not brute_membership(S2, word), (i, j)
+            both = ok and includes(S2, S1)[0]
+            assert equivalent(S1, S2) == both, (i, j)
+
+
+def test_doubly_fresh_input_counts_shared_values_once():
+    # after two symbols the left register and the right register t hold
+    # the same value, s another one; a third value of [0,2] is fresh to
+    # both sides, and it is the only way to tell the languages apart
+    g = Interval(0, 2)
+    L = make_sra(INTEGERS, ["r"], ["0", "1", "2", "3"], "0", {}, ["3"], [
+        ("0", g, (), ("r",), ("r",), "1"),
+        ("1", g, (), ("r",), ("r",), "2"),
+        ("2", g, (), ("r",), ("r",), "3"),
+    ])
+    R = make_sra(INTEGERS, ["s", "t"], ["0", "1", "2", "3"], "0", {}, ["3"], [
+        ("0", g, (), ("s", "t"), ("s",), "1"),
+        ("1", g, (), ("s", "t"), ("t",), "2"),
+        ("2", g, ("s",), (), (), "3"),
+    ])
+    ok, word = includes(L, R)
+    assert not ok
+    assert brute_membership(L, word) and not brute_membership(R, word)
+    assert not equivalent(L, R)

@@ -6,7 +6,6 @@ from sra.algebra import And, Atom, Div, Interval, Not, Or, TRUE, INTEGERS
 from sra.core import make_sra, membership
 from sra.normal import (
     LazyNorm,
-    count_matching_registers,
     is_deterministic,
     is_empty,
     minterm_basis,
@@ -116,44 +115,25 @@ def test_basis_rejects_mixed_algebras():
 
 
 # ---------------------------------------------------------------------------
-# count_matching_registers / enabled
+# enabled
 
 
-def enabled(algebra, theta, kind, guard) -> bool:
-    """Can a read/fresh transition with this minterm guard fire under theta?"""
+def enabled(ln, theta, kind, i) -> bool:
+    """Can a read/fresh transition guarded by minterm i fire under theta?"""
     op, r = kind
     if op == "read":
-        return theta[r] == guard
+        return theta[r] == i
     if op == "fresh":
-        needed = count_matching_registers(theta, guard) + 1
-        return algebra.has_min_size(guard.conjunction, needed)
+        guard = ln.basis.minterms[i].conjunction
+        return ln.algebra.has_min_size(guard, theta.count(i) + 1)
     raise SraError(f"not a read/fresh label kind: {kind!r}")
 
 
-def test_register_counts():
-    mts = minterm_basis(empty_language_with_loop())
-    m = next(iter(mts))
-    other = [x for x in mts if x != m][0]
-    assert count_matching_registers((None,), m) == 0
-    assert count_matching_registers((m, m), m) == 2
-    assert count_matching_registers((m, other), m) == 1
-
-
-def test_register_count_rejects_foreign_minterm():
-    mts1 = minterm_basis(empty_language_with_loop())
-    mts2 = minterm_basis(to_single_valued(remark1()))
-    m1 = next(iter(mts1))
-    m2 = next(iter(mts2))
-    with pytest.raises(SraError):
-        count_matching_registers((m1,), m2)
-
-
 def test_enabled_read_requires_matching_abstraction():
-    mts = minterm_basis(empty_language_with_loop())
-    m, other = list(mts)[0], list(mts)[1]
-    assert enabled(INTEGERS, (m,), ("read", 0), m)
-    assert not enabled(INTEGERS, (other,), ("read", 0), m)
-    assert not enabled(INTEGERS, (None,), ("read", 0), m)
+    ln = LazyNorm(empty_language_with_loop())
+    assert enabled(ln, (0,), ("read", 0), 0)
+    assert not enabled(ln, (1,), ("read", 0), 0)
+    assert not enabled(ln, (-1,), ("read", 0), 0)
 
 
 def test_enabled_fresh_counts_occupied_values():
@@ -166,11 +146,11 @@ def test_enabled_fresh_counts_occupied_values():
         [],
         [("p", Atom(7), (), ("r",), ("r",), "p")],
     )
-    mts = minterm_basis(S)
-    point = next(m for m in mts if Atom(7) in m.positives)
-    assert enabled(INTEGERS, (None,), ("fresh", 0), point)
+    ln = LazyNorm(S)
+    point = next(i for i, m in enumerate(ln.basis) if Atom(7) in m.positives)
+    assert enabled(ln, (-1,), ("fresh", 0), point)
     # the only element of the guard is already held by a register
-    assert not enabled(INTEGERS, (point,), ("fresh", 0), point)
+    assert not enabled(ln, (point,), ("fresh", 0), point)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +209,8 @@ def test_every_constructed_transition_is_enabled_at_source():
         stack = [ln.initial]
         while stack:
             key = stack.pop()
-            for m, op, r, key2 in ln.successors(key):
-                assert enabled(S.algebra, key[1], (op, r), m)
+            for i, op, r, key2 in ln.successors(key):
+                assert enabled(ln, key[1], (op, r), i)
                 if key2 not in seen:
                     seen.add(key2)
                     stack.append(key2)

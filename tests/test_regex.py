@@ -59,6 +59,16 @@ def test_parse_errors_carry_a_position(pattern):
     assert exc.value.position >= 0
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    ["(" * 2000 + "a" + ")" * 2000, "a" + "*" * 2000, "a" + "{1}" * 2000],
+    ids=["groups", "stars", "counts"],
+)
+def test_deep_nesting_is_a_regex_error(pattern):
+    with pytest.raises(rx.RegexError):
+        rx.compile(pattern)
+
+
 def test_class_and_escape_denotations():
     checks = [
         (r"\d", "5", True), (r"\d", "a", False),
