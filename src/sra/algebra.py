@@ -4,7 +4,7 @@ A predicate denotes a set of domain elements.  Two concrete algebra
 instances are provided:
 
 * ``INTEGERS`` -- arbitrary-precision integers with closed intervals
-  (the upper bound may be infinite), divisibility tests ``div k``
+  (either bound may be infinite), divisibility tests ``div k``
   (residue 0) and singleton ``atom`` predicates.
 * ``UNICODE`` -- codepoints 0..0x10FFFF with intervals and atoms.
 
@@ -99,49 +99,23 @@ def disj(parts: Sequence[Predicate]) -> Predicate:
 
 # ---------------------------------------------------------------------------
 # Interval-set machinery.  An "ivs" is a tuple of disjoint, sorted, closed
-# integer intervals (lo, hi) where lo=None / hi=None stand for -inf / +inf.
+# integer intervals (lo, hi); an unbounded end is -math.inf / math.inf.
 
 
 def _iv_norm(ivs: list) -> tuple:
-    def key(iv):
-        lo = iv[0]
-        return -math.inf if lo is None else lo
-
-    ivs = sorted((iv for iv in ivs if not _iv_empty(iv)), key=key)
     out: list = []
-    for lo, hi in ivs:
-        if out:
-            plo, phi = out[-1]
-            # merge touching or overlapping intervals
-            if phi is None or lo is None or lo <= phi + 1:
-                if phi is not None and (hi is None or hi > phi):
-                    out[-1] = (plo, hi)
-                continue
-        out.append((lo, hi))
+    for lo, hi in sorted(iv for iv in ivs if iv[0] <= iv[1]):
+        # merge touching or overlapping intervals
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
     return tuple(out)
 
 
-def _iv_empty(iv) -> bool:
-    lo, hi = iv
-    return lo is not None and hi is not None and lo > hi
-
-
-def _iv_inter_one(a, b):
-    alo, ahi = a
-    blo, bhi = b
-    lo = blo if alo is None else alo if blo is None else max(alo, blo)
-    hi = bhi if ahi is None else ahi if bhi is None else min(ahi, bhi)
-    return (lo, hi)
-
-
 def iv_intersect(a: tuple, b: tuple) -> tuple:
-    out = []
-    for x in a:
-        for y in b:
-            iv = _iv_inter_one(x, y)
-            if not _iv_empty(iv):
-                out.append(iv)
-    return _iv_norm(out)
+    return _iv_norm([(max(x[0], y[0]), min(x[1], y[1])) for x in a for y in b])
 
 
 def iv_union(a: tuple, b: tuple) -> tuple:
@@ -149,26 +123,15 @@ def iv_union(a: tuple, b: tuple) -> tuple:
 
 
 def iv_complement(a: tuple, domain: tuple) -> tuple:
-    # complement over all integers, then clipped to the domain
+    # the gaps of a over all integers, then clipped to the domain
     out = []
-    prev = None  # next uncovered point; None = -inf initially
-    open_left = True
+    prev = -math.inf  # least point not yet covered
     for lo, hi in a:
-        if lo is None:
-            open_left = False
-        else:
-            if open_left:
-                out.append((None, lo - 1))
-                open_left = False
-            elif prev is not None and prev <= lo - 1:
-                out.append((prev, lo - 1))
-        if hi is None:
-            return iv_intersect(tuple(out), domain)
+        if prev < lo:
+            out.append((prev, lo - 1))
         prev = hi + 1
-    if open_left:
-        out.append((None, None))
-    else:
-        out.append((prev, None))
+    if prev < math.inf:
+        out.append((prev, math.inf))
     return iv_intersect(tuple(out), domain)
 
 
@@ -191,7 +154,6 @@ class Minterm:
     """A minimal satisfiable sign-assignment over a source predicate set."""
 
     conjunction: Predicate
-    positives: frozenset
     bits: tuple
 
     def __repr__(self):  # compact, for debugging normalized automata
@@ -215,10 +177,15 @@ class MintermSet:
 
 
 class Algebra:
-    """Base class; concrete instances fix the domain and witness order."""
+    """Base class; concrete instances fix the name, domain and literal syntax.
+
+    The canonical witness order enumerates 0, 1, 2, ... and then -1, -2,
+    ..., so every non-empty denotation has a least element even when it
+    is unbounded below.  On a non-negative domain it is the natural order.
+    """
 
     name = "?"
-    _domain_ivs: tuple = ((None, None),)
+    _domain_ivs: tuple = ((-math.inf, math.inf),)
 
     # -- structural checks -------------------------------------------------
 
@@ -250,13 +217,17 @@ class Algebra:
         raise AlgebraError(f"div predicates are not part of the {self.name} algebra")
 
     def _in_domain(self, a) -> bool:
-        raise NotImplementedError
+        return (
+            isinstance(a, int)
+            and not isinstance(a, bool)
+            and any(lo <= a <= hi for lo, hi in self._domain_ivs)
+        )
 
     # -- denotation --------------------------------------------------------
 
     def denotes(self, p: Predicate, a: int) -> bool:
         """True iff a is in the denotation of p."""
-        if not isinstance(a, int) or isinstance(a, bool) or not self._in_domain(a):
+        if not self._in_domain(a):
             raise AlgebraError(f"{a!r} is not a {self.name} domain element")
         self.check(p)
         return self._eval(p, a)
@@ -326,7 +297,9 @@ class Algebra:
         if isinstance(p, FalsePred):
             return ()
         if isinstance(p, Interval):
-            return iv_intersect(((p.lo, p.hi),), dom)
+            lo = -math.inf if p.lo is None else p.lo
+            hi = math.inf if p.hi is None else p.hi
+            return iv_intersect(((lo, hi),), dom)
         if isinstance(p, Div):
             return dom if res % p.k == 0 else ()
         if isinstance(p, Atom):
@@ -358,9 +331,8 @@ class Algebra:
         self.check(p)
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
-                if lo is None or hi is None:
-                    return True
-                if _first_in_class(lo, res, L) <= hi:
+                # L consecutive integers hold one of each class
+                if hi - lo >= L - 1 or _first_in_class(lo, res, L) <= hi:
                     return True
         return False
 
@@ -375,7 +347,8 @@ class Algebra:
         total = 0
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
-                if lo is None or hi is None:
+                # k * L consecutive integers hold k of each class
+                if hi - lo >= k * L:
                     return True
                 first = _first_in_class(lo, res, L)
                 if first <= hi:
@@ -395,11 +368,23 @@ class Algebra:
         return self._least(conj(parts))
 
     def _least(self, p: Predicate) -> Optional[int]:
-        raise NotImplementedError
+        best_nonneg = None
+        best_neg = None
+        for res, L, ivs in self._cells(p):
+            for lo, hi in ivs:
+                # least non-negative element of the cell
+                x = _first_in_class(max(lo, 0), res, L)
+                if x <= hi and (best_nonneg is None or x < best_nonneg):
+                    best_nonneg = x
+                # greatest negative element of the cell
+                y = _last_in_class(min(hi, -1), res, L)
+                if y >= lo and (best_neg is None or y > best_neg):
+                    best_neg = y
+        return best_neg if best_nonneg is None else best_nonneg
 
     def sort_key(self, a: int):
-        """Key realizing the canonical witness order of the algebra."""
-        return a
+        """Key realizing the canonical witness order."""
+        return (0, a) if a >= 0 else (1, -a)
 
     # -- minterms ------------------------------------------------------------
 
@@ -428,11 +413,7 @@ class Algebra:
                 if self.is_sat(conj(neg)):
                     grown.append((neg, bits + (0,)))
             cells = grown
-        out = []
-        for lits, bits in cells:
-            positives = frozenset(q for q, b in zip(src, bits) if b)
-            out.append(Minterm(conj(lits), positives, bits))
-        return MintermSet(src, tuple(out))
+        return MintermSet(src, tuple(Minterm(conj(lits), bits) for lits, bits in cells))
 
     def minterm_of(self, mts: MintermSet, a: int) -> Minterm:
         """The unique minterm containing the element a."""
@@ -562,43 +543,13 @@ def _parse_int(s: str, i: int):
 
 
 class IntegerAlgebra(Algebra):
-    """All integers.  The canonical witness order enumerates 0, 1, 2, ...
-    and then -1, -2, ..., so every non-empty denotation has a least element
-    even when it is unbounded below."""
+    """All integers, with divisibility tests."""
 
     name = "int"
-    _domain_ivs = ((None, None),)
-
-    def _in_domain(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool)
 
     def _check_div(self, p: Div) -> None:
         if not isinstance(p.k, int) or p.k < 1:
             raise AlgebraError("div modulus must be a positive integer")
-
-    def _least(self, p: Predicate) -> Optional[int]:
-        best_nonneg = None
-        best_neg = None
-        for res, L, ivs in self._cells(p):
-            for lo, hi in ivs:
-                # least non-negative element of the cell
-                start = 0 if lo is None else max(lo, 0)
-                x = _first_in_class(start, res, L)
-                if (hi is None or x <= hi) and (lo is None or x >= lo):
-                    if best_nonneg is None or x < best_nonneg:
-                        best_nonneg = x
-                # greatest negative element of the cell
-                end = -1 if hi is None else min(hi, -1)
-                y = _last_in_class(end, res, L)
-                if y <= -1 and (lo is None or y >= lo):
-                    if best_neg is None or y > best_neg:
-                        best_neg = y
-        if best_nonneg is not None:
-            return best_nonneg
-        return best_neg
-
-    def sort_key(self, a: int):
-        return (0, a) if a >= 0 else (1, -a)
 
     def _parse_literal(self, s: str, i: int):
         return _parse_int(s, i)
@@ -615,19 +566,6 @@ class UnicodeAlgebra(Algebra):
 
     name = "unicode"
     _domain_ivs = ((0, MAX_CODEPOINT),)
-
-    def _in_domain(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a <= MAX_CODEPOINT
-
-    def _least(self, p: Predicate) -> Optional[int]:
-        best = None
-        for res, L, ivs in self._cells(p):
-            for lo, hi in ivs:
-                x = _first_in_class(0 if lo is None else lo, res, L)
-                if hi is None or x <= hi:
-                    if best is None or x < best:
-                        best = x
-        return best
 
     def _parse_literal(self, s: str, i: int):
         if s.startswith("U+", i):

@@ -200,7 +200,7 @@ def test_minterms_empty_set_is_top():
     mts = INTEGERS.minterms([])
     assert len(mts) == 1
     only = mts.minterms[0]
-    assert only.positives == frozenset()
+    assert mts.sources == () and only.bits == ()
     assert INTEGERS.denotes(only.conjunction, 42)
 
 

@@ -147,7 +147,8 @@ def test_enabled_fresh_counts_occupied_values():
         [("p", Atom(7), (), ("r",), ("r",), "p")],
     )
     ln = LazyNorm(S)
-    point = next(i for i, m in enumerate(ln.basis) if Atom(7) in m.positives)
+    j = ln.basis.sources.index(Atom(7))
+    point = next(i for i, m in enumerate(ln.basis) if m.bits[j])
     assert enabled(ln, (-1,), ("fresh", 0), point)
     # the only element of the guard is already held by a register
     assert not enabled(ln, (point,), ("fresh", 0), point)
