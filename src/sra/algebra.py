@@ -473,17 +473,23 @@ class Algebra:
                 raise AlgebraError(f"expected ')' at position {i}")
             return Not(p), i + 1
         if c == "(":
-            left, i = self._parse_pred(s, i + 1)
+            # a run of one connective: (a & b & c) or (a | b | c)
+            first, i = self._parse_pred(s, i + 1)
             i = _skip_ws(s, i)
             if i >= len(s) or s[i] not in "&|":
                 raise AlgebraError(f"expected '&' or '|' at position {i}")
             op = s[i]
-            right, i = self._parse_pred(s, i + 1)
-            i = _skip_ws(s, i)
+            args = [first]
+            while i < len(s) and s[i] == op:
+                q, i = self._parse_pred(s, i + 1)
+                args.append(q)
+                i = _skip_ws(s, i)
             if i >= len(s) or s[i] != ")":
+                if i < len(s) and s[i] in "&|":
+                    raise AlgebraError(f"'&' and '|' mixed without parentheses at position {i}")
                 raise AlgebraError(f"expected ')' at position {i}")
             node = And if op == "&" else Or
-            return node((left, right)), i + 1
+            return node(tuple(args)), i + 1
         raise AlgebraError(f"cannot parse predicate at position {i}: {s[i:]!r}")
 
     def _parse_bound(self, s: str, i: int, low: bool):
@@ -512,12 +518,8 @@ class Algebra:
         if isinstance(p, Not):
             return f"!({self.show(p.arg)})"
         if isinstance(p, (And, Or)):
-            # n-ary connectives render as left-nested binary pairs
             op = " & " if isinstance(p, And) else " | "
-            out = self.show(p.args[0])
-            for q in p.args[1:]:
-                out = f"({out}{op}{self.show(q)})"
-            return out
+            return "(" + op.join(self.show(q) for q in p.args) + ")"
         raise AlgebraError(f"unknown predicate node {p!r}")
 
     def _show_literal(self, v: int) -> str:

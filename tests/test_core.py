@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from sra.algebra import Atom, Interval, FALSE, TRUE, INTEGERS, UNICODE
+from sra import regex as rx
+from sra.algebra import Atom, Interval, FALSE, Or, TRUE, INTEGERS, UNICODE
+from sra.boolean_ops import complete
 from sra.core import (
     Label,
     SraError,
@@ -17,6 +19,8 @@ from sra.core import (
     to_json_dict,
     validate,
 )
+from sra.normal import normalize
+from sra.single_valued import to_single_valued
 
 from fixtures import (
     digits_sfa,
@@ -266,6 +270,14 @@ def test_json_round_trip_identity():
         T = loads(text)
         assert T == S
         assert dumps(T) == text
+
+
+def test_json_round_trip_wide_and_derived_guards():
+    wide = Or(tuple(Atom(i) for i in range(1200)))
+    S = make_sra(INTEGERS, [], ["p", "q"], "p", {}, ["q"], [("p", wide, (), (), (), "q")])
+    sv = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["Name"]).sra)
+    for T in (S, complete(sv), normalize(sv)):
+        assert loads(dumps(T)) == T
 
 
 def test_json_canonical_file_bit_exact():
