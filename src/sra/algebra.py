@@ -25,6 +25,11 @@ class AlgebraError(ValueError):
     """Raised on malformed predicates or algebra-instance mismatches."""
 
 
+# Cell decomposition enumerates every residue modulo the lcm of a
+# predicate's div moduli; a larger lcm is refused.
+MAX_DIV_LCM = 1 << 16
+
+
 # ---------------------------------------------------------------------------
 # Predicate syntax trees
 
@@ -320,6 +325,8 @@ class Algebra:
 
     def _cells(self, p: Predicate):
         L = self._moduli_lcm(p)
+        if L > MAX_DIV_LCM:
+            raise AlgebraError(f"lcm {L} of div moduli exceeds {MAX_DIV_LCM}")
         for res in range(L):
             ivs = self._restrict(p, res, L)
             if ivs:

@@ -30,6 +30,11 @@ from .core import Label, Sra, SraError, compiled_moves, membership, validate
 from .normal import is_deterministic
 
 
+# RE2's limit on a repeat count, and a bound on the nodes of one build
+MAX_REPEAT = 1000
+MAX_NODES = 1 << 16
+
+
 class RegexError(SraError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -195,11 +200,14 @@ class _Parser:
         return Repeat(node, lo, hi)
 
     def number(self) -> int:
+        start = self.pos
         digits = ""
         while (c := self.peek()) is not None and c.isdigit():
             digits += self.take()
         if not digits:
             raise self.error("expected a number")
+        if int(digits) > MAX_REPEAT:
+            raise RegexError(f"repeat count above {MAX_REPEAT}", start)
         return int(digits)
 
     def atom(self):
@@ -368,6 +376,8 @@ class _Builder:
         self.active = []  # [group index, next offset] for open groups
 
     def node(self) -> int:
+        if self.n >= MAX_NODES:
+            raise RegexError(f"pattern needs more than {MAX_NODES} automaton nodes", 0)
         i = self.n
         self.n += 1
         self.eps[i] = []

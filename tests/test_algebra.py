@@ -156,6 +156,14 @@ def test_has_min_size_matches_bruteforce_on_bounded_fragment():
 # witness
 
 
+def test_div_lcm_above_cap_fails_fast():
+    p = And((Div(1000003), Interval(1, 1000002)))
+    for decide in (INTEGERS.is_sat, INTEGERS.witness, lambda q: INTEGERS.has_min_size(q, 1)):
+        with pytest.raises(AlgebraError):
+            decide(p)
+    assert not INTEGERS.is_sat(And((Div(1 << 16), Interval(1, (1 << 16) - 1))))
+
+
 def test_witness_exhausted_set():
     p = And((Div(3), Interval(0, 10)))
     assert INTEGERS.witness(p, {0, 3, 6, 9}) is None

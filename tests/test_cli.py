@@ -193,13 +193,19 @@ def json_text(**changes):
         ("compile", "--pattern", "(" * 2000 + "a" + ")" * 2000),
         ("compile", "--pattern", "a" + "*" * 2000),
         ("compile", "--pattern", "a" + "{1}" * 2000),
+        ("compile", "--pattern", "a{1001}"),
+        ("compile", "--pattern", "(a{1000}){1000}"),
         ("empty", "--sra", json_text(transitions=[
             {"from": "q0", "guard": "!(" * 2000 + "true" + ")" * 2000,
              "E": [], "I": [], "U": [], "to": "qf"}
         ])),
+        ("empty", "--sra", json_text(transitions=[
+            {"from": "q0", "guard": "(div 1000003 & [1-1000002])",
+             "E": [], "I": [], "U": [], "to": "qf"}
+        ])),
         ("empty", "--sra", json_text(initial_valuation=[])),
     ],
-    ids=["groups", "stars", "counts", "guard", "valuation"],
+    ids=["groups", "stars", "counts", "big_count", "big_build", "guard", "div_lcm", "valuation"],
 )
 def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):
     if flag == "--sra":
