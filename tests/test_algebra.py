@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sra.algebra import (
     INTEGERS,
@@ -187,6 +189,21 @@ def test_witness_unbounded_below_is_deterministic():
     assert INTEGERS.witness(neg) == -4  # greatest negative when forced below 0
 
 
+def test_witness_of_unbounded_predicates_is_an_int():
+    assert INTEGERS.witness(Interval(None, -3)) == -3
+    assert UNICODE.witness(Not(Interval(0, 0x10FFFE))) == 0x10FFFF
+    unbounded = [
+        Interval(None, None),
+        Interval(None, -3),
+        Interval(5, None),
+        Not(Interval(-5, 5)),
+        And((Interval(None, -1), Div(4))),
+    ]
+    for p in unbounded:
+        assert type(INTEGERS.witness(p)) is int, p
+        assert type(INTEGERS.witness(p, {0, -1, 5, -4})) is int, p
+
+
 def test_witness_member_of_denotation():
     p = And((Interval(-40, 40), Div(7), Not(Atom(0))))
     w = INTEGERS.witness(p)
@@ -243,8 +260,9 @@ bounded_ints = st.integers(min_value=-40, max_value=40)
 
 @st.composite
 def bounded_predicates(draw, depth=3):
+    # finite ends and atoms lie in [-40, 40]
     if depth == 0:
-        choice = draw(st.integers(min_value=0, max_value=4))
+        choice = draw(st.integers(min_value=0, max_value=6))
         if choice == 0:
             return TRUE
         if choice == 1:
@@ -255,6 +273,10 @@ def bounded_predicates(draw, depth=3):
             return Interval(min(a, b), max(a, b))
         if choice == 3:
             return Div(draw(st.integers(min_value=1, max_value=9)))
+        if choice == 4:
+            return Interval(draw(bounded_ints), None)
+        if choice == 5:
+            return Interval(None, draw(bounded_ints))
         return Atom(draw(bounded_ints))
     choice = draw(st.integers(min_value=0, max_value=3))
     if choice == 0:
@@ -280,12 +302,33 @@ def test_connectives_agree_with_set_operations(p, q, a):
     assert INTEGERS.denotes(Not(p), a) != INTEGERS.denotes(p, a)
 
 
+def div_lcm(p):
+    if isinstance(p, Div):
+        return p.k
+    if isinstance(p, Not):
+        return div_lcm(p.arg)
+    if isinstance(p, (And, Or)):
+        return math.lcm(*(div_lcm(q) for q in p.args))
+    return 1
+
+
+def exact_window(p):
+    """Integers on which a bounded predicate shows its whole denotation.
+
+    Outside [-40, 40] every finite end and atom is passed, so membership
+    there depends only on the residue modulo the lcm L of the div moduli:
+    one period on each side, [-40 - L, 40 + L], meets every residue class
+    that the denotation holds beyond [-40, 40].
+    """
+    L = div_lcm(p)
+    return range(-40 - L, 41 + L)
+
+
 @given(bounded_predicates())
+@example(And((And((Div(7), Div(8))), And((Div(9), Not(Interval(-40, 40)))))))  # only +-504
 @settings(max_examples=150, deadline=None)
 def test_is_sat_agrees_with_bruteforce(p):
-    # witnesses for this fragment always fall inside INT_RANGE: endpoints
-    # and atoms lie in [-40, 40] and the lcm of moduli <= 9! stays tiny
-    assert INTEGERS.is_sat(p) == brute_is_sat(INTEGERS, p)
+    assert INTEGERS.is_sat(p) == brute_is_sat(INTEGERS, p, exact_window(p))
 
 
 @given(bounded_predicates(), st.integers(min_value=0, max_value=12))
@@ -304,6 +347,16 @@ def test_witness_is_deterministic_and_valid(p, excluded):
     if w1 is not None:
         assert INTEGERS.denotes(p, w1)
         assert w1 not in excluded
+
+
+@given(bounded_predicates(), st.sets(bounded_ints, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_witness_is_least_in_canonical_order(p, excluded):
+    # the least non-negative and the greatest negative member both lie in
+    # the exact window when they exist, so its least member is the witness
+    members = [a for a in enum_denotation(INTEGERS, p, exact_window(p)) if a not in excluded]
+    expected = min(members, key=lambda a: (a < 0, abs(a)), default=None)
+    assert INTEGERS.witness(p, excluded) == expected
 
 
 @given(st.lists(bounded_predicates(depth=1), min_size=0, max_size=4), bounded_ints)

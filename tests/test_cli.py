@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +97,7 @@ def test_pattern_files_keep_trailing_spaces(tmp_path):
 def test_compile_roundtrip(tmp_path):
     out = str(tmp_path / "out.json")
     assert main(["compile", "--pattern", r"(\d)\1", "--out", out]) == 0
-    S = loads(open(out).read())
+    S = loads(Path(out).read_text())
     assert membership(S, [ord("7"), ord("7")])
     assert not membership(S, [ord("7"), ord("8")])
 
@@ -105,7 +106,7 @@ def test_compile_emit_normalized(tmp_path):
     out = str(tmp_path / "norm.json")
     src = write_sra(tmp_path, "r1.json", remark1())
     assert main(["compile", "--sra", src, "--emit-normalized", "--out", out]) == 0
-    N = loads(open(out).read())
+    N = loads(Path(out).read_text())
     assert membership(N, [2, 4, 2])
     assert not membership(N, [2, 4, 6])
 
@@ -115,14 +116,14 @@ def test_union_and_intersect_verbs(tmp_path):
     b = write_text(tmp_path, "b.regex", "cd")
     out = str(tmp_path / "u.json")
     assert main(["union", "--lhs", a, "--rhs", b, "--out", out]) == 0
-    U = loads(open(out).read())
+    U = loads(Path(out).read_text())
     assert membership(U, [ord("a"), ord("b")])
     assert membership(U, [ord("c"), ord("d")])
     assert not membership(U, [ord("a"), ord("d")])
 
     out = str(tmp_path / "i.json")
     assert main(["intersect", "--lhs", a, "--rhs", a, "--out", out]) == 0
-    I = loads(open(out).read())
+    I = loads(Path(out).read_text())
     assert membership(I, [ord("a"), ord("b")])
     assert not membership(I, [ord("c"), ord("d")])
 
@@ -130,7 +131,7 @@ def test_union_and_intersect_verbs(tmp_path):
 def test_complement_verb(tmp_path):
     out = str(tmp_path / "c.json")
     assert main(["complement", "--pattern", "[0-9]", "--complete", "--out", out]) == 0
-    C = loads(open(out).read())
+    C = loads(Path(out).read_text())
     assert not membership(C, [ord("5")])
     assert membership(C, [ord("x")])
     assert membership(C, [])
@@ -162,7 +163,7 @@ def test_expand_overflow_report(tmp_path, capsys):
 def test_bench_verb(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--sizes", "100,1000", "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[0] == "length,seconds"
     sizes = [int(line.split(",")[0]) for line in lines[1:]]
     assert len(sizes) == 2 and sizes[0] < sizes[1]
