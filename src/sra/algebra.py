@@ -222,11 +222,11 @@ class Algebra:
         raise AlgebraError(f"div predicates are not part of the {self.name} algebra")
 
     def _in_domain(self, a) -> bool:
-        return (
-            isinstance(a, int)
-            and not isinstance(a, bool)
-            and any(lo <= a <= hi for lo, hi in self._domain_ivs)
-        )
+        if isinstance(a, int) and not isinstance(a, bool):
+            for lo, hi in self._domain_ivs:
+                if lo <= a <= hi:
+                    return True
+        return False
 
     # -- denotation --------------------------------------------------------
 
@@ -375,19 +375,17 @@ class Algebra:
         return self._least(conj(parts))
 
     def _least(self, p: Predicate) -> Optional[int]:
-        best_nonneg = None
-        best_neg = None
+        # each cell offers its least non-negative and greatest negative element
+        found = []
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
-                # least non-negative element of the cell
                 x = _first_in_class(max(lo, 0), res, L)
-                if x <= hi and (best_nonneg is None or x < best_nonneg):
-                    best_nonneg = x
-                # greatest negative element of the cell
+                if x <= hi:
+                    found.append(x)
                 y = _last_in_class(min(hi, -1), res, L)
-                if y >= lo and (best_neg is None or y > best_neg):
-                    best_neg = y
-        return best_neg if best_nonneg is None else best_nonneg
+                if y >= lo:
+                    found.append(y)
+        return min(found, key=self.sort_key, default=None)
 
     def sort_key(self, a: int):
         """Key realizing the canonical witness order."""
@@ -492,8 +490,6 @@ class Algebra:
                 args.append(q)
                 i = _skip_ws(s, i)
             if i >= len(s) or s[i] != ")":
-                if i < len(s) and s[i] in "&|":
-                    raise AlgebraError(f"'&' and '|' mixed without parentheses at position {i}")
                 raise AlgebraError(f"expected ')' at position {i}")
             node = And if op == "&" else Or
             return node(tuple(args)), i + 1

@@ -206,9 +206,10 @@ class _Parser:
             digits += self.take()
         if not digits:
             raise self.error("expected a number")
-        if int(digits) > MAX_REPEAT:
+        n = int(digits)
+        if n > MAX_REPEAT:
             raise RegexError(f"repeat count above {MAX_REPEAT}", start)
-        return int(digits)
+        return n
 
     def atom(self):
         c = self.peek()

@@ -265,19 +265,14 @@ def test_from_sfa_reachable_configurations_bounded_by_states():
 
 
 def test_json_round_trip_identity():
-    for S in (simple_sra(), example3(), remark1(), digits_sfa()):
+    wide = Or(tuple(Atom(i) for i in range(1200)))
+    wide_sra = make_sra(INTEGERS, [], ["p", "q"], "p", {}, ["q"], [("p", wide, (), (), (), "q")])
+    sv = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["Name"]).sra)
+    for S in (simple_sra(), example3(), remark1(), digits_sfa(), wide_sra, complete(sv), normalize(sv)):
         text = dumps(S)
         T = loads(text)
         assert T == S
         assert dumps(T) == text
-
-
-def test_json_round_trip_wide_and_derived_guards():
-    wide = Or(tuple(Atom(i) for i in range(1200)))
-    S = make_sra(INTEGERS, [], ["p", "q"], "p", {}, ["q"], [("p", wide, (), (), (), "q")])
-    sv = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["Name"]).sra)
-    for T in (S, complete(sv), normalize(sv)):
-        assert loads(dumps(T)) == T
 
 
 def test_json_canonical_file_bit_exact():
