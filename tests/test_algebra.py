@@ -92,6 +92,14 @@ def test_is_sat_matches_bruteforce_on_samples():
         assert INTEGERS.is_sat(p) == brute_is_sat(INTEGERS, p), p
 
 
+def test_div_lcm_above_cap_fails_fast():
+    p = And((Div(1000003), Interval(1, 1000002)))
+    for decide in (INTEGERS.is_sat, INTEGERS.witness, lambda q: INTEGERS.has_min_size(q, 1)):
+        with pytest.raises(AlgebraError):
+            decide(p)
+    assert not INTEGERS.is_sat(And((Div(1 << 16), Interval(1, (1 << 16) - 1))))
+
+
 # ---------------------------------------------------------------------------
 # build
 
@@ -156,14 +164,6 @@ def test_has_min_size_matches_bruteforce_on_bounded_fragment():
 
 # ---------------------------------------------------------------------------
 # witness
-
-
-def test_div_lcm_above_cap_fails_fast():
-    p = And((Div(1000003), Interval(1, 1000002)))
-    for decide in (INTEGERS.is_sat, INTEGERS.witness, lambda q: INTEGERS.has_min_size(q, 1)):
-        with pytest.raises(AlgebraError):
-            decide(p)
-    assert not INTEGERS.is_sat(And((Div(1 << 16), Interval(1, (1 << 16) - 1))))
 
 
 def test_witness_exhausted_set():
