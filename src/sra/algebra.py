@@ -338,8 +338,9 @@ class Algebra:
         self.check(p)
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
-                # L consecutive integers hold one of each class
-                if hi - lo >= L - 1 or _first_in_class(lo, res, L) <= hi:
+                # L consecutive integers hold one of each class; adding
+                # keeps a float end away from an int too large for a float
+                if lo + (L - 1) <= hi or _first_in_class(lo, res, L) <= hi:
                     return True
         return False
 
@@ -355,7 +356,7 @@ class Algebra:
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
                 # k * L consecutive integers hold k of each class
-                if hi - lo >= k * L:
+                if lo + k * L <= hi:
                     return True
                 first = _first_in_class(lo, res, L)
                 if first <= hi:

@@ -378,7 +378,8 @@ class _Builder:
 
     def node(self) -> int:
         if self.n >= MAX_NODES:
-            raise RegexError(f"pattern needs more than {MAX_NODES} automaton nodes", 0)
+            # a cap on the whole pattern, reported at its start
+            raise RegexError(f"whole pattern needs more than {MAX_NODES} nodes", 0)
         i = self.n
         self.n += 1
         self.eps[i] = []

@@ -198,10 +198,15 @@ def test_witness_of_unbounded_predicates_is_an_int():
         Interval(5, None),
         Not(Interval(-5, 5)),
         And((Interval(None, -1), Div(4))),
+        Interval(10**400, None),
+        Interval(None, -(10**400)),
+        Not(Interval(-(10**400), None)),
     ]
     for p in unbounded:
         assert type(INTEGERS.witness(p)) is int, p
         assert type(INTEGERS.witness(p, {0, -1, 5, -4})) is int, p
+        # an end beyond float range meets the infinite one without overflow
+        assert INTEGERS.is_sat(p) and INTEGERS.has_min_size(p, 3), p
 
 
 def test_witness_member_of_denotation():

@@ -215,6 +215,19 @@ def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, t
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "guard",
+    ["[1%s-inf]" % ("0" * 400), "!([-1%s-inf])" % ("0" * 400)],
+    ids=["above", "below"],
+)
+def test_bounds_beyond_float_range_decide_without_traceback(tmp_path, capsys, guard):
+    text = json_text(transitions=[
+        {"from": "q0", "guard": guard, "E": [], "I": [], "U": [], "to": "qf"}
+    ])
+    assert main(["empty", "--sra", write_text(tmp_path, "huge.json", text)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_domain_parsing():
     assert _parse_domain("a-c") == [ord("a"), ord("b"), ord("c")]
     assert _parse_domain("1-3,7") == [1, 2, 3, 7]
