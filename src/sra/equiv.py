@@ -1,15 +1,17 @@
-"""Similarity, bisimilarity, inclusion and equivalence checks.
+"""Similarity, inclusion and equivalence checks.
 
 The checks run on normalized automata over a shared minterm basis.
-Besides the two base states, each explored triple carries a partial
-injective register correspondence: (r, s) present means the two
-registers currently hold the same value, absence means they differ.
-A FIFO worklist grows the candidate relation from the initial triple;
-a triple that cannot be matched disproves the simulation.
+Besides the two base states, each explored triple carries a register
+correspondence: a tuple indexed by left register whose entry is the
+right register holding the same value, or -1 when no right register
+does.  A FIFO worklist grows the candidate relation from the initial
+triple; a triple that cannot be matched disproves the simulation.
 
 Inclusion and equivalence additionally require deterministic operands
 and complete right-hand sides; a failed inclusion is backed by a
 concrete separating word replayed from the failing simulation path.
+Equivalence runs the one-way simulation in both directions over one
+shared basis and one pair of lazily normalized automata.
 """
 
 from __future__ import annotations
@@ -20,41 +22,26 @@ from typing import Optional, Tuple
 from .boolean_ops import complement, complete, intersect
 from .core import Sra, SraError
 from .normal import LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis
-from .single_valued import is_single_valued, sv_label_kind, to_single_valued
+from .single_valued import is_single_valued, to_single_valued
 
-# a correspondence is a frozenset of (left register, right register) pairs
 
-def correspondence_of(v1, v2) -> frozenset:
-    """Pairs of registers currently holding one and the same value."""
+def correspondence_of(v1, v2) -> Tuple[int, ...]:
+    """Per left register, the right register holding its value, or -1."""
     for v in (v1, v2):
         present = [x for x in v if x is not None]
         if len(set(present)) != len(present):
             raise SraError("correspondence requires injective valuations")
-    return frozenset(
-        (r, s)
-        for r, a in enumerate(v1)
-        if a is not None
-        for s, b in enumerate(v2)
-        if a == b
-    )
+    right = {b: s for s, b in enumerate(v2) if b is not None}
+    return tuple(-1 if a is None else right.get(a, -1) for a in v1)
 
 
-def _sigma_update(sigma: frozenset, r: int, s: int) -> frozenset:
-    return frozenset(p for p in sigma if p[0] != r and p[1] != s) | {(r, s)}
-
-
-def _sigma_invert(sigma: frozenset) -> frozenset:
-    return frozenset((s, r) for r, s in sigma)
+def _sigma_update(sigma: tuple, r: int, s: int) -> tuple:
+    return tuple(s if i == r else -1 if t == s else t for i, t in enumerate(sigma))
 
 
 def _strict_single_valued(S: Sra) -> Sra:
     """Single-valued form whose labels are all proper read/fresh."""
-    n = len(S.registers)
-    if is_single_valued(S) and all(
-        sv_label_kind(n, lab)[0] != "bullet" for _, lab, _ in S.transitions
-    ):
-        return S
-    return to_single_valued(S)
+    return S if S.registers and is_single_valued(S) else to_single_valued(S)
 
 
 _FINALS_REASON = "left state is accepting, right state is not"
@@ -76,24 +63,20 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
     minterms = ln1.basis.minterms
     theta1 = key1[1]
     theta2 = key2[1]
-    dom = {r for r, _ in sigma}
-    img = {s for _, s in sigma}
-    smap = dict(sigma)
     reads2, fresh2 = ln2.successor_index(key2)
     required = []
     for m, op, r, key1b in ln1.successors(key1):
         if op == "read":
-            if r in dom:
-                matches = reads2.get((smap[r], m))
+            s = sigma[r]
+            if s >= 0:
+                matches = reads2.get((s, m))
                 if not matches:
                     return None, (
                         f"no matching read of the corresponding register"
                         f" for guard {algebra.show(minterms[m].conjunction)}"
                     )
                 for k2b in matches:
-                    required.append(
-                        ((key1b, k2b, sigma), (m, "read", r, ("read", smap[r])))
-                    )
+                    required.append(((key1b, k2b, sigma), (m, "read", r, ("read", s))))
             else:
                 matches = fresh2.get(m)
                 if not matches:
@@ -111,7 +94,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
         else:
             held = theta1.count(m)  # distinct values of m held on either side
             for s in range(ln2.nregs):
-                if s in img or theta2[s] != m:
+                if theta2[s] != m or s in sigma:
                     continue
                 held += 1
                 matches = reads2.get((s, m))
@@ -144,19 +127,23 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
     return required, None
 
 
-def _run_worklist(S1: Sra, S2: Sra, bidirectional: bool):
-    A = _strict_single_valued(S1)
-    B = _strict_single_valued(S2)
+def _normalized_pair(A: Sra, B: Sra):
+    """Both strictly single-valued operands normalized over one basis,
+    with minterm sizes capped at one more than their registers together."""
     if A.algebra is not B.algebra:
         raise SraError("operands must share an algebra")
     basis = minterm_basis(A, B)
     ln1 = LazyNorm(A, basis)
     ln2 = LazyNorm(B, basis)
-    sizes = capped_sizes(A.algebra, basis, ln1.nregs + ln2.nregs + 1)
+    return ln1, ln2, capped_sizes(A.algebra, basis, ln1.nregs + ln2.nregs + 1)
+
+
+def _simulate(ln1: LazyNorm, ln2: LazyNorm, sizes) -> Optional[_Failure]:
+    """Does ln2 simulate ln1?  None if so, else the failure found."""
     seed = (
         ln1.initial,
         ln2.initial,
-        correspondence_of(A.initial_valuation, B.initial_valuation),
+        correspondence_of(ln1.S.initial_valuation, ln2.S.initial_valuation),
     )
     parent = {seed: None}
     queue = deque([seed])
@@ -165,24 +152,12 @@ def _run_worklist(S1: Sra, S2: Sra, bidirectional: bool):
         key1, key2, sigma = triple
         required, reason = _check_direction(ln1, ln2, key1, key2, sigma, sizes)
         if reason is not None:
-            return False, _Failure(parent, triple, reason, ln1, ln2)
-        if bidirectional:
-            back, reason = _check_direction(
-                ln2, ln1, key2, key1, _sigma_invert(sigma), sizes
-            )
-            if reason is not None:
-                return False, _Failure(
-                    parent, triple, "(right-to-left) " + reason, ln1, ln2
-                )
-            # flipped matches carry no replayable move
-            required = required + [
-                ((k1, k2, _sigma_invert(sg)), None) for (k2, k1, sg), _ in back
-            ]
+            return _Failure(parent, triple, reason, ln1, ln2)
         for nt, move in required:
             if nt not in parent:
                 parent[nt] = (triple, move)
                 queue.append(nt)
-    return True, None
+    return None
 
 
 class _Failure:
@@ -198,7 +173,8 @@ class _Failure:
         t = self.triple
         while t is not None:
             key1, key2, sigma = t
-            path.append((key1[0], key2[0], tuple(sorted(sigma))))
+            pairs = tuple((r, s) for r, s in enumerate(sigma) if s >= 0)
+            path.append((key1[0], key2[0], pairs))
             entry = self.parent[t]
             t = None if entry is None else entry[0]
         path.reverse()
@@ -208,15 +184,9 @@ class _Failure:
         """The matched step pairs leading to the failing triple, in order."""
         steps = []
         t = self.triple
-        while True:
-            entry = self.parent[t]
-            if entry is None:
-                break
-            prev, move = entry
-            if move is None:  # pragma: no cover - bidirectional runs only
-                return None
+        while self.parent[t] is not None:
+            t, move = self.parent[t]
             steps.append(move)
-            t = prev
         steps.reverse()
         return steps
 
@@ -228,15 +198,14 @@ def _materialize_word(failure: _Failure):
     the path then witnesses a word the left automaton accepts and the
     right automaton's unique run rejects.
     """
-    steps = failure.moves()
-    if steps is None or failure.reason != _FINALS_REASON:  # pragma: no cover
+    if failure.reason != _FINALS_REASON:  # pragma: no cover
         return None
     ln1, ln2 = failure.ln1, failure.ln2
     algebra = ln1.algebra
     v1 = list(ln1.S.initial_valuation)
     v2 = list(ln2.S.initial_valuation)
     word = []
-    for m, op1, r, (op2, s) in steps:
+    for m, op1, r, (op2, s) in failure.moves():
         if op1 == "read":
             a = v1[r]
         elif op2 == "read":
@@ -260,14 +229,9 @@ def n_similar(S1: Sra, S2: Sra):
     Returns (True, None) or (False, trace) where the trace names the
     chain of state triples leading to the unmatched move.
     """
-    ok, failure = _run_worklist(S1, S2, bidirectional=False)
-    return (True, None) if ok else (False, failure.trace())
-
-
-def n_bisimilar(S1: Sra, S2: Sra) -> bool:
-    """Mutual simulation, checked in both directions per explored triple."""
-    ok, _ = _run_worklist(S1, S2, bidirectional=True)
-    return ok
+    pair = _normalized_pair(_strict_single_valued(S1), _strict_single_valued(S2))
+    failure = _simulate(*pair)
+    return (True, None) if failure is None else (False, failure.trace())
 
 
 def _require_deterministic(S: Sra, side: str):
@@ -285,23 +249,28 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
+    A = _strict_single_valued(S1)
     B = complete(_strict_single_valued(S2))
-    ok, failure = _run_worklist(S1, B, bidirectional=False)
-    if ok:
+    failure = _simulate(*_normalized_pair(A, B))
+    if failure is None:
         return True, None
     word = _materialize_word(failure)
     if word is None:  # pragma: no cover - only on unexpected failure shapes
-        P = intersect(_strict_single_valued(S1), complement(B))
-        empty, word = is_empty(P)
+        empty, word = is_empty(intersect(A, complement(B)))
         if empty:
             raise SraError("internal error: no separating word found")
     return False, word
 
 
 def equivalent(S1: Sra, S2: Sra) -> bool:
-    """Do both automata accept exactly the same words?"""
+    """Do both automata accept exactly the same words?
+
+    Each completed side must simulate the other; both runs share one
+    basis and the successor caches of one pair of normalized automata.
+    """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
     A = complete(_strict_single_valued(S1))
     B = complete(_strict_single_valued(S2))
-    return n_bisimilar(A, B)
+    ln1, ln2, sizes = _normalized_pair(A, B)
+    return _simulate(ln1, ln2, sizes) is None and _simulate(ln2, ln1, sizes) is None

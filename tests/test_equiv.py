@@ -9,7 +9,6 @@ from sra.equiv import (
     correspondence_of,
     equivalent,
     includes,
-    n_bisimilar,
     n_similar,
 )
 from sra.normal import is_deterministic, normalize
@@ -53,9 +52,11 @@ def strip_finals(S):
 
 
 def test_correspondence_basic():
-    assert correspondence_of((None,), (None, None)) == frozenset()
-    assert correspondence_of((5,), (None, 5)) == frozenset({(0, 1)})
-    assert correspondence_of((5,), (7,)) == frozenset()
+    # indexed by left register: the right partner, or -1 for none
+    assert correspondence_of((None,), (None, None)) == (-1,)
+    assert correspondence_of((5,), (None, 5)) == (1,)
+    assert correspondence_of((5,), (7,)) == (-1,)
+    assert correspondence_of((5, None, 7), (7, 5)) == (1, -1, 0)
 
 
 def test_correspondence_rejects_non_injective():
@@ -64,7 +65,7 @@ def test_correspondence_rejects_non_injective():
 
 
 # ---------------------------------------------------------------------------
-# n_similar / n_bisimilar
+# n_similar
 
 
 def test_self_similarity():
@@ -88,16 +89,16 @@ def test_weakening_is_one_directional():
     assert trace["path"][0][2] == ()  # seed carries the empty correspondence
 
 
-def test_bisimilar_to_own_translation_and_normalization():
+def test_equivalent_to_own_translation_and_normalization():
     for S in (remark1(), example3(), digits_sfa()):
         T = to_single_valued(S)
-        assert n_bisimilar(S, T)
-        assert n_bisimilar(T, normalize(T))
+        assert equivalent(S, T)
+        assert equivalent(T, normalize(T))
 
 
-def test_finals_condition_breaks_bisimilarity():
+def test_finals_condition_breaks_equivalence():
     S = remark1()
-    assert not n_bisimilar(S, strip_finals(S))
+    assert not equivalent(S, strip_finals(S))
 
 
 def test_similarity_is_sound_for_bounded_inclusion():
