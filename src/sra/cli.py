@@ -55,8 +55,13 @@ def _word(S: Sra, args) -> list:
         return [ord(c) for c in text]
     stripped = text.strip()
     if stripped.startswith("["):
-        return list(json.loads(stripped))
-    return [int(x) for x in stripped.replace(",", " ").split()]
+        word = list(json.loads(stripped))
+    else:
+        word = [int(x) for x in stripped.replace(",", " ").split()]
+    for a in word:
+        if not S.algebra._in_domain(a):
+            raise UsageError(f"input symbol {a!r} is not a {S.algebra.name} domain element")
+    return word
 
 
 def _printable(word: list) -> str:

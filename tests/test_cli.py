@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from sra.algebra import And, Div, Interval
+from sra.algebra import INTEGERS, TRUE, And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
-from sra.core import loads, membership, save, to_json_dict
+from sra.core import loads, make_sra, membership, save, to_json_dict
 
 from fixtures import example3, first_symbol_repeats, remark1
 
@@ -213,6 +213,24 @@ def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, t
         text = write_text(tmp_path, "hostile.json", text)
     assert main([verb, flag, text]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ['["a"]', "[1.5]", "[true]", "[null]", "[[1]]", "[1e400]"],
+    ids=["string", "float", "bool", "null", "list", "overflow"],
+)
+def test_member_rejects_symbols_outside_the_domain(tmp_path, capsys, text):
+    # store any first symbol, then read it back: every non-empty word of
+    # integers equal to the first one is accepted
+    S = make_sra(INTEGERS, ["r"], ["q0", "q1"], "q0", {}, ["q1"], [
+        ("q0", TRUE, (), (), ("r",), "q1"),
+        ("q1", TRUE, ("r",), (), (), "q1"),
+    ])
+    path = write_sra(tmp_path, "store_read.json", S)
+    assert main(["member", "--sra", path, "--input", "[7, 7]"]) == 0
+    assert main(["member", "--sra", path, "--input", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
