@@ -106,8 +106,20 @@ GUARD_POOL = (
 )
 
 
-def random_sra(rng: random.Random, max_states=4, max_registers=2):
-    """Small random integer SRA for differential testing."""
+# guards of two and three elements, two-element ones twice as often: a
+# few stored values use them up, so whether an input can be fresh to both
+# sides of a simulation depends on how many distinct values they hold
+CHAIN_GUARDS = (Interval(0, 1), Interval(0, 1), Interval(0, 2))
+
+
+def random_sra(rng: random.Random, max_states=4, max_registers=2, chains=0.0):
+    """Small random integer SRA for differential testing.
+
+    A share `chains` of the draws are chains of single-valued steps (see
+    `random_chain`) instead of automata with free-form labels.
+    """
+    if rng.random() < chains:
+        return random_chain(rng, max_states - 1, max_registers)
     nstates = rng.randint(1, max_states)
     nregs = rng.randint(0, max_registers)
     states = [f"s{i}" for i in range(nstates)]
@@ -134,3 +146,26 @@ def random_sra(rng: random.Random, max_states=4, max_registers=2):
     return make_sra(
         INTEGERS, registers, states, states[0], v0, finals, transitions
     )
+
+
+def random_chain(rng: random.Random, steps, max_registers):
+    """A path of `steps` moves over CHAIN_GUARDS, each one reading a
+    register or storing a value fresh to all registers.
+
+    Deterministic by construction, and every path is short enough for
+    the bounded brute-force oracles to see its whole language.
+    """
+    registers = [f"r{i}" for i in range(rng.randint(0, max_registers))]
+    states = [f"s{i}" for i in range(steps + 1)]
+    transitions = []
+    for src, dst in zip(states, states[1:]):
+        E, I, U = (), (), ()
+        if registers:
+            r = rng.choice(registers)
+            if rng.random() < 0.4:
+                E = (r,)
+            else:
+                I, U = tuple(registers), (r,)
+        transitions.append((src, rng.choice(CHAIN_GUARDS), E, I, U, dst))
+    finals = [s for s in states[:-1] if rng.random() < 0.3] + states[-1:]
+    return make_sra(INTEGERS, registers, states, states[0], {}, finals, transitions)

@@ -283,9 +283,18 @@ def bounded_predicates(draw, depth=3):
         if choice == 5:
             return Interval(None, draw(bounded_ints))
         return Atom(draw(bounded_ints))
-    choice = draw(st.integers(min_value=0, max_value=3))
+    # the last choice stays off shallow draws, which minterm tests combine
+    # at a cost linear in the lcm of all their moduli
+    choice = draw(st.integers(min_value=0, max_value=4 if depth >= 2 else 3))
     if choice == 0:
         return draw(bounded_predicates(depth=0))
+    if choice == 4:
+        # several div leaves under a negated interval around 0: once their
+        # lcm passes 100, every member lies beyond [-100, 100]
+        moduli = draw(st.lists(st.integers(min_value=2, max_value=9), min_size=2, max_size=4))
+        lo = draw(st.integers(min_value=-40, max_value=0))
+        hi = draw(st.integers(min_value=0, max_value=40))
+        return And(tuple(Div(k) for k in moduli) + (Not(Interval(lo, hi)),))
     if choice == 1:
         return Not(draw(bounded_predicates(depth=depth - 1)))
     args = (

@@ -153,7 +153,7 @@ def deterministic_pool(seed, size):
     rng = random.Random(seed)
     pool = []
     while len(pool) < size:
-        S = random_sra(rng)
+        S = random_sra(rng, chains=0.5)
         if is_deterministic(S):
             pool.append(S)
     return pool
@@ -174,6 +174,8 @@ def test_includes_and_equivalent_agree_with_bounded_brute_force():
                 assert not brute_membership(S2, word), (i, j)
             both = ok and includes(S2, S1)[0]
             assert equivalent(S1, S2) == both, (i, j)
+            if both:
+                assert lang[i] == lang[j], (i, j)
 
 
 def test_doubly_fresh_input_counts_shared_values_once():
