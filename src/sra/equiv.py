@@ -215,9 +215,9 @@ def _materialize_word(failure: _Failure):
                 ln1.basis.minterms[m].conjunction,
                 excluded=[x for x in v1 + v2 if x is not None],
             )
-        if op1 != "read" and r >= 0:
+        if op1 != "read":
             v1[r] = a
-        if op2 != "read" and s >= 0:
+        if op2 != "read":
             v2[s] = a
         word.append(a)
     return word

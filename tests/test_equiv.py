@@ -14,7 +14,14 @@ from sra.equiv import (
 from sra.normal import is_deterministic, normalize
 from sra.single_valued import to_single_valued
 
-from fixtures import digits_sfa, example3, first_symbol_repeats, random_sra, remark1
+from fixtures import (
+    digits_sfa,
+    example3,
+    first_symbol_repeats,
+    random_chain,
+    random_sra,
+    remark1,
+)
 from oracles import brute_membership, words_up_to
 
 
@@ -153,7 +160,8 @@ def deterministic_pool(seed, size):
     rng = random.Random(seed)
     pool = []
     while len(pool) < size:
-        S = random_sra(rng, chains=0.5)
+        # chains reach inputs fresh to both sides within short words
+        S = random_chain(rng) if rng.random() < 0.5 else random_sra(rng)
         if is_deterministic(S):
             pool.append(S)
     return pool
