@@ -60,7 +60,9 @@ def _word(S: Sra, args) -> list:
         word = [int(x) for x in stripped.replace(",", " ").split()]
     for a in word:
         if not S.algebra._in_domain(a):
-            raise UsageError(f"input symbol {a!r} is not a {S.algebra.name} domain element")
+            raise UsageError(
+                f"input symbol {a!r} is not a {S.algebra.name} domain element"
+            )
     return word
 
 

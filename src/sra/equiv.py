@@ -229,8 +229,9 @@ def n_similar(S1: Sra, S2: Sra):
     Returns (True, None) or (False, trace) where the trace names the
     chain of state triples leading to the unmatched move.
     """
-    pair = _normalized_pair(_strict_single_valued(S1), _strict_single_valued(S2))
-    failure = _simulate(*pair)
+    A = _strict_single_valued(S1)
+    B = _strict_single_valued(S2)
+    failure = _simulate(*_normalized_pair(A, B))
     return (True, None) if failure is None else (False, failure.trace())
 
 

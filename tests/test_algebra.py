@@ -291,7 +291,9 @@ def bounded_predicates(draw, depth=3):
     if choice == 4:
         # several div leaves under a negated interval around 0: once their
         # lcm passes 100, every member lies beyond [-100, 100]
-        moduli = draw(st.lists(st.integers(min_value=2, max_value=9), min_size=2, max_size=4))
+        moduli = draw(
+            st.lists(st.integers(min_value=2, max_value=9), min_size=2, max_size=4)
+        )
         lo = draw(st.integers(min_value=-40, max_value=0))
         hi = draw(st.integers(min_value=0, max_value=40))
         return And(tuple(Div(k) for k in moduli) + (Not(Interval(lo, hi)),))
