@@ -29,6 +29,11 @@ class AlgebraError(ValueError):
 # predicate's div moduli; a larger lcm is refused.
 MAX_DIV_LCM = 1 << 16
 
+# Passes over predicates recurse once per level or more; parsed text is
+# refused past this depth, well below the roughly 330 levels at which the
+# decision procedures overflow the interpreter's default stack.
+MAX_NESTING = 100
+
 
 # ---------------------------------------------------------------------------
 # Predicate syntax trees
@@ -431,20 +436,19 @@ class Algebra:
     # -- concrete syntax -----------------------------------------------------
 
     def parse(self, text: str) -> Predicate:
-        try:
-            p, pos = self._parse_pred(text, _skip_ws(text, 0))
-            pos = _skip_ws(text, pos)
-            if pos != len(text):
-                raise AlgebraError(f"trailing input at position {pos}: {text[pos:]!r}")
-            self.check(p)
-        except RecursionError:
-            raise AlgebraError("predicate nested too deeply") from None
+        p, pos = self._parse_pred(text, _skip_ws(text, 0), 0)
+        pos = _skip_ws(text, pos)
+        if pos != len(text):
+            raise AlgebraError(f"trailing input at position {pos}: {text[pos:]!r}")
+        self.check(p)
         return p
 
-    def _parse_pred(self, s: str, i: int):
+    def _parse_pred(self, s: str, i: int, depth: int):
         i = _skip_ws(s, i)
         if i >= len(s):
             raise AlgebraError("unexpected end of predicate")
+        if depth == MAX_NESTING and s[i] in "!(":
+            raise AlgebraError(f"predicate nested deeper than {MAX_NESTING} at position {i}")
         if s.startswith("true", i):
             return TRUE, i + 4
         if s.startswith("false", i):
@@ -473,21 +477,21 @@ class Algebra:
             i = _skip_ws(s, i + 1)
             if i >= len(s) or s[i] != "(":
                 raise AlgebraError(f"expected '(' after '!' at position {i}")
-            p, i = self._parse_pred(s, i + 1)
+            p, i = self._parse_pred(s, i + 1, depth + 1)
             i = _skip_ws(s, i)
             if i >= len(s) or s[i] != ")":
                 raise AlgebraError(f"expected ')' at position {i}")
             return Not(p), i + 1
         if c == "(":
             # a run of one connective: (a & b & c) or (a | b | c)
-            first, i = self._parse_pred(s, i + 1)
+            first, i = self._parse_pred(s, i + 1, depth + 1)
             i = _skip_ws(s, i)
             if i >= len(s) or s[i] not in "&|":
                 raise AlgebraError(f"expected '&' or '|' at position {i}")
             op = s[i]
             args = [first]
             while i < len(s) and s[i] == op:
-                q, i = self._parse_pred(s, i + 1)
+                q, i = self._parse_pred(s, i + 1, depth + 1)
                 args.append(q)
                 i = _skip_ws(s, i)
             if i >= len(s) or s[i] != ")":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import And, Not, TRUE, disj
 from .core import Label, Sra, SraError
 from .normal import is_deterministic
-from .single_valued import _fresh_register_name, is_single_valued, sv_label_kind
+from .single_valued import is_single_valued, sv_label_kind
 
 
 def _require_same_algebra(S1: Sra, S2: Sra):
@@ -157,34 +157,14 @@ def complete(S: Sra) -> Sra:
 
     Uncovered inputs are routed to a fresh non-accepting sink that
     absorbs everything, so the language is unchanged, deterministic or
-    not.  If the register set is empty, one register is added as the
-    fresh-transition target.
+    not.  Fresh moves into the sink store nowhere, so the registers
+    stay those of S, even when S has none.
     """
     if not is_single_valued(S):
         raise SraError("completion requires a single-valued automaton")
     algebra = S.algebra
-    if not S.registers:
-        # give the fresh-to-sink transitions a register to store into; the
-        # old moves must consume both fresh and previously-seen inputs
-        one = frozenset({0})
-        lifted = []
-        for p, lab, q in S.transitions:
-            lifted.append((p, Label(lab.guard, frozenset(), one, one), q))
-            lifted.append((p, Label(lab.guard, one, frozenset(), frozenset()), q))
-        S = Sra(
-            algebra=algebra,
-            registers=(_fresh_register_name(set()),),
-            states=S.states,
-            initial=S.initial,
-            initial_valuation=(None,),
-            finals=S.finals,
-            transitions=tuple(lifted),
-        )
-    registers = S.registers
-    v0 = S.initial_valuation
-    nregs = len(registers)
+    nregs = len(S.registers)
     all_regs = frozenset(range(nregs))
-    target = 0  # fresh transitions into the sink store here
 
     sink = len(S.states)
     sink_name = "sink"
@@ -196,7 +176,7 @@ def complete(S: Sra) -> Sra:
         gap = Not(disj(fresh))
         if algebra.is_sat(gap):
             transitions.append(
-                (p, Label(gap, frozenset(), all_regs, frozenset({target})), sink)
+                (p, Label(gap, frozenset(), all_regs, frozenset()), sink)
             )
         for r in range(nregs):
             gap = Not(disj(reads.get(r, [])))
@@ -209,14 +189,14 @@ def complete(S: Sra) -> Sra:
             (sink, Label(TRUE, frozenset({r}), frozenset(), frozenset()), sink)
         )
     transitions.append(
-        (sink, Label(TRUE, frozenset(), all_regs, frozenset({target})), sink)
+        (sink, Label(TRUE, frozenset(), all_regs, frozenset()), sink)
     )
     return Sra(
         algebra=algebra,
-        registers=registers,
+        registers=S.registers,
         states=S.states + (sink_name,),
         initial=S.initial,
-        initial_valuation=v0,
+        initial_valuation=S.initial_valuation,
         finals=S.finals,
         transitions=tuple(transitions),
     )

@@ -23,7 +23,7 @@ from .core import Sra, SraError, membership
 from .equiv import equivalent, includes
 from .expand import csv_report, expand_to_sfa, size_report
 from .normal import is_deterministic, is_empty, normalize
-from .single_valued import is_single_valued, to_single_valued
+from .single_valued import to_single_valued
 from . import regex as rx
 
 
@@ -118,10 +118,6 @@ def _parse_domain(spec: str) -> list:
     return values
 
 
-def _ensure_single_valued(S: Sra) -> Sra:
-    return S if is_single_valued(S) else to_single_valued(S)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sra")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -184,9 +180,9 @@ def run(args) -> int:
     if args.verb == "compile":
         S = _load(args.sra_path, args.pattern)
         if args.complete:
-            S = complete(_ensure_single_valued(S))
+            S = complete(to_single_valued(S))
         if args.emit_normalized:
-            S = normalize(_ensure_single_valued(S))
+            S = normalize(to_single_valued(S))
         _emit(S, args.out)
         return 0
 
@@ -234,7 +230,7 @@ def run(args) -> int:
     if args.verb == "complement":
         S = _load(args.sra_path, args.pattern)
         if args.complete:
-            S = complete(_ensure_single_valued(S))
+            S = complete(to_single_valued(S))
         _emit(complement(S), args.out)
         return 0
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 from .boolean_ops import complement, complete, intersect
 from .core import Sra, SraError
 from .normal import LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis
-from .single_valued import is_single_valued, to_single_valued
+from .single_valued import to_single_valued
 
 
 def correspondence_of(v1, v2) -> Tuple[int, ...]:
@@ -37,11 +37,6 @@ def correspondence_of(v1, v2) -> Tuple[int, ...]:
 
 def _sigma_update(sigma: tuple, r: int, s: int) -> tuple:
     return tuple(s if i == r else -1 if t == s else t for i, t in enumerate(sigma))
-
-
-def _strict_single_valued(S: Sra) -> Sra:
-    """Single-valued form whose labels are all proper read/fresh."""
-    return S if S.registers and is_single_valued(S) else to_single_valued(S)
 
 
 _FINALS_REASON = "left state is accepting, right state is not"
@@ -128,7 +123,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
 
 
 def _normalized_pair(A: Sra, B: Sra):
-    """Both strictly single-valued operands normalized over one basis,
+    """Both single-valued operands normalized over one basis,
     with minterm sizes capped at one more than their registers together."""
     if A.algebra is not B.algebra:
         raise SraError("operands must share an algebra")
@@ -215,9 +210,9 @@ def _materialize_word(failure: _Failure):
                 ln1.basis.minterms[m].conjunction,
                 excluded=[x for x in v1 + v2 if x is not None],
             )
-        if op1 != "read":
+        if op1 != "read" and r >= 0:
             v1[r] = a
-        if op2 != "read":
+        if op2 != "read" and s >= 0:
             v2[s] = a
         word.append(a)
     return word
@@ -229,8 +224,8 @@ def n_similar(S1: Sra, S2: Sra):
     Returns (True, None) or (False, trace) where the trace names the
     chain of state triples leading to the unmatched move.
     """
-    A = _strict_single_valued(S1)
-    B = _strict_single_valued(S2)
+    A = to_single_valued(S1)
+    B = to_single_valued(S2)
     failure = _simulate(*_normalized_pair(A, B))
     return (True, None) if failure is None else (False, failure.trace())
 
@@ -250,8 +245,8 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
-    A = _strict_single_valued(S1)
-    B = complete(_strict_single_valued(S2))
+    A = to_single_valued(S1)
+    B = complete(to_single_valued(S2))
     failure = _simulate(*_normalized_pair(A, B))
     if failure is None:
         return True, None
@@ -271,7 +266,7 @@ def equivalent(S1: Sra, S2: Sra) -> bool:
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
-    A = complete(_strict_single_valued(S1))
-    B = complete(_strict_single_valued(S2))
+    A = complete(to_single_valued(S1))
+    B = complete(to_single_valued(S2))
     ln1, ln2, sizes = _normalized_pair(A, B)
     return _simulate(ln1, ln2, sizes) is None and _simulate(ln2, ln1, sizes) is None

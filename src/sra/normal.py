@@ -101,7 +101,7 @@ class LazyNorm:
             if op == "read":
                 if theta[r] in inside:
                     out.append((theta[r], "read", r, (q2, theta)))
-            else:  # fresh, or register-free consume
+            else:  # fresh, stored into r or, when r < 0, nowhere
                 for i in inside:
                     if theta.count(i) < self.sizes[i]:
                         theta2 = theta if r < 0 else theta[:r] + (i,) + theta[r + 1:]
@@ -180,8 +180,7 @@ def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
     accepting path is replayed concretely, instantiating each fresh
     guard with a value distinct from the current register contents.
     """
-    if not is_single_valued(S):
-        S = to_single_valued(S)
+    S = to_single_valued(S)
     ln = LazyNorm(S)
     parent = {ln.initial: None}
     queue = deque([ln.initial])
@@ -248,8 +247,7 @@ def is_deterministic(S: Sra) -> bool:
     """
     if _syntactically_deterministic(S):
         return True
-    if not is_single_valued(S):
-        S = to_single_valued(S)
+    S = to_single_valued(S)
     ln = LazyNorm(S)
     seen = {ln.initial}
     queue = deque([ln.initial])

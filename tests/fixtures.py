@@ -147,19 +147,19 @@ def random_chain(rng: random.Random):
     register or storing a value fresh to all registers.
 
     Deterministic by construction, and short enough for the bounded
-    brute-force oracles to see its whole language.
+    brute-force oracles to see its whole language.  It has at least one
+    register: a register-free chain stores nothing, and its simulation
+    never reaches the doubly-fresh case.
     """
-    registers = [f"r{i}" for i in range(rng.randint(0, 2))]
+    registers = [f"r{i}" for i in range(rng.randint(1, 2))]
     states = [f"s{i}" for i in range(4)]
     transitions = []
     for src, dst in zip(states, states[1:]):
-        E, I, U = (), (), ()
-        if registers:
-            r = rng.choice(registers)
-            if rng.random() < 0.4:
-                E = (r,)
-            else:
-                I, U = tuple(registers), (r,)
+        r = rng.choice(registers)
+        if rng.random() < 0.4:
+            E, I, U = (r,), (), ()
+        else:
+            E, I, U = (), tuple(registers), (r,)
         transitions.append((src, rng.choice(CHAIN_GUARDS), E, I, U, dst))
     finals = [s for s in states[:-1] if rng.random() < 0.3] + states[-1:]
     return make_sra(INTEGERS, registers, states, states[0], {}, finals, transitions)

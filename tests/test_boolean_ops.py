@@ -170,7 +170,7 @@ def test_complete_adds_negated_guard_to_sink():
     gap_fresh = [
         lab
         for src, lab, dst in T.transitions
-        if src == 0 and dst == sink and lab.U == frozenset({0})
+        if src == 0 and dst == sink and not lab.E and lab.I == frozenset({0})
     ]
     assert len(gap_fresh) == 1
     g = gap_fresh[0].guard
@@ -181,6 +181,7 @@ def test_complete_preserves_language():
     for S in (to_single_valued(remark1()), to_single_valued(example3()), digits_sfa()):
         T = complete(S)
         assert is_complete(T)
+        assert len(T.registers) == len(S.registers)
         sample = range(0, 4) if S.algebra is INTEGERS else [ord("0"), ord("9"), ord("a")]
         for w in words_up_to(sample, 3):
             assert membership(T, w) == membership(S, w), w

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sra.algebra import INTEGERS, TRUE, And, Div, Interval
+from sra.algebra import INTEGERS, MAX_NESTING, TRUE, And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
 from sra.core import loads, make_sra, membership, save, to_json_dict
 
@@ -182,6 +182,10 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def nested(guard, depth):
+    return "!(" * depth + guard + ")" * depth
+
+
 def json_text(**changes):
     d = to_json_dict(remark1())
     d.update(changes)
@@ -201,17 +205,50 @@ def json_text(**changes):
              "E": [], "I": [], "U": [], "to": "qf"}
         ])),
         ("empty", "--sra", json_text(transitions=[
+            {"from": "q0", "guard": nested("true", MAX_NESTING + 1),
+             "E": [], "I": [], "U": [], "to": "qf"}
+        ])),
+        ("empty", "--sra", json_text(transitions=[
             {"from": "q0", "guard": "(div 1000003 & [1-1000002])",
              "E": [], "I": [], "U": [], "to": "qf"}
         ])),
         ("empty", "--sra", json_text(initial_valuation=[])),
     ],
-    ids=["groups", "stars", "counts", "big_count", "big_build", "guard", "div_lcm", "valuation"],
+    ids=[
+        "groups", "stars", "counts", "big_count", "big_build", "guard", "guard_above_cap",
+        "div_lcm", "valuation",
+    ],
 )
 def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):
     if flag == "--sra":
         text = write_text(tmp_path, "hostile.json", text)
     assert main([verb, flag, text]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+VERB_ARGS = [
+    ("compile", ["--sra", "{}", "--complete", "--emit-normalized"]),
+    ("member", ["--sra", "{}", "--input", "2 4 2"]),
+    ("empty", ["--sra", "{}"]),
+    ("deterministic", ["--sra", "{}"]),
+    ("subset", ["--lhs", "{}", "--rhs", "{}"]),
+    ("equiv", ["--lhs", "{}", "--rhs", "{}"]),
+    ("complement", ["--sra", "{}", "--complete"]),
+    ("intersect", ["--lhs", "{}", "--rhs", "{}"]),
+    ("union", ["--lhs", "{}", "--rhs", "{}"]),
+    ("expand", ["--sra", "{}", "--domain", "0-5"]),
+]
+
+
+@pytest.mark.parametrize("verb, args", VERB_ARGS, ids=[v for v, _ in VERB_ARGS])
+def test_guards_nested_at_the_cap_go_through_every_verb(tmp_path, capsys, verb, args):
+    # remark1 with every guard `div 2` under an even number of negations
+    d = to_json_dict(remark1())
+    for t in d["transitions"]:
+        t["guard"] = nested("div 2", MAX_NESTING)
+    path = write_text(tmp_path, "deep.json", json.dumps(d))
+    expected = 1 if verb == "empty" else 0  # empty prints a witness
+    assert main([verb] + [a.format(path) for a in args]) == expected
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sra import regex as rx
 from sra.algebra import And, Atom, Div, Interval, Not, Or, TRUE, INTEGERS
 from sra.core import make_sra, membership
 from sra.normal import (
@@ -201,6 +202,16 @@ def test_normalize_state_and_transition_bounds():
         m = len(minterm_basis(S))
         assert len(N.states) <= n * (m + 1) ** max(r, 1)
         assert len(N.transitions) <= len(S.transitions) * m * (m + 1) ** max(r, 1)
+
+
+@pytest.mark.parametrize("name, states", [("Pr-C2", 1132), ("Pr-C3", 8962)])
+def test_normalized_state_counts_of_stock_patterns(name, states):
+    # the translation keeps one slot per register, so an input stored
+    # nowhere adds no register for the abstraction to track
+    S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
+    T = to_single_valued(S)
+    assert len(T.registers) == len(S.registers)
+    assert len(normalize(T).states) == states
 
 
 def test_every_constructed_transition_is_enabled_at_source():
