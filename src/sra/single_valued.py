@@ -76,11 +76,6 @@ def to_single_valued(S: Sra) -> Sra:
         for v in S.initial_valuation
     )
 
-    def name_of(q: int, f: tuple) -> str:
-        if not f:
-            return S.states[q]
-        return S.states[q] + "|" + ",".join(str(s) for s in f)
-
     order = []  # (q, f) in discovery order
     index = {}
 
@@ -147,7 +142,8 @@ def to_single_valued(S: Sra) -> Sra:
                 emit((src_idx, Label(lab.guard, frozenset(), all_slots, stored), dst_idx))
                 propagate(dst_idx, mypn | stored)
 
-    states = tuple(name_of(q, f) for q, f in order)
+    # input with no registers is single-valued, so every f is non-empty
+    states = tuple(S.states[q] + "|" + ",".join(str(s) for s in f) for q, f in order)
     finals = frozenset(i for i, (q, _) in enumerate(order) if q in S.finals)
     return Sra(
         algebra=S.algebra,
