@@ -31,15 +31,31 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """A text file's contents, read as UTF-8, less a final line terminator.
+
+    Only the terminator is dropped: spaces belong to the pattern or word.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().removesuffix("\n")
+
+
+def _write_text(text: str, out: str | None):
+    """Write text to the --out file as UTF-8, or else to stdout unchanged."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _load(path: str | None, pattern: str | None = None) -> Sra:
     if (path is None) == (pattern is None):
         raise UsageError("provide exactly one of --sra or --pattern")
     if path is not None:
         if path.endswith(".json"):
             return core.load(path)
-        # only the line terminator is dropped: spaces belong to the pattern
-        with open(path, encoding="utf-8") as fh:
-            pattern = fh.read().removesuffix("\n")
+        pattern = _read_text(path)
     return rx.compile(pattern).sra
 
 
@@ -47,8 +63,7 @@ def _word(S: Sra, args) -> list:
     if args.input is not None:
         text = args.input
     elif args.input_file is not None:
-        with open(args.input_file) as fh:
-            text = fh.read()
+        text = _read_text(args.input_file)
     else:
         raise UsageError("provide --input or --input-file")
     if S.algebra is UNICODE:
@@ -78,15 +93,6 @@ def _printable(word: list) -> str:
 
 def _print_word(label: str, word: list):
     print(json.dumps({label: word, "text": _printable(word)}))
-
-
-def _emit(S: Sra, out: str | None):
-    payload = core.dumps(S)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    else:
-        print(payload)
 
 
 def _parse_domain(spec: str) -> list:
@@ -183,7 +189,7 @@ def run(args) -> int:
             S = complete(to_single_valued(S))
         if args.emit_normalized:
             S = normalize(to_single_valued(S))
-        _emit(S, args.out)
+        _write_text(core.dumps(S), args.out)
         return 0
 
     if args.verb == "member":
@@ -224,14 +230,14 @@ def run(args) -> int:
 
     if args.verb == "intersect" or args.verb == "union":
         op = intersect if args.verb == "intersect" else union
-        _emit(op(_load(args.lhs), _load(args.rhs)), args.out)
+        _write_text(core.dumps(op(_load(args.lhs), _load(args.rhs))), args.out)
         return 0
 
     if args.verb == "complement":
         S = _load(args.sra_path, args.pattern)
         if args.complete:
             S = complete(to_single_valued(S))
-        _emit(complement(S), args.out)
+        _write_text(core.dumps(complement(S)), args.out)
         return 0
 
     if args.verb == "expand":
@@ -239,12 +245,7 @@ def run(args) -> int:
         domain = _parse_domain(args.domain)
         kwargs = {} if args.max_states is None else {"max_states": args.max_states}
         ex = expand_to_sfa(S, domain, **kwargs)
-        text = csv_report([size_report(args.name, S, ex)])
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        _write_text(csv_report([size_report(args.name, S, ex)]), args.out)
         return 0
 
     if args.verb == "bench":
@@ -259,12 +260,7 @@ def run(args) -> int:
             t0 = time.perf_counter()
             rx.match(cp, text)
             lines.append(f"{len(text)},{time.perf_counter() - t0:.6f}")
-        payload = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        else:
-            print(payload, end="")
+        _write_text("\n".join(lines) + "\n", args.out)
         return 0
 
     raise UsageError(f"unknown verb {args.verb!r}")  # pragma: no cover

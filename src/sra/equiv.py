@@ -9,7 +9,9 @@ triple; a triple that cannot be matched disproves the simulation.
 
 Inclusion and equivalence additionally require deterministic operands
 and complete right-hand sides; a failed inclusion is backed by a
-concrete separating word replayed from the failing simulation path.
+concrete separating word.  The worklist's parent map is walked back
+with `normal.path`, and the matched steps on the way, one move per
+side, are turned into the word by `normal.replay`.
 Equivalence runs the one-way simulation in both directions over one
 shared basis and one pair of lazily normalized automata.
 """
@@ -21,7 +23,9 @@ from typing import Optional, Tuple
 
 from .boolean_ops import complement, complete, intersect
 from .core import Sra, SraError
-from .normal import LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis
+from .normal import (
+    LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis, path, replay,
+)
 from .single_valued import to_single_valued
 
 
@@ -45,12 +49,13 @@ _FINALS_REASON = "left state is accepting, right state is not"
 def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
     """One-sided match of every move of key1 by a move of key2.
 
-    Returns (required, None) with (triple, move) pairs forced into the
-    relation — move records the matched pair of steps so a failure path
-    can later be replayed into a concrete word — or (None, reason) when
-    some move cannot be matched.  sizes[i] counts minterm i's elements
-    up to one more than both sides' registers together, which decides
-    whether a value fresh on both sides exists.
+    Returns (required, None) with (triple, step) pairs forced into the
+    relation — step is (m, ((op1, r), (op2, s))), the matched pair of
+    moves, so that `normal.replay` can turn a failure path into a
+    concrete word — or (None, reason) when some move cannot be matched.
+    sizes[i] counts minterm i's elements up to one more than both sides'
+    registers together, which decides whether a value fresh on both
+    sides exists.
     """
     if ln1.is_final(key1) and not ln2.is_final(key2):
         return None, _FINALS_REASON
@@ -71,7 +76,9 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
                         f" for guard {algebra.show(minterms[m].conjunction)}"
                     )
                 for k2b in matches:
-                    required.append(((key1b, k2b, sigma), (m, "read", r, ("read", s))))
+                    required.append(
+                        ((key1b, k2b, sigma), (m, (("read", r), ("read", s))))
+                    )
             else:
                 matches = fresh2.get(m)
                 if not matches:
@@ -83,7 +90,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
                     required.append(
                         (
                             (key1b, k2b, _sigma_update(sigma, r, s2)),
-                            (m, "read", r, ("fresh", s2)),
+                            (m, (("read", r), ("fresh", s2))),
                         )
                     )
         else:
@@ -102,7 +109,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
                     required.append(
                         (
                             (key1b, k2b, _sigma_update(sigma, r, s)),
-                            (m, "fresh", r, ("read", s)),
+                            (m, (("fresh", r), ("read", s))),
                         )
                     )
             if held < sizes[m]:
@@ -116,7 +123,7 @@ def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
                     required.append(
                         (
                             (key1b, k2b, _sigma_update(sigma, r, s2)),
-                            (m, "fresh", r, ("fresh", s2)),
+                            (m, (("fresh", r), ("fresh", s2))),
                         )
                     )
     return required, None
@@ -133,8 +140,10 @@ def _normalized_pair(A: Sra, B: Sra):
     return ln1, ln2, capped_sizes(A.algebra, basis, ln1.nregs + ln2.nregs + 1)
 
 
-def _simulate(ln1: LazyNorm, ln2: LazyNorm, sizes) -> Optional[_Failure]:
-    """Does ln2 simulate ln1?  None if so, else the failure found."""
+def _simulate(ln1: LazyNorm, ln2: LazyNorm, sizes):
+    """Does ln2 simulate ln1?  None if so, else (parent, triple, reason):
+    the search's parent map, the first triple that cannot be matched and
+    why."""
     seed = (
         ln1.initial,
         ln2.initial,
@@ -147,75 +156,12 @@ def _simulate(ln1: LazyNorm, ln2: LazyNorm, sizes) -> Optional[_Failure]:
         key1, key2, sigma = triple
         required, reason = _check_direction(ln1, ln2, key1, key2, sigma, sizes)
         if reason is not None:
-            return _Failure(parent, triple, reason, ln1, ln2)
-        for nt, move in required:
+            return parent, triple, reason
+        for nt, step in required:
             if nt not in parent:
-                parent[nt] = (triple, move)
+                parent[nt] = (triple, step)
                 queue.append(nt)
     return None
-
-
-class _Failure:
-    def __init__(self, parent, triple, reason, ln1, ln2):
-        self.parent = parent
-        self.triple = triple
-        self.reason = reason
-        self.ln1 = ln1
-        self.ln2 = ln2
-
-    def trace(self):
-        path = []
-        t = self.triple
-        while t is not None:
-            key1, key2, sigma = t
-            pairs = tuple((r, s) for r, s in enumerate(sigma) if s >= 0)
-            path.append((key1[0], key2[0], pairs))
-            entry = self.parent[t]
-            t = None if entry is None else entry[0]
-        path.reverse()
-        return {"reason": self.reason, "path": path}
-
-    def moves(self):
-        """The matched step pairs leading to the failing triple, in order."""
-        steps = []
-        t = self.triple
-        while self.parent[t] is not None:
-            t, move = self.parent[t]
-            steps.append(move)
-        steps.reverse()
-        return steps
-
-
-def _materialize_word(failure: _Failure):
-    """A word driving the left automaton along the failure path.
-
-    Only meaningful when the right side is complete and deterministic:
-    the path then witnesses a word the left automaton accepts and the
-    right automaton's unique run rejects.
-    """
-    if failure.reason != _FINALS_REASON:  # pragma: no cover
-        return None
-    ln1, ln2 = failure.ln1, failure.ln2
-    algebra = ln1.algebra
-    v1 = list(ln1.S.initial_valuation)
-    v2 = list(ln2.S.initial_valuation)
-    word = []
-    for m, op1, r, (op2, s) in failure.moves():
-        if op1 == "read":
-            a = v1[r]
-        elif op2 == "read":
-            a = v2[s]
-        else:
-            a = algebra.witness(
-                ln1.basis.minterms[m].conjunction,
-                excluded=[x for x in v1 + v2 if x is not None],
-            )
-        if op1 != "read" and r >= 0:
-            v1[r] = a
-        if op2 != "read" and s >= 0:
-            v2[s] = a
-        word.append(a)
-    return word
 
 
 def n_similar(S1: Sra, S2: Sra):
@@ -227,7 +173,17 @@ def n_similar(S1: Sra, S2: Sra):
     A = to_single_valued(S1)
     B = to_single_valued(S2)
     failure = _simulate(*_normalized_pair(A, B))
-    return (True, None) if failure is None else (False, failure.trace())
+    if failure is None:
+        return True, None
+    parent, triple, reason = failure
+    triples = path(parent, triple)[0]
+    return False, {
+        "reason": reason,
+        "path": [
+            (key1[0], key2[0], tuple((r, s) for r, s in enumerate(sigma) if s >= 0))
+            for key1, key2, sigma in triples
+        ],
+    }
 
 
 def _require_deterministic(S: Sra, side: str):
@@ -247,15 +203,20 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     _require_deterministic(S2, "right")
     A = to_single_valued(S1)
     B = complete(to_single_valued(S2))
-    failure = _simulate(*_normalized_pair(A, B))
+    ln1, ln2, sizes = _normalized_pair(A, B)
+    failure = _simulate(ln1, ln2, sizes)
     if failure is None:
         return True, None
-    word = _materialize_word(failure)
-    if word is None:  # pragma: no cover - only on unexpected failure shapes
+    parent, triple, reason = failure
+    if reason != _FINALS_REASON:  # pragma: no cover - only on unexpected failure shapes
         empty, word = is_empty(intersect(A, complement(B)))
         if empty:
             raise SraError("internal error: no separating word found")
-    return False, word
+        return False, word
+    # with B complete and deterministic, the failure path spells a word
+    # that A accepts and B's one run rejects
+    steps = path(parent, triple)[1]
+    return False, replay(ln1, [A.initial_valuation, B.initial_valuation], steps)
 
 
 def equivalent(S1: Sra, S2: Sra) -> bool:

@@ -14,7 +14,12 @@ finite-graph searches:
   one of them.
 
 Normalized automata are materialized lazily; decision procedures only
-touch states reachable from the initial abstraction.
+touch states reachable from the initial abstraction.  Normalization,
+emptiness and the determinism check share one breadth-first search
+(`reach`).  A path it finds is walked back from its parent map once
+(`path`) and turned into a concrete word once (`replay`); the
+simulation in `sra.equiv` reuses both for its failure traces and
+separating words.
 """
 
 from __future__ import annotations
@@ -134,6 +139,70 @@ def _abstraction_name(ln: LazyNorm, key) -> str:
     return ln.S.states[q] + "|" + ",".join(parts)
 
 
+def reach(ln: LazyNorm, stop=None):
+    """Breadth-first search of ln from its initial state.
+
+    Returns (parent, goal).  parent maps every discovered state, in
+    discovery order, to (predecessor, successor tuple) or, for the
+    initial state, None.  goal is the first discovered state passing
+    stop; the search ends as soon as it is discovered.  Without a goal
+    every reachable state is discovered and goal is None.
+    """
+    parent = {ln.initial: None}
+    if stop is not None and stop(ln.initial):
+        return parent, ln.initial
+    queue = deque([ln.initial])
+    while queue:
+        key = queue.popleft()
+        for step in ln.successors(key):
+            key2 = step[3]
+            if key2 not in parent:
+                parent[key2] = (key, step)
+                if stop is not None and stop(key2):
+                    return parent, key2
+                queue.append(key2)
+    return parent, None
+
+
+def path(parent, goal):
+    """The nodes from a search's root to goal, and the steps between them."""
+    nodes = [goal]
+    steps = []
+    while parent[goal] is not None:
+        goal, step = parent[goal]
+        nodes.append(goal)
+        steps.append(step)
+    nodes.reverse()
+    steps.reverse()
+    return nodes, steps
+
+
+def replay(ln: LazyNorm, valuations, steps) -> list:
+    """A concrete word along matched steps over one or more valuations.
+
+    Each step is (m, sides), with one (op, register) pair per valuation.
+    A read takes its register's value; otherwise the input is minterm
+    m's least member that no valuation holds.  Every fresh side stores
+    the input into its register, unless that register is negative.
+    """
+    vs = [list(v) for v in valuations]
+    word = []
+    for m, sides in steps:
+        reads = [v[r] for v, (op, r) in zip(vs, sides) if op == "read"]
+        if reads:
+            a = reads[0]
+        else:
+            a = ln.algebra.witness(
+                ln.basis.minterms[m].conjunction,
+                excluded=[x for v in vs for x in v if x is not None],
+            )
+        for v, (op, r) in zip(vs, sides):
+            if op != "read" and r >= 0:
+                v[r] = a
+        word.append(a)
+    return word
+
+
 def normalize(S: Sra) -> Sra:
     """The reachable normalized automaton, materialized as a plain SRA.
 
@@ -143,25 +212,19 @@ def normalize(S: Sra) -> Sra:
     """
     ln = LazyNorm(S)
     minterms = ln.basis.minterms
-    order = [ln.initial]
-    index = {ln.initial: 0}
+    order = list(reach(ln)[0])
+    index = {key: i for i, key in enumerate(order)}
     transitions = []
     all_regs = frozenset(range(ln.nregs))
-    i = 0
-    while i < len(order):
-        key = order[i]
+    for i, key in enumerate(order):
         for m, op, r, key2 in ln.successors(key):
-            if key2 not in index:
-                index[key2] = len(order)
-                order.append(key2)
             guard = minterms[m].conjunction
             if op == "read":
                 lab = Label(guard, frozenset({r}), frozenset(), frozenset())
             else:
                 upd = frozenset({r}) if r >= 0 else frozenset()
                 lab = Label(guard, frozenset(), all_regs, upd)
-            transitions.append((index[key], lab, index[key2]))
-        i += 1
+            transitions.append((i, lab, index[key2]))
     return Sra(
         algebra=S.algebra,
         registers=S.registers,
@@ -176,47 +239,16 @@ def normalize(S: Sra) -> Sra:
 def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
     """Language emptiness, with an accepted word when non-empty.
 
-    Searches the normalized automaton breadth-first; a discovered
-    accepting path is replayed concretely, instantiating each fresh
-    guard with a value distinct from the current register contents.
+    Searches the normalized automaton breadth-first up to the first
+    accepting state discovered, and replays the path to it concretely.
     """
     S = to_single_valued(S)
     ln = LazyNorm(S)
-    parent = {ln.initial: None}
-    queue = deque([ln.initial])
-    goal = ln.initial if ln.is_final(ln.initial) else None
-    while queue and goal is None:
-        key = queue.popleft()
-        for m, op, r, key2 in ln.successors(key):
-            if key2 not in parent:
-                parent[key2] = (key, m, op, r)
-                if ln.is_final(key2):
-                    goal = key2
-                    break
-                queue.append(key2)
+    parent, goal = reach(ln, ln.is_final)
     if goal is None:
         return True, None
-    edges = []
-    key = goal
-    while parent[key] is not None:
-        prev, m, op, r = parent[key]
-        edges.append((m, op, r))
-        key = prev
-    edges.reverse()
-    v = list(S.initial_valuation)
-    word = []
-    for m, op, r in edges:
-        if op == "read":
-            a = v[r]
-        else:
-            a = S.algebra.witness(
-                ln.basis.minterms[m].conjunction,
-                excluded=[x for x in v if x is not None],
-            )
-            if r >= 0:
-                v[r] = a
-        word.append(a)
-    return False, word
+    steps = [(m, ((op, r),)) for m, op, r, _ in path(parent, goal)[1]]
+    return False, replay(ln, [S.initial_valuation], steps)
 
 
 def _syntactically_deterministic(S: Sra) -> bool:
@@ -247,25 +279,15 @@ def is_deterministic(S: Sra) -> bool:
     """
     if _syntactically_deterministic(S):
         return True
-    S = to_single_valued(S)
-    ln = LazyNorm(S)
-    seen = {ln.initial}
-    queue = deque([ln.initial])
-    while queue:
-        key = queue.popleft()
-        succ = ln.successors(key)
-        for i in range(len(succ)):
-            m1, op1, r1, d1 = succ[i]
-            for j in range(i + 1, len(succ)):
-                m2, op2, r2, d2 = succ[j]
-                if m1 != m2 or op1 != op2:
-                    continue
-                if r1 == r2 and d1 != d2:
-                    return False
-                if op1 == "fresh" and r1 != r2:
-                    return False
-        for _, _, _, key2 in succ:
-            if key2 not in seen:
-                seen.add(key2)
-                queue.append(key2)
-    return True
+    ln = LazyNorm(to_single_valued(S))
+    return reach(ln, lambda key: _clashes(ln.successors(key)))[1] is None
+
+
+def _clashes(succ) -> bool:
+    """Do two of one state's normalized moves fire on one symbol?"""
+    for i, (m1, op1, r1, d1) in enumerate(succ):
+        for m2, op2, r2, d2 in succ[i + 1:]:
+            if m1 == m2 and op1 == op2:
+                if r1 == r2 and d1 != d2 or op1 == "fresh" and r1 != r2:
+                    return True
+    return False

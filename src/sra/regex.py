@@ -677,31 +677,3 @@ BENCHMARK_DOMAINS = {
     "XML": 52,
     **{name: 2 ** 16 for name in BENCHMARK_PATTERNS if name.startswith("Pr-")},
 }
-
-
-def _with_scratch(cp: CompiledPattern) -> CompiledPattern:
-    """Append one unused scratch register, mirroring the register
-    accounting of the reference sizes (one slot beyond the group
-    positions)."""
-    S = cp.sra
-    name = "~"
-    while name in S.registers:
-        name += "~"
-    sra = Sra(
-        algebra=S.algebra,
-        registers=S.registers + (name,),
-        states=S.states,
-        initial=S.initial,
-        initial_valuation=S.initial_valuation + (None,),
-        finals=S.finals,
-        transitions=S.transitions,
-    )
-    return CompiledPattern(sra, cp.group_registers)
-
-
-def benchmark_patterns() -> Dict[str, CompiledPattern]:
-    """The 19 stock patterns, compiled, with the scratch register added."""
-    return {
-        name: _with_scratch(compile(pattern))
-        for name, pattern in BENCHMARK_PATTERNS.items()
-    }

@@ -226,8 +226,8 @@ def test_8_determinism_check_on_fixtures_and_benchmarks():
     )
     assert not is_deterministic(same_guard_two_registers)
     assert is_deterministic(remark1())
-    for name, cp in rx.benchmark_patterns().items():
-        assert is_deterministic(cp.sra), name
+    for name, pattern in rx.BENCHMARK_PATTERNS.items():
+        assert is_deterministic(rx.compile(pattern).sra), name
 
 
 def test_9_inclusion_finishes_at_four_registers():

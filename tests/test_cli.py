@@ -90,6 +90,16 @@ def test_pattern_files_keep_trailing_spaces(tmp_path):
     assert main(["subset", "--lhs", spaced, "--rhs", spaced]) == 0
 
 
+def test_input_files_drop_only_the_final_line_terminator(tmp_path):
+    # like a pattern file, an input file ends in a line terminator that
+    # is not part of the word
+    word = write_text(tmp_path, "word.txt", "abab\n")
+    assert main(["member", "--pattern", r"(ab)\1", "--input-file", word]) == 0
+    spaced = write_text(tmp_path, "spaced.txt", "a \n")
+    assert main(["member", "--pattern", "a ", "--input-file", spaced]) == 0
+    assert main(["member", "--pattern", "a", "--input-file", spaced]) == 1
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -158,6 +168,17 @@ def test_expand_overflow_report(tmp_path, capsys):
     )
     assert code == 0
     assert "---" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["compile", "--pattern", r"(\d)\1"],
+    ["expand", "--pattern", r"(\d)\1", "--domain", "48-57", "--name", "paar-\u00fc"],
+])
+def test_stdout_holds_the_bytes_of_the_out_file(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
 
 def test_bench_verb(tmp_path):

@@ -168,22 +168,25 @@ def deterministic_pool(seed, size):
 
 
 def test_includes_and_equivalent_agree_with_bounded_brute_force():
-    pool = deterministic_pool(47, 14)
+    # seed 47 catches a double count of the values both sides hold, and
+    # seed 50 a doubly-fresh cap cut to one side's registers
     words = [tuple(w) for w in words_up_to(range(0, 4), 3)]
-    lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
-    for i, S1 in enumerate(pool):
-        for j, S2 in enumerate(pool):
-            ok, word = includes(S1, S2)
-            if ok:
-                assert word is None
-                assert lang[i] <= lang[j], (i, j)
-            else:
-                assert brute_membership(S1, word), (i, j)
-                assert not brute_membership(S2, word), (i, j)
-            both = ok and includes(S2, S1)[0]
-            assert equivalent(S1, S2) == both, (i, j)
-            if both:
-                assert lang[i] == lang[j], (i, j)
+    for seed in (47, 50):
+        pool = deterministic_pool(seed, 14)
+        lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
+        for i, S1 in enumerate(pool):
+            for j, S2 in enumerate(pool):
+                ok, word = includes(S1, S2)
+                if ok:
+                    assert word is None
+                    assert lang[i] <= lang[j], (seed, i, j)
+                else:
+                    assert brute_membership(S1, word), (seed, i, j)
+                    assert not brute_membership(S2, word), (seed, i, j)
+                both = ok and includes(S2, S1)[0]
+                assert equivalent(S1, S2) == both, (seed, i, j)
+                if both:
+                    assert lang[i] == lang[j], (seed, i, j)
 
 
 def test_doubly_fresh_input_counts_shared_values_once():
