@@ -261,26 +261,6 @@ class Algebra:
             return any(self._eval(q, a) for q in p.args)
         raise AlgebraError(f"unknown predicate node {p!r}")
 
-    # -- connectives -------------------------------------------------------
-
-    def build(self, connective: str, operands: Sequence[Predicate]) -> Predicate:
-        operands = tuple(operands)
-        for q in operands:
-            self.check(q)
-        if connective == "not":
-            if len(operands) != 1:
-                raise AlgebraError("not takes exactly one operand")
-            return Not(operands[0])
-        if connective == "and":
-            if len(operands) < 2:
-                raise AlgebraError("and takes at least two operands")
-            return And(operands)
-        if connective == "or":
-            if len(operands) < 2:
-                raise AlgebraError("or takes at least two operands")
-            return Or(operands)
-        raise AlgebraError(f"unknown connective {connective!r}")
-
     # -- cell decomposition ------------------------------------------------
 
     def _moduli_lcm(self, p: Predicate) -> int:

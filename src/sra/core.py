@@ -220,27 +220,6 @@ def compiled_moves(S: Sra, q: int) -> list:
     ]
 
 
-def step(S: Sra, config: tuple, a: int) -> set:
-    """All successor configurations of (state, valuation) on input a."""
-    q, v = config
-    succ = set()
-    for g, E, I, U, dst in compiled_moves(S, q):
-        if not g(a):
-            continue
-        if any(v[r] != a for r in E):
-            continue
-        if any(v[r] == a for r in I):
-            continue
-        if U:
-            w = list(v)
-            for r in U:
-                w[r] = a
-            succ.add((dst, tuple(w)))
-        else:
-            succ.add((dst, v))
-    return succ
-
-
 def membership(S: Sra, word: Sequence[int]) -> bool:
     """Word acceptance via breadth-first closure over configuration sets.
 

@@ -1,30 +1,32 @@
 """Similarity, inclusion and equivalence checks.
 
-The checks run on normalized automata over a shared minterm basis.
+The checks run on the operands as given, normalized over a shared
+minterm basis built from their own guards; nothing is completed.
 Besides the two base states, each explored triple carries a register
 correspondence: a tuple indexed by left register whose entry is the
 right register holding the same value, or -1 when no right register
-does.  A FIFO worklist grows the candidate relation from the initial
-triple; a triple that cannot be matched disproves the simulation.
+does.  The triples form a graph that `normal.reach`, the one search,
+walks from the initial triple.  An input that no right move takes leads
+to a dead end, where the left side moves on alone and never accepts
+with the right one.
 
-Inclusion and equivalence additionally require deterministic operands
-and complete right-hand sides; a failed inclusion is backed by a
-concrete separating word.  The worklist's parent map is walked back
-with `normal.path`, and the matched steps on the way, one move per
-side, are turned into the word by `normal.replay`.
-Equivalence runs the one-way simulation in both directions over one
-shared basis and one pair of lazily normalized automata.
+Inclusion and equivalence require deterministic operands, so the
+simulation fails exactly at a triple whose left side accepts alone.  A
+failed inclusion is backed by a concrete separating word: the search's
+parent map is walked back with `normal.path`, and the matched steps on
+the way are turned into the word by `normal.replay`.  Equivalence runs
+the one-way simulation in both directions over one shared basis and one
+pair of lazily normalized automata.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Tuple
 
 from .boolean_ops import complement, complete, intersect
-from .core import Sra, SraError
+from .core import Sra, SraError, membership
 from .normal import (
-    LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis, path, replay,
+    LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis, path, reach, replay,
 )
 from .single_valued import to_single_valued
 
@@ -43,90 +45,75 @@ def _sigma_update(sigma: tuple, r: int, s: int) -> tuple:
     return tuple(s if i == r else -1 if t == s else t for i, t in enumerate(sigma))
 
 
-_FINALS_REASON = "left state is accepting, right state is not"
+class _Simulation:
+    """The one-way simulation of ln1 by ln2 as a graph for `normal.reach`.
 
-
-def _check_direction(ln1: LazyNorm, ln2: LazyNorm, key1, key2, sigma, sizes):
-    """One-sided match of every move of key1 by a move of key2.
-
-    Returns (required, None) with (triple, step) pairs forced into the
-    relation — step is (m, ((op1, r), (op2, s))), the matched pair of
-    moves, so that `normal.replay` can turn a failure path into a
-    concrete word — or (None, reason) when some move cannot be matched.
-    sizes[i] counts minterm i's elements up to one more than both sides'
-    registers together, which decides whether a value fresh on both
-    sides exists.
+    A node is a triple (left key, right key, correspondence).  Each left
+    move is split into the input classes it can read: the corresponding
+    right register's value, a value no right register holds, the value
+    of each uncorrelated right register holding its minterm, or a value
+    fresh to both sides while one remains.  Every right move on a class
+    gives a successor; a step is (m, ((op1, r), (op2, s)), triple), the
+    matched pair of moves, so that `normal.replay` can turn a path into
+    a concrete word.  A class that no right move takes leads to the dead
+    end (left key, None, ()), where only the left side moves on.  The
+    step into a dead end keeps the class as its right move, so that the
+    replayed input lies in it; the steps out of one have None there.
     """
-    if ln1.is_final(key1) and not ln2.is_final(key2):
-        return None, _FINALS_REASON
-    algebra = ln1.algebra
-    minterms = ln1.basis.minterms
-    theta1 = key1[1]
-    theta2 = key2[1]
-    reads2, fresh2 = ln2.successor_index(key2)
-    required = []
-    for m, op, r, key1b in ln1.successors(key1):
-        if op == "read":
-            s = sigma[r]
-            if s >= 0:
-                matches = reads2.get((s, m))
-                if not matches:
-                    return None, (
-                        f"no matching read of the corresponding register"
-                        f" for guard {algebra.show(minterms[m].conjunction)}"
-                    )
-                for k2b in matches:
-                    required.append(
-                        ((key1b, k2b, sigma), (m, (("read", r), ("read", s))))
-                    )
+
+    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes):
+        self.ln1 = ln1
+        self.ln2 = ln2
+        # sizes[i] counts minterm i's elements up to one more than both
+        # sides' registers together, which decides whether a value fresh
+        # on both sides exists
+        self.sizes = sizes
+        self.initial = (
+            ln1.initial,
+            ln2.initial,
+            correspondence_of(ln1.S.initial_valuation, ln2.S.initial_valuation),
+        )
+
+    def accepts_alone(self, triple) -> bool:
+        """Does the left side accept where the right one does not?"""
+        key1, key2, _ = triple
+        return self.ln1.is_final(key1) and (key2 is None or not self.ln2.is_final(key2))
+
+    def successors(self, triple):
+        key1, key2, sigma = triple
+        if key2 is None:
+            return [
+                (m, ((op, r), None), (key1b, None, ()))
+                for m, op, r, key1b in self.ln1.successors(key1)
+            ]
+        theta1 = key1[1]
+        theta2 = key2[1]
+        reads2, fresh2 = self.ln2.successor_index(key2)
+        out = []
+        for m, op, r, key1b in self.ln1.successors(key1):
+            if op == "read":
+                s = sigma[r]
+                classes = [("read", s)] if s >= 0 else [("fresh", -1)]
             else:
-                matches = fresh2.get(m)
-                if not matches:
-                    return None, (
-                        f"no fresh move matches a read of an uncorrelated"
-                        f" register for guard {algebra.show(minterms[m].conjunction)}"
+                classes = [
+                    ("read", s) for s in range(self.ln2.nregs)
+                    if theta2[s] == m and s not in sigma
+                ]
+                # distinct values of m held on either side
+                if theta1.count(m) + len(classes) < self.sizes[m]:
+                    classes.append(("fresh", -1))
+            for op2, s in classes:
+                if op2 == "read":
+                    moves = [(s, k2b) for k2b in reads2.get((s, m), ())]
+                else:
+                    moves = fresh2.get(m, ())
+                if not moves:
+                    out.append((m, ((op, r), (op2, s)), (key1b, None, ())))
+                for s2, key2b in moves:
+                    out.append(
+                        (m, ((op, r), (op2, s2)), (key1b, key2b, _sigma_update(sigma, r, s2)))
                     )
-                for s2, k2b in matches:
-                    required.append(
-                        (
-                            (key1b, k2b, _sigma_update(sigma, r, s2)),
-                            (m, (("read", r), ("fresh", s2))),
-                        )
-                    )
-        else:
-            held = theta1.count(m)  # distinct values of m held on either side
-            for s in range(ln2.nregs):
-                if theta2[s] != m or s in sigma:
-                    continue
-                held += 1
-                matches = reads2.get((s, m))
-                if not matches:
-                    return None, (
-                        f"no read of register {ln2.S.registers[s]} matches a"
-                        f" fresh move for guard {algebra.show(minterms[m].conjunction)}"
-                    )
-                for k2b in matches:
-                    required.append(
-                        (
-                            (key1b, k2b, _sigma_update(sigma, r, s)),
-                            (m, (("fresh", r), ("read", s))),
-                        )
-                    )
-            if held < sizes[m]:
-                matches = fresh2.get(m)
-                if not matches:
-                    return None, (
-                        f"no fresh move matches a doubly-fresh input"
-                        f" for guard {algebra.show(minterms[m].conjunction)}"
-                    )
-                for s2, k2b in matches:
-                    required.append(
-                        (
-                            (key1b, k2b, _sigma_update(sigma, r, s2)),
-                            (m, (("fresh", r), ("fresh", s2))),
-                        )
-                    )
-    return required, None
+        return out
 
 
 def _normalized_pair(A: Sra, B: Sra):
@@ -140,43 +127,31 @@ def _normalized_pair(A: Sra, B: Sra):
     return ln1, ln2, capped_sizes(A.algebra, basis, ln1.nregs + ln2.nregs + 1)
 
 
-def _simulate(ln1: LazyNorm, ln2: LazyNorm, sizes):
-    """Does ln2 simulate ln1?  None if so, else (parent, triple, reason):
-    the search's parent map, the first triple that cannot be matched and
-    why."""
-    seed = (
-        ln1.initial,
-        ln2.initial,
-        correspondence_of(ln1.S.initial_valuation, ln2.S.initial_valuation),
-    )
-    parent = {seed: None}
-    queue = deque([seed])
-    while queue:
-        triple = queue.popleft()
-        key1, key2, sigma = triple
-        required, reason = _check_direction(ln1, ln2, key1, key2, sigma, sizes)
-        if reason is not None:
-            return parent, triple, reason
-        for nt, step in required:
-            if nt not in parent:
-                parent[nt] = (triple, step)
-                queue.append(nt)
-    return None
-
-
 def n_similar(S1: Sra, S2: Sra):
     """Does every behavior of S1 have a matching behavior in S2?
 
     Returns (True, None) or (False, trace) where the trace names the
-    chain of state triples leading to the unmatched move.
+    chain of state triples leading to the unmatched move or to the
+    left state accepting alone, and the reason.
     """
-    A = to_single_valued(S1)
-    B = to_single_valued(S2)
-    failure = _simulate(*_normalized_pair(A, B))
-    if failure is None:
+    sim = _Simulation(*_normalized_pair(to_single_valued(S1), to_single_valued(S2)))
+    ln1, ln2 = sim.ln1, sim.ln2
+    parent, goal = reach(sim, lambda t: t[1] is None or sim.accepts_alone(t))
+    if goal is None:
         return True, None
-    parent, triple, reason = failure
-    triples = path(parent, triple)[0]
+    triples = path(parent, goal)[0]
+    if goal[1] is None:
+        m, ((op, r), _), _ = parent[goal][1]
+        target = ln1.S.registers[r] if r >= 0 else "no register"
+        move = f"read of {target}" if op == "read" else f"fresh input into {target}"
+        guard = ln1.algebra.show(ln1.basis.minterms[m].conjunction)
+        reason = f"no right move matches the left {move} for guard {guard}"
+        triples.pop()
+    else:
+        reason = (
+            f"left state {ln1.S.states[goal[0][0]]} accepts,"
+            f" right state {ln2.S.states[goal[1][0]]} does not"
+        )
     return False, {
         "reason": reason,
         "path": [
@@ -195,39 +170,40 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """Is every word of S1 accepted by S2?
 
     Requires deterministic operands.  On failure a separating word
-    (accepted by S1, rejected by S2) is replayed from the failed
-    simulation path; the intersection with the complement of the
-    completed S2 serves as a fallback extraction route.
+    (accepted by S1, rejected by S2) is replayed from the path to the
+    first triple whose left side accepts alone.  The intersection with
+    the complement of the completed S2 is a fallback extraction route,
+    taken only if that word fails its membership check.
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
     A = to_single_valued(S1)
-    B = complete(to_single_valued(S2))
-    ln1, ln2, sizes = _normalized_pair(A, B)
-    failure = _simulate(ln1, ln2, sizes)
-    if failure is None:
+    B = to_single_valued(S2)
+    sim = _Simulation(*_normalized_pair(A, B))
+    parent, goal = reach(sim, sim.accepts_alone)
+    if goal is None:
         return True, None
-    parent, triple, reason = failure
-    if reason != _FINALS_REASON:  # pragma: no cover - only on unexpected failure shapes
-        empty, word = is_empty(intersect(A, complement(B)))
+    # B is deterministic, so its one run on the word either ends where
+    # the right side does not accept or stops at the dead end
+    steps = path(parent, goal)[1]
+    word = replay(sim.ln1, [A.initial_valuation, B.initial_valuation], steps)
+    if not membership(S1, word) or membership(S2, word):  # pragma: no cover - fallback
+        empty, word = is_empty(intersect(A, complement(complete(B))))
         if empty:
             raise SraError("internal error: no separating word found")
-        return False, word
-    # with B complete and deterministic, the failure path spells a word
-    # that A accepts and B's one run rejects
-    steps = path(parent, triple)[1]
-    return False, replay(ln1, [A.initial_valuation, B.initial_valuation], steps)
+    return False, word
 
 
 def equivalent(S1: Sra, S2: Sra) -> bool:
     """Do both automata accept exactly the same words?
 
-    Each completed side must simulate the other; both runs share one
-    basis and the successor caches of one pair of normalized automata.
+    Each side must simulate the other; both runs share one basis and
+    the successor caches of one pair of normalized automata.
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
-    A = complete(to_single_valued(S1))
-    B = complete(to_single_valued(S2))
-    ln1, ln2, sizes = _normalized_pair(A, B)
-    return _simulate(ln1, ln2, sizes) is None and _simulate(ln2, ln1, sizes) is None
+    ln1, ln2, sizes = _normalized_pair(to_single_valued(S1), to_single_valued(S2))
+    return all(
+        reach(sim, sim.accepts_alone)[1] is None
+        for sim in (_Simulation(ln1, ln2, sizes), _Simulation(ln2, ln1, sizes))
+    )

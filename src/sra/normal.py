@@ -17,9 +17,9 @@ Normalized automata are materialized lazily; decision procedures only
 touch states reachable from the initial abstraction.  Normalization,
 emptiness and the determinism check share one breadth-first search
 (`reach`).  A path it finds is walked back from its parent map once
-(`path`) and turned into a concrete word once (`replay`); the
-simulation in `sra.equiv` reuses both for its failure traces and
-separating words.
+(`path`) and turned into a concrete word once (`replay`).  The
+simulation in `sra.equiv` is a graph that `reach` walks too, and it
+reuses `path` and `replay` for its failure traces and separating words.
 """
 
 from __future__ import annotations
@@ -139,14 +139,17 @@ def _abstraction_name(ln: LazyNorm, key) -> str:
     return ln.S.states[q] + "|" + ",".join(parts)
 
 
-def reach(ln: LazyNorm, stop=None):
+def reach(ln, stop=None):
     """Breadth-first search of ln from its initial state.
 
+    ln is a LazyNorm or any graph with an `initial` node and a
+    `successors` method listing steps whose last entry is the successor
+    node, such as the simulation in `sra.equiv`.
     Returns (parent, goal).  parent maps every discovered state, in
-    discovery order, to (predecessor, successor tuple) or, for the
-    initial state, None.  goal is the first discovered state passing
-    stop; the search ends as soon as it is discovered.  Without a goal
-    every reachable state is discovered and goal is None.
+    discovery order, to (predecessor, step) or, for the initial state,
+    None.  goal is the first discovered state passing stop; the search
+    ends as soon as it is discovered.  Without a goal every reachable
+    state is discovered and goal is None.
     """
     parent = {ln.initial: None}
     if stop is not None and stop(ln.initial):
@@ -155,7 +158,7 @@ def reach(ln: LazyNorm, stop=None):
     while queue:
         key = queue.popleft()
         for step in ln.successors(key):
-            key2 = step[3]
+            key2 = step[-1]
             if key2 not in parent:
                 parent[key2] = (key, step)
                 if stop is not None and stop(key2):
@@ -180,23 +183,26 @@ def path(parent, goal):
 def replay(ln: LazyNorm, valuations, steps) -> list:
     """A concrete word along matched steps over one or more valuations.
 
-    Each step is (m, sides), with one (op, register) pair per valuation.
-    A read takes its register's value; otherwise the input is minterm
-    m's least member that no valuation holds.  Every fresh side stores
-    the input into its register, unless that register is negative.
+    Each step starts (m, sides), with one (op, register) pair per
+    valuation, or None for a side that has stopped moving; such a side
+    is neither read nor excluded nor written.  A read takes its
+    register's value; otherwise the input is minterm m's least member
+    that no moving side's valuation holds.  Every fresh side stores the
+    input into its register, unless that register is negative.
     """
     vs = [list(v) for v in valuations]
     word = []
-    for m, sides in steps:
-        reads = [v[r] for v, (op, r) in zip(vs, sides) if op == "read"]
+    for m, sides, *_ in steps:
+        live = [(v, side) for v, side in zip(vs, sides) if side is not None]
+        reads = [v[r] for v, (op, r) in live if op == "read"]
         if reads:
             a = reads[0]
         else:
             a = ln.algebra.witness(
                 ln.basis.minterms[m].conjunction,
-                excluded=[x for v in vs for x in v if x is not None],
+                excluded=[x for v, _ in live for x in v if x is not None],
             )
-        for v, (op, r) in zip(vs, sides):
+        for v, (op, r) in live:
             if op != "read" and r >= 0:
                 v[r] = a
         word.append(a)

@@ -95,6 +95,19 @@ def first_symbol_repeats():
     )
 
 
+def successors(S, config, a):
+    """All configurations (state, valuation) that config moves to on a."""
+    q, v = config
+    out = set()
+    for src, lab, dst in S.transitions:
+        if src != q or not S.algebra.denotes(lab.guard, a):
+            continue
+        holding = {r for r, x in enumerate(v) if x == a}
+        if lab.E <= holding and not lab.I & holding:
+            out.add((dst, tuple(a if r in lab.U else x for r, x in enumerate(v))))
+    return out
+
+
 GUARD_POOL = (
     TRUE,
     Div(2),

@@ -101,35 +101,6 @@ def test_div_lcm_above_cap_fails_fast():
 
 
 # ---------------------------------------------------------------------------
-# build
-
-
-def test_build_and_identity():
-    p = Interval(2, 9)
-    q = INTEGERS.build("and", [TRUE, p])
-    assert enum_denotation(INTEGERS, q) == enum_denotation(INTEGERS, p)
-
-
-def test_build_not_bottom_is_domain():
-    q = INTEGERS.build("not", [FALSE])
-    assert all(INTEGERS.denotes(q, a) for a in range(-5, 6))
-
-
-def test_build_window_denotes_exactly_three_four():
-    q = INTEGERS.build("and", [X_GT_2, X_LT_5])
-    assert enum_denotation(INTEGERS, q, range(0, 11)) == [3, 4]
-
-
-def test_build_arity_errors():
-    with pytest.raises(AlgebraError):
-        INTEGERS.build("not", [TRUE, FALSE])
-    with pytest.raises(AlgebraError):
-        INTEGERS.build("and", [TRUE])
-    with pytest.raises(AlgebraError):
-        UNICODE.build("and", [TRUE, Div(3)])
-
-
-# ---------------------------------------------------------------------------
 # has_min_size
 
 

@@ -4,10 +4,12 @@ import pytest
 
 from sra.algebra import Div, Not, TRUE, INTEGERS
 from sra.boolean_ops import complement, complete, intersect, is_complete, union
-from sra.core import SraError, make_sra, membership, step
+from sra.core import SraError, make_sra, membership
 from sra.single_valued import to_single_valued
 
-from fixtures import digits_sfa, example3, first_symbol_repeats, remark1, remark1_oracle
+from fixtures import (
+    digits_sfa, example3, first_symbol_repeats, remark1, remark1_oracle, successors,
+)
 from oracles import brute_membership, words_up_to
 
 
@@ -196,7 +198,7 @@ def test_complete_makes_every_step_possible():
             sorted(configs, key=lambda c: (c[0], [(x is None, x) for x in c[1]]))
         )
         a = rng.randint(-3, 6)
-        succ = step(S, (q, v), a)
+        succ = successors(S, (q, v), a)
         assert succ
         configs |= succ
 

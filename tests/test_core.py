@@ -15,7 +15,6 @@ from sra.core import (
     loads,
     make_sra,
     membership,
-    step,
     to_json_dict,
     validate,
 )
@@ -29,6 +28,7 @@ from fixtures import (
     random_sra,
     remark1,
     remark1_oracle,
+    successors,
 )
 from oracles import brute_membership, words_up_to
 
@@ -121,38 +121,6 @@ def test_out_and_membership_leave_identity_and_json_alone():
     assert S == fresh and fresh == S
     assert hash(S) == hash(fresh)
     assert dumps(S) == dumps(fresh)
-
-
-# ---------------------------------------------------------------------------
-# step
-
-
-def test_step_read_matches_stored_value():
-    S = simple_sra()
-    assert step(S, (0, (5,)), 5) == {(1, (5,))}
-    assert step(S, (0, (5,)), 6) == set()
-
-
-def test_step_example3_initial_store():
-    S = example3()
-    assert step(S, (0, (None,)), 6) == {(1, (6,))}
-    assert step(S, (0, (None,)), 0) == set()  # atom(0) excluded
-    assert step(S, (0, (None,)), 4) == set()  # not divisible by 3
-
-
-def test_step_changes_only_update_registers():
-    rng = random.Random(7)
-    for _ in range(60):
-        S = random_sra(rng)
-        v = tuple(rng.choice([None, 0, 1, 2]) for _ in S.registers)
-        q = rng.randrange(len(S.states))
-        a = rng.randint(0, 3)
-        for dst, w in step(S, (q, v), a):
-            assert 0 <= dst < len(S.states)
-            assert len(w) == len(S.registers)
-            # reconstruct which U could have produced w
-            changed = {r for r in range(len(w)) if w[r] != v[r]}
-            assert all(w[r] == a for r in changed)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +221,7 @@ def test_from_sfa_reachable_configurations_bounded_by_states():
     for a in [ord("0"), ord("1"), ord("2")]:
         nxt = set()
         for c in frontier:
-            nxt |= step(S, c, a)
+            nxt |= successors(S, c, a)
         seen |= frontier
         frontier = nxt
     seen |= frontier

@@ -92,8 +92,19 @@ def test_weakening_is_one_directional():
     assert n_similar(S, W) == (True, None)
     ok, trace = n_similar(W, S)
     assert not ok
-    assert trace["reason"]
     assert trace["path"][0][2] == ()  # seed carries the empty correspondence
+    # W accepts where remark1 does not; example3's first move on an odd
+    # multiple of 3 has no match in W, a dead end
+    for left, right, reason in (
+        (W, S, "left state qf|0 accepts, right state qm|0 does not"),
+        (example3(), W, "no right move matches the left fresh input into r for guard ("),
+    ):
+        ok, trace = n_similar(left, right)
+        assert not ok
+        assert trace["reason"].startswith(reason)
+        # every triple names a real right state: the dead end is not traced
+        nstates = len(to_single_valued(right).states)
+        assert all(0 <= q2 < nstates for _, q2, _ in trace["path"])
 
 
 def test_equivalent_to_own_translation_and_normalization():
@@ -167,9 +178,13 @@ def deterministic_pool(seed, size):
     return pool
 
 
-def test_includes_and_equivalent_agree_with_bounded_brute_force():
+def test_includes_and_equivalent_agree_with_bounded_brute_force(monkeypatch):
     # seed 47 catches a double count of the values both sides hold, and
-    # seed 50 a doubly-fresh cap cut to one side's registers
+    # seed 50 a doubly-fresh cap cut to one side's registers; every
+    # separating word comes from the simulation, never from the fallback
+    monkeypatch.setattr(
+        "sra.equiv.intersect", lambda *_: pytest.fail("intersect fallback ran")
+    )
     words = [tuple(w) for w in words_up_to(range(0, 4), 3)]
     for seed in (47, 50):
         pool = deterministic_pool(seed, 14)
@@ -208,3 +223,35 @@ def test_doubly_fresh_input_counts_shared_values_once():
     assert not ok
     assert brute_membership(L, word) and not brute_membership(R, word)
     assert not equivalent(L, R)
+
+
+def test_dead_end_replay_ignores_the_right_values(monkeypatch):
+    monkeypatch.setattr(
+        "sra.equiv.intersect", lambda *_: pytest.fail("intersect fallback ran")
+    )
+    # after 5 6 the right side has no move, so the last input need not
+    # avoid the 5 it stored: the only separating word repeats it
+    L = make_sra(INTEGERS, [], ["0", "1", "2", "3"], "0", {}, ["3"], [
+        ("0", Interval(5, 5), (), (), (), "1"),
+        ("1", Interval(6, 6), (), (), (), "2"),
+        ("2", Interval(5, 5), (), (), (), "3"),
+    ])
+    R = make_sra(INTEGERS, ["s"], ["0", "1"], "0", {}, ["1"], [
+        ("0", Interval(5, 5), (), (), ("s",), "1"),
+    ])
+    assert includes(L, R) == (False, [5, 6, 5])
+    assert brute_membership(L, [5, 6, 5]) and not brute_membership(R, [5, 6, 5])
+    # the move into a dead end keeps its input class: R accepts x x
+    # only, so a second input fresh to R separates, not the least value
+    # 0 that R would read back
+    g = Interval(0, 1)
+    L = make_sra(INTEGERS, [], ["0", "1", "2"], "0", {}, ["2"], [
+        ("0", g, (), (), (), "1"),
+        ("1", g, (), (), (), "2"),
+    ])
+    R = make_sra(INTEGERS, ["s"], ["0", "1", "2"], "0", {}, ["2"], [
+        ("0", g, (), (), ("s",), "1"),
+        ("1", g, ("s",), (), (), "2"),
+    ])
+    assert includes(L, R) == (False, [0, 1])
+    assert brute_membership(L, [0, 1]) and not brute_membership(R, [0, 1])
