@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import And, Not, TRUE, disj
 from .core import Label, Sra, SraError
 from .normal import is_deterministic
-from .single_valued import is_single_valued, sv_label_kind
+from .single_valued import is_single_valued, sv_label, sv_label_kind
 
 
 def _require_same_algebra(S1: Sra, S2: Sra):
@@ -121,10 +121,7 @@ def _channel_guards(S: Sra, state: int):
     reads = {r: [] for r in range(nregs)}
     fresh = []
     for _, lab, _ in S.out[state]:
-        kind = sv_label_kind(nregs, lab)
-        if kind is None:
-            raise SraError("completion requires a single-valued automaton")
-        op, r = kind
+        op, r = sv_label_kind(nregs, lab)
         if op == "read":
             reads[r].append(lab.guard)
         else:
@@ -164,8 +161,6 @@ def complete(S: Sra) -> Sra:
         raise SraError("completion requires a single-valued automaton")
     algebra = S.algebra
     nregs = len(S.registers)
-    all_regs = frozenset(range(nregs))
-
     sink = len(S.states)
     sink_name = "sink"
     while sink_name in S.states:
@@ -175,22 +170,13 @@ def complete(S: Sra) -> Sra:
         reads, fresh = _channel_guards(S, p)
         gap = Not(disj(fresh))
         if algebra.is_sat(gap):
-            transitions.append(
-                (p, Label(gap, frozenset(), all_regs, frozenset()), sink)
-            )
+            transitions.append((p, sv_label(nregs, gap, "fresh", -1), sink))
         for r in range(nregs):
             gap = Not(disj(reads.get(r, [])))
             if algebra.is_sat(gap):
-                transitions.append(
-                    (p, Label(gap, frozenset({r}), frozenset(), frozenset()), sink)
-                )
-    for r in range(nregs):
-        transitions.append(
-            (sink, Label(TRUE, frozenset({r}), frozenset(), frozenset()), sink)
-        )
-    transitions.append(
-        (sink, Label(TRUE, frozenset(), all_regs, frozenset()), sink)
-    )
+                transitions.append((p, sv_label(nregs, gap, "read", r), sink))
+    transitions += [(sink, sv_label(nregs, TRUE, "read", r), sink) for r in range(nregs)]
+    transitions.append((sink, sv_label(nregs, TRUE, "fresh", -1), sink))
     return Sra(
         algebra=algebra,
         registers=S.registers,

@@ -27,6 +27,9 @@ from .single_valued import to_single_valued
 from . import regex as rx
 
 
+MAX_DOMAIN = 0x110000  # values in the Unicode domain
+
+
 class UsageError(Exception):
     pass
 
@@ -96,32 +99,30 @@ def _print_word(label: str, word: list):
 
 
 def _parse_domain(spec: str) -> list:
-    """Comma-separated values or ranges; "a-z" uses codepoints, "0-9" ints."""
-    values: list = []
+    """Comma-separated values or ranges; "a-z" uses codepoints, "0-9" ints.
+
+    A domain of more than MAX_DOMAIN values is refused before any is listed.
+    """
+    spans = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         lo, dash, hi = part.partition("-") if not part.startswith("-") else (part, "", "")
-        if dash and lo and hi:
-            try:
-                values.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                if len(lo) == 1 and len(hi) == 1:
-                    values.extend(range(ord(lo), ord(hi) + 1))
-                else:
-                    raise UsageError(f"bad domain range {part!r}")
-        else:
-            try:
-                values.append(int(part))
-            except ValueError:
-                if len(part) == 1:
-                    values.append(ord(part))
-                else:
-                    raise UsageError(f"bad domain value {part!r}")
-    if not values:
+        if not (dash and lo and hi):
+            lo = hi = part
+        try:
+            spans.append(range(int(lo), int(hi) + 1))
+        except ValueError:
+            if len(lo) != 1 or len(hi) != 1:
+                raise UsageError(f"bad domain value or range {part!r}")
+            spans.append(range(ord(lo), ord(hi) + 1))
+    size = sum(max(0, span.stop - span.start) for span in spans)
+    if size > MAX_DOMAIN:
+        raise UsageError(f"domain of {size} values exceeds the limit of {MAX_DOMAIN}")
+    if not size:
         raise UsageError("empty domain")
-    return values
+    return [a for span in spans for a in span]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +189,7 @@ def run(args) -> int:
         if args.complete:
             S = complete(to_single_valued(S))
         if args.emit_normalized:
-            S = normalize(to_single_valued(S))
+            S = normalize(S)
         _write_text(core.dumps(S), args.out)
         return 0
 
@@ -241,6 +242,8 @@ def run(args) -> int:
         return 0
 
     if args.verb == "expand":
+        if args.max_states is not None and args.max_states < 1:
+            raise UsageError("--max-states must be at least 1")
         S = _load(args.sra_path, args.pattern)
         domain = _parse_domain(args.domain)
         kwargs = {} if args.max_states is None else {"max_states": args.max_states}

@@ -1,10 +1,10 @@
 """Similarity, inclusion and equivalence checks.
 
 The checks run on the operands as given, normalized over a shared
-minterm basis built from their own guards; nothing is completed.
-Besides the two base states, each explored triple carries a register
-correspondence: a tuple indexed by left register whose entry is the
-right register holding the same value, or -1 when no right register
+minterm basis built from their own guards; nothing is translated or
+completed.  Besides the two normalized states, each explored triple
+carries a slot correspondence: a tuple indexed by left slot whose entry
+is the right slot holding the same value, or -1 when no right slot
 does.  The triples form a graph that `normal.reach`, the one search,
 walks from the initial triple.  An input that no right move takes leads
 to a dead end, where the left side moves on alone and never accepts
@@ -71,7 +71,7 @@ class _Simulation:
         self.initial = (
             ln1.initial,
             ln2.initial,
-            correspondence_of(ln1.S.initial_valuation, ln2.S.initial_valuation),
+            correspondence_of(ln1.valuation, ln2.valuation),
         )
 
     def accepts_alone(self, triple) -> bool:
@@ -117,8 +117,8 @@ class _Simulation:
 
 
 def _normalized_pair(A: Sra, B: Sra):
-    """Both single-valued operands normalized over one basis,
-    with minterm sizes capped at one more than their registers together."""
+    """Both operands normalized over one basis, with minterm sizes
+    capped at one more than their slots together."""
     if A.algebra is not B.algebra:
         raise SraError("operands must share an algebra")
     basis = minterm_basis(A, B)
@@ -134,7 +134,7 @@ def n_similar(S1: Sra, S2: Sra):
     chain of state triples leading to the unmatched move or to the
     left state accepting alone, and the reason.
     """
-    sim = _Simulation(*_normalized_pair(to_single_valued(S1), to_single_valued(S2)))
+    sim = _Simulation(*_normalized_pair(S1, S2))
     ln1, ln2 = sim.ln1, sim.ln2
     parent, goal = reach(sim, lambda t: t[1] is None or sim.accepts_alone(t))
     if goal is None:
@@ -149,13 +149,13 @@ def n_similar(S1: Sra, S2: Sra):
         triples.pop()
     else:
         reason = (
-            f"left state {ln1.S.states[goal[0][0]]} accepts,"
-            f" right state {ln2.S.states[goal[1][0]]} does not"
+            f"left state {ln1.S.states[goal[0][0][0]]} accepts,"
+            f" right state {ln2.S.states[goal[1][0][0]]} does not"
         )
     return False, {
         "reason": reason,
         "path": [
-            (key1[0], key2[0], tuple((r, s) for r, s in enumerate(sigma) if s >= 0))
+            (key1[0][0], key2[0][0], tuple((r, s) for r, s in enumerate(sigma) if s >= 0))
             for key1, key2, sigma in triples
         ],
     }
@@ -177,18 +177,16 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
-    A = to_single_valued(S1)
-    B = to_single_valued(S2)
-    sim = _Simulation(*_normalized_pair(A, B))
+    sim = _Simulation(*_normalized_pair(S1, S2))
     parent, goal = reach(sim, sim.accepts_alone)
     if goal is None:
         return True, None
     # B is deterministic, so its one run on the word either ends where
     # the right side does not accept or stops at the dead end
     steps = path(parent, goal)[1]
-    word = replay(sim.ln1, [A.initial_valuation, B.initial_valuation], steps)
+    word = replay(sim.ln1, [sim.ln1.valuation, sim.ln2.valuation], steps)
     if not membership(S1, word) or membership(S2, word):  # pragma: no cover - fallback
-        empty, word = is_empty(intersect(A, complement(complete(B))))
+        empty, word = is_empty(intersect(S1, complement(complete(to_single_valued(S2)))))
         if empty:
             raise SraError("internal error: no separating word found")
     return False, word
@@ -202,7 +200,7 @@ def equivalent(S1: Sra, S2: Sra) -> bool:
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
-    ln1, ln2, sizes = _normalized_pair(to_single_valued(S1), to_single_valued(S2))
+    ln1, ln2, sizes = _normalized_pair(S1, S2)
     return all(
         reach(sim, sim.accepts_alone)[1] is None
         for sim in (_Simulation(ln1, ln2, sizes), _Simulation(ln2, ln1, sizes))

@@ -1,16 +1,18 @@
-"""Normalized automata: minterm guards plus per-register abstractions.
+"""Normalized automata: minterm guards plus per-slot abstractions.
 
-A register abstraction assigns to every register either the minterm its
-current value lies in, named by its index in the minterm basis, or -1
-for an empty register.  Re-guarding every transition by minterms and
-tracking abstractions per state turns the questions "can this
-transition fire?" and "is some final state reachable?" into
-finite-graph searches:
+Any SRA is normalized through its single-valued view, applied on the
+fly: a base state (q, f) pairs a state with the map f from registers to
+slots, and `sra.single_valued.slot_moves` lists its moves.  A slot
+abstraction assigns to every slot either the minterm its current value
+lies in, named by its index in the minterm basis, or -1 for an empty
+slot.  Re-guarding every move by minterms and tracking abstractions per
+base state turns the questions "can this move fire?" and "is some final
+state reachable?" into finite-graph searches:
 
-* a read on register r can fire exactly when its guard is the minterm
-  the register's value lies in;
+* a read of slot r can fire exactly when the minterm the slot's value
+  lies in is inside its guard;
 * a fresh input satisfying a minterm exists exactly when the minterm
-  denotes more elements than the number of registers currently holding
+  denotes more elements than the number of slots currently holding
   one of them.
 
 Normalized automata are materialized lazily; decision procedures only
@@ -28,8 +30,9 @@ from collections import deque
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, And, Atom, MintermSet
-from .core import Label, Sra, SraError
-from .single_valued import is_single_valued, sv_label_kind, to_single_valued
+from .core import Sra, SraError
+from .single_valued import initial_slots, is_single_valued, slot_moves, sv_label
+from .single_valued import to_single_valued  # noqa: F401 - perfbench's tracer pins it here
 
 
 def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
@@ -61,56 +64,62 @@ def capped_sizes(algebra: Algebra, basis: MintermSet, cap: int) -> List[int]:
 
 
 class LazyNorm:
-    """Reachable part of the normalized automaton, grown on demand.
+    """Reachable part of the normalized automaton of any SRA, grown on demand.
 
-    States are (base_state, abstraction) pairs; successors are cached
-    per state as (minterm_index, op, register, successor_key) tuples.
+    States are ((q, f), abstraction) pairs.  Each base (q, f) turns its
+    moves into rows (minterm indices, op, slot, base2) once; successors
+    are cached per state as (minterm_index, op, slot, successor_key)
+    tuples.  `valuation` is the initial slot valuation.
     """
 
     def __init__(self, S: Sra, basis: Optional[MintermSet] = None):
-        if not is_single_valued(S):
-            raise SraError("normalization requires a single-valued automaton")
         self.S = S
         self.algebra = S.algebra
         self.basis = minterm_basis(S) if basis is None else basis
         self.nregs = len(S.registers)
         # a fresh move into minterm i is enabled while fewer than sizes[i]
-        # registers hold one of its elements
+        # slots hold one of its elements
         self.sizes = capped_sizes(self.algebra, self.basis, self.nregs + 1)
         # source predicate -> indices of the minterms inside it
         self.inside = {
             q: tuple(i for i, m in enumerate(self.basis) if m.bits[j])
             for j, q in enumerate(self.basis.sources)
         }
+        self.valuation, f0 = initial_slots(S)
         minterms = self.basis.minterms
         theta0 = tuple(
             -1 if v is None else minterms.index(self.algebra.minterm_of(self.basis, v))
-            for v in S.initial_valuation
+            for v in self.valuation
         )
-        self.initial = (S.initial, theta0)
+        self.initial = ((S.initial, f0), theta0)
+        self._rows = {}
         self._succ = {}
         self._succ_idx = {}
 
     def is_final(self, key) -> bool:
-        return key[0] in self.S.finals
+        return key[0][0] in self.S.finals
 
     def successors(self, key) -> List[Tuple[int, str, int, tuple]]:
         cached = self._succ.get(key)
         if cached is not None:
             return cached
-        q, theta = key
+        base, theta = key
+        rows = self._rows.get(base)
+        if rows is None:
+            rows = self._rows[base] = [
+                (self.inside.get(guard, ()), op, r, base2)
+                for guard, op, r, base2 in slot_moves(self.S, *base)
+            ]
         out = []
-        for _, lab, q2 in self.S.out[q]:
-            op, r = sv_label_kind(self.nregs, lab)
-            inside = self.inside.get(lab.guard, ())
+        for inside, op, r, base2 in rows:
             if op == "read":
                 if theta[r] in inside:
-                    out.append((theta[r], "read", r, (q2, theta)))
+                    out.append((theta[r], "read", r, (base2, theta)))
             else:  # fresh, stored into r or, when r < 0, nowhere
                 for i in inside:
                     if theta.count(i) < self.sizes[i]:
                         theta2 = theta if r < 0 else theta[:r] + (i,) + theta[r + 1:]
-                        out.append((i, "fresh", r, (q2, theta2)))
+                        out.append((i, "fresh", r, (base2, theta2)))
         self._succ[key] = out
         return out
 
@@ -131,12 +140,13 @@ class LazyNorm:
         return cached
 
 
-def _abstraction_name(ln: LazyNorm, key) -> str:
-    q, theta = key
+def _abstraction_name(ln: LazyNorm, key, show_slots: bool) -> str:
+    (q, f), theta = key
     parts = ["_" if i < 0 else repr(ln.basis.minterms[i]) for i in theta]
     if not parts:
         return ln.S.states[q]
-    return ln.S.states[q] + "|" + ",".join(parts)
+    slots = ",".join(str(s) for s in f) + "|" if show_slots else ""
+    return ln.S.states[q] + "|" + slots + ",".join(parts)
 
 
 def reach(ln, stop=None):
@@ -212,33 +222,29 @@ def replay(ln: LazyNorm, valuations, steps) -> list:
 def normalize(S: Sra) -> Sra:
     """The reachable normalized automaton, materialized as a plain SRA.
 
-    Registers and the initial valuation carry over; every guard is a
-    minterm conjunction and every state records its abstraction in its
-    name.
+    Its registers are the slots, one per register, holding the initial
+    slot valuation; every guard is a minterm conjunction and every state
+    records its base state and abstraction in its name.  A single-valued
+    input's bases are its own states.
     """
     ln = LazyNorm(S)
     minterms = ln.basis.minterms
     order = list(reach(ln)[0])
     index = {key: i for i, key in enumerate(order)}
-    transitions = []
-    all_regs = frozenset(range(ln.nregs))
-    for i, key in enumerate(order):
-        for m, op, r, key2 in ln.successors(key):
-            guard = minterms[m].conjunction
-            if op == "read":
-                lab = Label(guard, frozenset({r}), frozenset(), frozenset())
-            else:
-                upd = frozenset({r}) if r >= 0 else frozenset()
-                lab = Label(guard, frozenset(), all_regs, upd)
-            transitions.append((i, lab, index[key2]))
+    transitions = tuple(
+        (i, sv_label(ln.nregs, minterms[m].conjunction, op, r), index[key2])
+        for i, key in enumerate(order)
+        for m, op, r, key2 in ln.successors(key)
+    )
+    show_slots = not is_single_valued(S)
     return Sra(
         algebra=S.algebra,
         registers=S.registers,
-        states=tuple(_abstraction_name(ln, key) for key in order),
+        states=tuple(_abstraction_name(ln, key, show_slots) for key in order),
         initial=0,
-        initial_valuation=S.initial_valuation,
+        initial_valuation=ln.valuation,
         finals=frozenset(i for i, key in enumerate(order) if ln.is_final(key)),
-        transitions=tuple(transitions),
+        transitions=transitions,
     )
 
 
@@ -248,13 +254,12 @@ def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
     Searches the normalized automaton breadth-first up to the first
     accepting state discovered, and replays the path to it concretely.
     """
-    S = to_single_valued(S)
     ln = LazyNorm(S)
     parent, goal = reach(ln, ln.is_final)
     if goal is None:
         return True, None
     steps = [(m, ((op, r),)) for m, op, r, _ in path(parent, goal)[1]]
-    return False, replay(ln, [S.initial_valuation], steps)
+    return False, replay(ln, [ln.valuation], steps)
 
 
 def _syntactically_deterministic(S: Sra) -> bool:
@@ -285,7 +290,7 @@ def is_deterministic(S: Sra) -> bool:
     """
     if _syntactically_deterministic(S):
         return True
-    ln = LazyNorm(to_single_valued(S))
+    ln = LazyNorm(S)
     return reach(ln, lambda key: _clashes(ln.successors(key)))[1] is None
 
 

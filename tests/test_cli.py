@@ -200,6 +200,8 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["empty", "--sra", str(tmp_path / "missing.json")]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["compile", "--pattern", "(ab"]) == 2  # parse error
+    for cap in ("0", "-3"):
+        assert main(["expand", "--pattern", "a", "--domain", "a-c", "--max-states", cap]) == 2
     capsys.readouterr()
 
 
@@ -313,3 +315,9 @@ def test_domain_parsing():
         _parse_domain("")
     with pytest.raises(UsageError):
         _parse_domain("foo-bar")
+    assert len(_parse_domain("0-1114111")) == 0x110000
+    # refused from the range sizes, before 10^8 values are listed
+    with pytest.raises(UsageError):
+        _parse_domain("0-99999999")
+    with pytest.raises(UsageError):
+        _parse_domain("0-1114111,a")

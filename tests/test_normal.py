@@ -11,6 +11,7 @@ from sra.normal import (
     is_empty,
     minterm_basis,
     normalize,
+    reach,
 )
 from sra.core import SraError
 from sra.single_valued import to_single_valued
@@ -172,11 +173,6 @@ def test_normalize_drops_unreachable_exit_and_splits_state():
     assert N.finals == frozenset()
 
 
-def test_normalize_rejects_non_single_valued_input():
-    with pytest.raises(SraError):
-        normalize(example3())
-
-
 def test_normalize_register_free_same_language():
     S = digits_sfa()
     N = normalize(S)
@@ -189,7 +185,7 @@ def test_normalize_register_free_same_language():
 
 
 def test_normalize_preserves_membership_exhaustively():
-    for S in sv_fixtures():
+    for S in sv_fixtures() + [example3(), remark1(), first_symbol_repeats()]:
         N = normalize(S)
         for w in words_up_to(range(0, 5), 3):
             assert membership(N, w) == membership(S, w), w
@@ -206,12 +202,28 @@ def test_normalize_state_and_transition_bounds():
 
 @pytest.mark.parametrize("name, states", [("Pr-C2", 1132), ("Pr-C3", 8962)])
 def test_normalized_state_counts_of_stock_patterns(name, states):
-    # the translation keeps one slot per register, so an input stored
-    # nowhere adds no register for the abstraction to track
+    # one slot per register, so an input stored nowhere adds no slot for
+    # the abstraction to track; normalizing on the fly and normalizing
+    # the materialized translation give the same count
     S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
     T = to_single_valued(S)
     assert len(T.registers) == len(S.registers)
+    assert len(normalize(S).states) == states
     assert len(normalize(T).states) == states
+
+
+@pytest.mark.parametrize("name, states, transitions", [("Pr-C2", 48, 119), ("IP4", 543, 1818)])
+def test_translation_sizes_of_stock_patterns(name, states, transitions):
+    T = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS[name]).sra)
+    assert (len(T.states), len(T.transitions)) == (states, transitions)
+
+
+def test_single_valued_input_keeps_identity_slot_map():
+    # every base of a single-valued input pairs a state with the
+    # identity map, so its normalized graph is over its own states
+    for S in sv_fixtures():
+        identity = tuple(range(len(S.registers)))
+        assert all(f == identity for (_, f), _ in reach(LazyNorm(S))[0])
 
 
 def test_every_constructed_transition_is_enabled_at_source():

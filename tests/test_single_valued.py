@@ -2,7 +2,9 @@ import random
 
 from sra.algebra import TRUE, INTEGERS
 from sra.core import Label, make_sra, membership, validate
+from sra.normal import is_empty, normalize
 from sra.single_valued import (
+    initial_slots,
     is_single_valued,
     sv_label_kind,
     to_single_valued,
@@ -147,3 +149,30 @@ def test_translation_of_already_single_valued_automaton():
     T = to_single_valued(remark1())
     assert is_single_valued(T)
     assert to_single_valued(T) is T
+
+
+def test_registers_holding_one_value_share_the_least_slot():
+    S = make_sra(
+        INTEGERS,
+        ["r", "s", "t"],
+        ["p", "q", "f"],
+        "p",
+        {"r": 5, "s": 5},
+        ["f"],
+        [
+            ("p", TRUE, ("s",), (), ("t",), "q"),
+            ("p", TRUE, (), ("r",), (), "f"),
+            ("q", TRUE, ("r", "t"), (), (), "f"),
+        ],
+    )
+    assert initial_slots(S) == ((5, None, None), (0, 0, 2))
+    T = to_single_valued(S)
+    assert T.initial_valuation == (5, None, None)
+    N = normalize(S)
+    assert N.initial_valuation == (5, None, None)
+    for w in words_up_to(range(4, 7), 3):
+        assert brute_membership(S, w) == membership(T, w) == membership(N, w), w
+    assert membership(S, [5, 5]) and membership(S, [6])
+    # slot 1 holds nothing: no register maps to it
+    empty, w = is_empty(S)
+    assert not empty and brute_membership(S, w)
