@@ -1,7 +1,8 @@
 """Language-level Boolean combinations of register automata.
 
-Intersection is a product construction over disjoint register sets;
-union adds a fresh initial state copying both automata's initial moves.
+Intersection is a product construction over disjoint register sets
+that builds only the state pairs reachable from the initial pair; union
+adds a fresh initial state copying both automata's initial moves.
 Complementation only works on complete deterministic machines, so a
 completion construction (total-izing every state via a non-accepting
 sink) and a syntactic completeness audit live here too.
@@ -36,36 +37,42 @@ def _merged_registers(S1: Sra, S2: Sra):
 
 
 def intersect(S1: Sra, S2: Sra) -> Sra:
-    """Product automaton accepting exactly the words both operands accept."""
+    """Product automaton accepting exactly the words both operands accept.
+
+    Only the state pairs reachable from the initial pair are built,
+    through the move pairs whose guards are satisfiable together.
+    """
     _require_same_algebra(S1, S2)
+    algebra = S1.algebra
     registers, v0 = _merged_registers(S1, S2)
     off = len(S1.registers)
-    n2 = len(S2.states)
-
-    def pair(q1: int, q2: int) -> int:
-        return q1 * n2 + q2
-
-    states = tuple(
-        f"({a},{b})" for a in S1.states for b in S2.states
-    )
+    shifted = [[(_shift_label(l2, off), q2) for _, l2, q2 in moves] for moves in S2.out]
+    start = (S1.initial, S2.initial)
+    order = [start]
+    index = {start: 0}
     transitions = []
-    for p1, l1, q1 in S1.transitions:
-        for p2, l2, q2 in S2.transitions:
-            lab = Label(
-                And((l1.guard, l2.guard)),
-                l1.E | frozenset(r + off for r in l2.E),
-                l1.I | frozenset(r + off for r in l2.I),
-                l1.U | frozenset(r + off for r in l2.U),
-            )
-            transitions.append((pair(p1, p2), lab, pair(q1, q2)))
-    finals = frozenset(pair(a, b) for a in S1.finals for b in S2.finals)
+    for i, (p1, p2) in enumerate(order):
+        for _, l1, q1 in S1.out[p1]:
+            for l2, q2 in shifted[p2]:
+                guard = And((l1.guard, l2.guard))
+                if not algebra.is_sat(guard):
+                    continue
+                target = (q1, q2)
+                j = index.get(target)
+                if j is None:
+                    j = index[target] = len(order)
+                    order.append(target)
+                lab = Label(guard, l1.E | l2.E, l1.I | l2.I, l1.U | l2.U)
+                transitions.append((i, lab, j))
     return Sra(
-        algebra=S1.algebra,
+        algebra=algebra,
         registers=registers,
-        states=states,
-        initial=pair(S1.initial, S2.initial),
+        states=tuple(f"({S1.states[a]},{S2.states[b]})" for a, b in order),
+        initial=0,
         initial_valuation=v0,
-        finals=finals,
+        finals=frozenset(
+            i for i, (a, b) in enumerate(order) if a in S1.finals and b in S2.finals
+        ),
         transitions=tuple(transitions),
     )
 

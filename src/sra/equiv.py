@@ -117,14 +117,13 @@ class _Simulation:
 
 
 def _normalized_pair(A: Sra, B: Sra):
-    """Both operands normalized over one basis, with minterm sizes
-    capped at one more than their slots together."""
+    """Both operands normalized over one basis, sharing one table of
+    minterm sizes capped at one more than their slots together."""
     if A.algebra is not B.algebra:
         raise SraError("operands must share an algebra")
     basis = minterm_basis(A, B)
-    ln1 = LazyNorm(A, basis)
-    ln2 = LazyNorm(B, basis)
-    return ln1, ln2, capped_sizes(A.algebra, basis, ln1.nregs + ln2.nregs + 1)
+    sizes = capped_sizes(A.algebra, basis, len(A.registers) + len(B.registers) + 1)
+    return LazyNorm(A, basis, sizes), LazyNorm(B, basis, sizes), sizes
 
 
 def n_similar(S1: Sra, S2: Sra):

@@ -1,15 +1,19 @@
 """Expansion of register automata into plain finite automata.
 
-Over a finite domain of storable values, every configuration (state,
-register contents) becomes a state of an ordinary symbolic finite
-automaton.  Transitions that store enumerate the domain; transitions
-that read or ignore the registers stay symbolic, constrained by the
-concrete register contents.  All steps between one configuration pair
-are merged into a single predicate.
+Over a finite domain of storable values, every configuration becomes a
+state of an ordinary symbolic finite automaton.  A configuration is the
+flat tuple (state, *register contents), with None for an empty register,
+and configurations are numbered in the order they are discovered.  A
+move that reads or stores has one candidate input per value: the value
+its read registers share, or each domain value its guard admits when it
+only stores.  A move that neither reads nor stores stays symbolic,
+constrained by the concrete register contents.  All steps between one
+configuration pair are merged into a single predicate.
 
 The construction stops with an overflow report instead of an automaton
 when it discovers more configurations than the state limit; overflow is
-a result, not an error.
+a result, not an error.  Domain values outside the algebra's domain are
+refused before anything is built.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Atom, Not, conj, disj
+from .algebra import AlgebraError, Atom, Not, conj, disj
 from .core import Label, Sra
 
 DEFAULT_MAX_STATES = 2_000_000
@@ -31,118 +35,79 @@ class Expansion:
     overflow: bool
     state_count: int  # configurations discovered before stopping
     domain_size: int
-    max_states: int
 
 
 def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expansion:
     algebra = S.algebra
-    dom = sorted(set(domain), key=algebra.sort_key)
-    value_index = {a: i + 1 for i, a in enumerate(dom)}
-    for v in S.initial_valuation:
-        if v is not None and v not in value_index:
-            dom.append(v)
-            value_index[v] = len(dom)
-    domain_size = len(dom)
-    base = len(dom) + 1  # slot 0 encodes the empty register
-    nregs = len(S.registers)
-
-    def encode(q: int, vals) -> int:
-        code = q
-        for x in vals:
-            code = code * base + (0 if x is None else value_index[x])
-        return code
-
-    def decode(code: int):
-        slots = []
-        for _ in range(nregs):
-            code, d = divmod(code, base)
-            slots.append(None if d == 0 else dom[d - 1])
-        return code, tuple(reversed(slots))
-
-    out = S.out
-    sat_cache = {}
-
-    def sat_syms(guard):
-        hit = sat_cache.get(guard)
-        if hit is None:
-            hit = [a for a in dom if algebra.denotes(guard, a)]
-            sat_cache[guard] = hit
-        return hit
-
-    start = encode(S.initial, S.initial_valuation)
+    values = set(domain)
+    for a in values:
+        if not algebra._in_domain(a):
+            raise AlgebraError(f"{a!r} is not a {algebra.name} domain element")
+    # initial register values join the domain, after its sorted values
+    dom = list(dict.fromkeys(
+        sorted(values, key=algebra.sort_key)
+        + [v for v in S.initial_valuation if v is not None]
+    ))
+    members = {}  # guard -> {value: Atom(value)} for the values of dom it admits
+    start = (S.initial, *S.initial_valuation)
     order = [start]
     index = {start: 0}
     edges = {}  # (src index, dst index) -> list of predicates
-
-    i = 0
-    while i < len(order):
-        src_code = order[i]
-        q, vals = decode(src_code)
-        for _, lab, q2 in out[q]:
-            targets = []  # (new valuation, predicate)
-            if lab.E:
-                held = {vals[r] for r in lab.E}
-                if None in held or len(held) != 1:
-                    continue
-                a = held.pop()
-                if not algebra.denotes(lab.guard, a):
-                    continue
-                if any(vals[r] == a for r in lab.I):
-                    continue
-                v2 = tuple(a if r in lab.U else vals[r] for r in range(nregs))
-                targets.append((v2, Atom(a)))
-            elif not lab.U:
+    for i, config in enumerate(order):
+        for _, lab, q2 in S.out[config[0]]:
+            if lab.E or lab.U:
+                table = members.get(lab.guard)
+                if table is None:
+                    table = members[lab.guard] = {
+                        a: Atom(a) for a in dom if algebra.denotes(lab.guard, a)
+                    }
+                if lab.E:
+                    held = {config[r + 1] for r in lab.E}
+                    candidates = held & table.keys() if len(held) == 1 else ()
+                else:
+                    candidates = table
+                blocked = {config[r + 1] for r in lab.I}
+                target = [q2, *config[1:]]
+                targets = []
+                for a in candidates:
+                    if a not in blocked:
+                        for r in lab.U:
+                            target[r + 1] = a
+                        targets.append((tuple(target), table[a]))
+            else:
                 pred = conj(
                     [lab.guard]
-                    + [Not(Atom(vals[r])) for r in lab.I if vals[r] is not None]
+                    + [Not(Atom(config[r + 1])) for r in lab.I if config[r + 1] is not None]
                 )
-                if algebra.is_sat(pred):
-                    targets.append((vals, pred))
-            else:
-                blocked = {vals[r] for r in lab.I if vals[r] is not None}
-                for a in sat_syms(lab.guard):
-                    if a in blocked:
-                        continue
-                    v2 = tuple(a if r in lab.U else vals[r] for r in range(nregs))
-                    targets.append((v2, Atom(a)))
-            for v2, pred in targets:
-                dst_code = encode(q2, v2)
-                j = index.get(dst_code)
+                targets = [((q2, *config[1:]), pred)] if algebra.is_sat(pred) else []
+            for target, pred in targets:
+                j = index.get(target)
                 if j is None:
                     if len(order) >= max_states:
-                        return Expansion(
-                            None, True, len(order) + 1, domain_size, max_states
-                        )
-                    j = len(order)
-                    index[dst_code] = j
-                    order.append(dst_code)
+                        return Expansion(None, True, len(order) + 1, len(dom))
+                    j = index[target] = len(order)
+                    order.append(target)
                 edges.setdefault((i, j), []).append(pred)
-        i += 1
 
-    def name(code: int) -> str:
-        q, vals = decode(code)
-        if not vals:
-            return S.states[q]
-        slots = ",".join("_" if x is None else str(x) for x in vals)
-        return f"{S.states[q]}|{slots}"
+    def name(config) -> str:
+        if len(config) == 1:
+            return S.states[config[0]]
+        slots = ",".join("_" if x is None else str(x) for x in config[1:])
+        return f"{S.states[config[0]]}|{slots}"
 
-    transitions = tuple(
-        (src, Label(disj(preds), frozenset(), frozenset(), frozenset()), dst)
-        for (src, dst), preds in edges.items()
-    )
-    finals = frozenset(
-        idx for idx, code in enumerate(order) if decode(code)[0] in S.finals
-    )
     sfa = Sra(
         algebra=algebra,
         registers=(),
-        states=tuple(name(code) for code in order),
+        states=tuple(name(config) for config in order),
         initial=0,
         initial_valuation=(),
-        finals=finals,
-        transitions=transitions,
+        finals=frozenset(i for i, config in enumerate(order) if config[0] in S.finals),
+        transitions=tuple(
+            (src, Label(disj(preds), frozenset(), frozenset(), frozenset()), dst)
+            for (src, dst), preds in edges.items()
+        ),
     )
-    return Expansion(sfa, False, len(order), domain_size, max_states)
+    return Expansion(sfa, False, len(order), len(dom))
 
 
 def size_report(name: str, S: Sra, expansion: Expansion) -> dict:

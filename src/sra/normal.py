@@ -69,17 +69,23 @@ class LazyNorm:
     States are ((q, f), abstraction) pairs.  Each base (q, f) turns its
     moves into rows (minterm indices, op, slot, base2) once; successors
     are cached per state as (minterm_index, op, slot, successor_key)
-    tuples.  `valuation` is the initial slot valuation.
+    tuples.  `valuation` is the initial slot valuation.  `sizes`, when
+    given, is the basis's `capped_sizes` table at any cap above the
+    number of registers.
     """
 
-    def __init__(self, S: Sra, basis: Optional[MintermSet] = None):
+    def __init__(
+        self, S: Sra, basis: Optional[MintermSet] = None, sizes: Optional[List[int]] = None,
+    ):
         self.S = S
         self.algebra = S.algebra
         self.basis = minterm_basis(S) if basis is None else basis
         self.nregs = len(S.registers)
         # a fresh move into minterm i is enabled while fewer than sizes[i]
-        # slots hold one of its elements
-        self.sizes = capped_sizes(self.algebra, self.basis, self.nregs + 1)
+        # slots hold one of its elements; a slot count never reaches the cap
+        if sizes is None:
+            sizes = capped_sizes(self.algebra, self.basis, self.nregs + 1)
+        self.sizes = sizes
         # source predicate -> indices of the minterms inside it
         self.inside = {
             q: tuple(i for i, m in enumerate(self.basis) if m.bits[j])

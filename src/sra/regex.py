@@ -15,7 +15,7 @@ strings the pattern matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from .algebra import (
     Atom,
@@ -345,11 +345,11 @@ def fixed_length(node, group_lengths: dict) -> Optional[int]:
 
 
 class CompiledPattern:
-    """An automaton plus the registers backing each referenced group."""
+    """A compiled automaton, plus what `match` caches for it on first use:
+    whether it is deterministic, and its scan table."""
 
-    def __init__(self, sra: Sra, group_registers: Dict[int, Tuple[int, ...]]):
+    def __init__(self, sra: Sra):
         self.sra = sra
-        self.group_registers = group_registers
         self._scan = None
         self._deterministic = None
 
@@ -570,11 +570,7 @@ def _compile(ast_or_pattern) -> CompiledPattern:
     problems = validate(sra)
     if problems:  # pragma: no cover - construction should always be well-formed
         raise SraError("; ".join(problems))
-    group_registers = {
-        g: tuple(registers[(g, j)] for j in range(group_lengths[g]))
-        for g in sorted(referenced)
-    }
-    return CompiledPattern(sra, group_registers)
+    return CompiledPattern(sra)
 
 
 # ---------------------------------------------------------------------------

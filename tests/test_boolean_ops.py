@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sra import regex as rx
 from sra.algebra import Div, Not, TRUE, INTEGERS
 from sra.boolean_ops import complement, complete, intersect, is_complete, union
 from sra.core import SraError, make_sra, membership
@@ -69,6 +70,24 @@ def test_intersect_label_pairing():
     assert lab.I == frozenset()
     assert lab.U == frozenset({1})
     assert INTEGERS.denotes(lab.guard, 10) and not INTEGERS.denotes(lab.guard, 3)
+
+
+def test_intersect_builds_only_reachable_pairs():
+    ip3 = rx.compile(rx.BENCHMARK_PATTERNS["IP3"]).sra
+    ip4 = rx.compile(rx.BENCHMARK_PATTERNS["IP4"]).sra
+    P = intersect(ip3, ip4)
+    # of the 1,936 state pairs, only these are reachable through
+    # move pairs whose guards hold together
+    assert (len(P.states), len(P.transitions)) == (44, 46)
+    assert P.states[P.initial] == f"({ip3.states[ip3.initial]},{ip4.states[ip4.initial]})"
+    first = "IP: 123.456.789.012:80"
+    for second, in_ip3, in_both in (
+        ("IP: 123.456.789.012:8", True, True),
+        ("IP: 123.956.789.012:8", True, False),
+        ("IP: 124.456.789.012:8", False, False),
+    ):
+        word = [ord(c) for c in f"{first} {second}"]
+        assert (membership(ip3, word), membership(P, word)) == (in_ip3, in_both), second
 
 
 def test_intersect_agrees_with_conjunction_of_memberships():

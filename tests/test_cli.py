@@ -202,6 +202,7 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["compile", "--pattern", "(ab"]) == 2  # parse error
     for cap in ("0", "-3"):
         assert main(["expand", "--pattern", "a", "--domain", "a-c", "--max-states", cap]) == 2
+    assert main(["expand", "--pattern", "a", "--domain", "-5"]) == 2  # not a code point
     capsys.readouterr()
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from sra.algebra import Atom, Div, TRUE, INTEGERS
+from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS
 from sra.core import make_sra, membership
 from sra.expand import CSV_HEADER, csv_report, expand_to_sfa, size_report
 from sra import regex as rx
@@ -92,9 +92,25 @@ def test_overflow_is_reported_not_raised():
     ex = expand_to_sfa(S, range(100), max_states=50)
     assert ex.overflow
     assert ex.sfa is None
-    assert ex.state_count > 50
+    assert ex.state_count == 51  # the configuration past the cap is counted
     row = size_report("cube", S, ex)
     assert row["sfa_states"] == "---" and row["sfa_tr"] == "---"
+
+
+def test_domain_values_outside_the_algebra_are_refused():
+    register_free = rx.compile("a").sra
+    with pytest.raises(AlgebraError, match="-5 is not a unicode domain element"):
+        expand_to_sfa(register_free, [ord("a"), -5])
+
+
+def test_stock_expansion_sizes():
+    domain = [ord(c) for c in "abcdefghijklmnopqrstuvwxyz ."]
+    for name, states, transitions in (("Name", 2757, 3458), ("Name-F", 157, 208)):
+        ex = expand_to_sfa(rx.compile(rx.BENCHMARK_PATTERNS[name]).sra, domain)
+        assert not ex.overflow
+        assert (ex.state_count, len(ex.sfa.states), len(ex.sfa.transitions)) == (
+            states, states, transitions,
+        ), name
 
 
 def test_name_benchmark_expands_to_low_hundreds():
