@@ -225,9 +225,16 @@ def run(args) -> int:
     if args.verb == "equiv":
         lhs = _load(args.lhs)
         rhs = _load(args.rhs)
-        ok = equivalent(lhs, rhs)
-        print("equivalent" if ok else "different")
-        return 0 if ok else 1
+        if equivalent(lhs, rhs):
+            print("equivalent")
+            return 0
+        # a negative inclusion is found by a guided search, so it is cheap
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            ok, word = includes(a, b)
+            if not ok:
+                _print_word("counterexample", word)
+                return 1
+        raise SraError("internal error: no separating word found")  # pragma: no cover
 
     if args.verb == "intersect" or args.verb == "union":
         op = intersect if args.verb == "intersect" else union

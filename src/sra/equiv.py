@@ -8,7 +8,12 @@ is the right slot holding the same value, or -1 when no right slot
 does.  The triples form a graph that `normal.reach`, the one search,
 walks from the initial triple.  An input that no right move takes leads
 to a dead end, where the left side moves on alone and never accepts
-with the right one.
+with the right one.  Inclusion and equivalence search it in A* order,
+guided by the left state's distance to a final state in the left
+operand's state graph, since only a left final can accept alone; a
+triple whose left state cannot reach a final is never expanded.
+`n_similar` also stops at dead ends, which a triple far from any left
+final can be one step from, so it searches breadth-first.
 
 Inclusion and equivalence require deterministic operands, so the
 simulation fails exactly at a triple whose left side accepts alone.  A
@@ -26,7 +31,8 @@ from typing import Optional, Tuple
 from .boolean_ops import complement, complete, intersect
 from .core import Sra, SraError, membership
 from .normal import (
-    LazyNorm, capped_sizes, is_deterministic, is_empty, minterm_basis, path, reach, replay,
+    LazyNorm, capped_sizes, final_distances, is_deterministic, is_empty, minterm_basis, path,
+    reach, replay,
 )
 from .single_valued import to_single_valued
 
@@ -78,6 +84,12 @@ class _Simulation:
         """Does the left side accept where the right one does not?"""
         key1, key2, _ = triple
         return self.ln1.is_final(key1) and (key2 is None or not self.ln2.is_final(key2))
+
+    def reach_accepts_alone(self):
+        """`normal.reach` up to a nearest triple whose left side accepts
+        alone, guided by the left state's distance to a final state."""
+        dist = final_distances(self.ln1.S)
+        return reach(self, self.accepts_alone, lambda triple: dist[triple[0][0][0]])
 
     def successors(self, triple):
         key1, key2, sigma = triple
@@ -169,15 +181,15 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """Is every word of S1 accepted by S2?
 
     Requires deterministic operands.  On failure a separating word
-    (accepted by S1, rejected by S2) is replayed from the path to the
-    first triple whose left side accepts alone.  The intersection with
+    (accepted by S1, rejected by S2) is replayed from a shortest path to
+    a triple whose left side accepts alone.  The intersection with
     the complement of the completed S2 is a fallback extraction route,
     taken only if that word fails its membership check.
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
     sim = _Simulation(*_normalized_pair(S1, S2))
-    parent, goal = reach(sim, sim.accepts_alone)
+    parent, goal = sim.reach_accepts_alone()
     if goal is None:
         return True, None
     # B is deterministic, so its one run on the word either ends where
@@ -201,6 +213,6 @@ def equivalent(S1: Sra, S2: Sra) -> bool:
     _require_deterministic(S2, "right")
     ln1, ln2, sizes = _normalized_pair(S1, S2)
     return all(
-        reach(sim, sim.accepts_alone)[1] is None
+        sim.reach_accepts_alone()[1] is None
         for sim in (_Simulation(ln1, ln2, sizes), _Simulation(ln2, ln1, sizes))
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraError, Atom, Not, conj, disj
-from .core import Label, Sra
+from .core import Label, Sra, compile_guard
 
 DEFAULT_MAX_STATES = 2_000_000
 
@@ -58,9 +58,9 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
             if lab.E or lab.U:
                 table = members.get(lab.guard)
                 if table is None:
-                    table = members[lab.guard] = {
-                        a: Atom(a) for a in dom if algebra.denotes(lab.guard, a)
-                    }
+                    algebra.check(lab.guard)
+                    admits = compile_guard(algebra, lab.guard)
+                    table = members[lab.guard] = {a: Atom(a) for a in dom if admits(a)}
                 if lab.E:
                     held = {config[r + 1] for r in lab.E}
                     candidates = held & table.keys() if len(held) == 1 else ()

@@ -17,15 +17,21 @@ state reachable?" into finite-graph searches:
 
 Normalized automata are materialized lazily; decision procedures only
 touch states reachable from the initial abstraction.  Normalization,
-emptiness and the determinism check share one breadth-first search
-(`reach`).  A path it finds is walked back from its parent map once
-(`path`) and turned into a concrete word once (`replay`).  The
-simulation in `sra.equiv` is a graph that `reach` walks too, and it
-reuses `path` and `replay` for its failure traces and separating words.
+emptiness and the determinism check share one search (`reach`).  It is
+breadth-first for normalization and the determinism check.  Emptiness
+searches for an accepting state in A* order instead, guided by the
+automaton's `final_distances`, the fewest moves to a final state with
+guards and registers ignored: a consistent lower bound, so the path
+found is still a shortest one.
+A path `reach` finds is walked back from its parent map once (`path`)
+and turned into a concrete word once (`replay`).  The simulation in
+`sra.equiv` is a graph that `reach` walks too, and it reuses `path` and
+`replay` for its failure traces and separating words.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import List, Optional, Tuple
 
@@ -155,19 +161,54 @@ def _abstraction_name(ln: LazyNorm, key, show_slots: bool) -> str:
     return ln.S.states[q] + "|" + slots + ",".join(parts)
 
 
-def reach(ln, stop=None):
-    """Breadth-first search of ln from its initial state.
+def final_distances(S: Sra) -> List[Optional[int]]:
+    """Per state, the fewest moves to a final state, or None if there is none.
+
+    Distances are taken in S's own state graph, guards and registers
+    ignored.  A normalized path projects onto a path of S, so each is a
+    lower bound on the moves any configuration of that state needs to
+    accept, and it drops by at most one per move.
+    """
+    preds = [[] for _ in S.states]
+    for q, _, q2 in S.transitions:
+        preds[q2].append(q)
+    dist: List[Optional[int]] = [None] * len(S.states)
+    queue = deque(S.finals)
+    for q in S.finals:
+        dist[q] = 0
+    while queue:
+        q = queue.popleft()
+        for p in preds[q]:
+            if dist[p] is None:
+                dist[p] = dist[q] + 1
+                queue.append(p)
+    return dist
+
+
+def reach(ln, stop=None, priority=None):
+    """Search ln from its initial state, breadth-first or, given a
+    priority, in A* order.
 
     ln is a LazyNorm or any graph with an `initial` node and a
     `successors` method listing steps whose last entry is the successor
     node, such as the simulation in `sra.equiv`.
     Returns (parent, goal).  parent maps every discovered state, in
     discovery order, to (predecessor, step) or, for the initial state,
-    None.  goal is the first discovered state passing stop; the search
-    ends as soon as it is discovered.  Without a goal every reachable
-    state is discovered and goal is None.
+    None.  goal is a state passing stop at the fewest steps from the
+    initial state, and the search ends when it finds one.  Without a
+    goal every reachable state is discovered and goal is None.
+
+    Breadth-first, a state is tested against stop when it is
+    discovered.  priority, which needs a stop, maps a state to a lower
+    bound on its steps to a goal that drops by at most one per step, or
+    to None where no goal is reachable.  Such a state is recorded in
+    parent but never expanded.  The others are expanded in order of
+    steps so far plus bound, ties going to the smaller bound and then
+    to the state queued first, and are tested against stop when expanded.
     """
     parent = {ln.initial: None}
+    if priority is not None:
+        return _guided(ln, stop, priority, parent)
     if stop is not None and stop(ln.initial):
         return parent, ln.initial
     queue = deque([ln.initial])
@@ -180,6 +221,37 @@ def reach(ln, stop=None):
                 if stop is not None and stop(key2):
                     return parent, key2
                 queue.append(key2)
+    return parent, None
+
+
+def _guided(ln, stop, priority, parent):
+    """`reach` in A* order.  depth holds the fewest steps found so far to
+    each state with a bound; a heap entry whose steps exceed its state's
+    depth was superseded by a shorter route and is skipped."""
+    h = priority(ln.initial)
+    if h is None:
+        return parent, None
+    depth = {ln.initial: 0}
+    heap = [(h, h, 0, 0, ln.initial)]
+    queued = 1
+    while heap:
+        _, _, _, g, key = heapq.heappop(heap)
+        if g > depth[key]:
+            continue
+        if stop(key):
+            return parent, key
+        g += 1
+        for step in ln.successors(key):
+            key2 = step[-1]
+            # a state without a bound has no depth and is never revisited
+            if key2 in parent and depth.get(key2, 0) <= g:
+                continue
+            parent[key2] = (key, step)
+            h = priority(key2)
+            if h is not None:
+                depth[key2] = g
+                heapq.heappush(heap, (g + h, h, queued, g, key2))
+                queued += 1
     return parent, None
 
 
@@ -257,11 +329,17 @@ def normalize(S: Sra) -> Sra:
 def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
     """Language emptiness, with an accepted word when non-empty.
 
-    Searches the normalized automaton breadth-first up to the first
-    accepting state discovered, and replays the path to it concretely.
+    Searches the normalized automaton in A* order, guided by the
+    distance to a final state in S's own state graph, up to a nearest
+    accepting state, and replays the path to it concretely.  When no
+    final state is reachable from the initial one even in that graph,
+    the answer needs no normalized state at all.
     """
+    dist = final_distances(S)
+    if dist[S.initial] is None:
+        return True, None
     ln = LazyNorm(S)
-    parent, goal = reach(ln, ln.is_final)
+    parent, goal = reach(ln, ln.is_final, lambda key: dist[key[0][0]])
     if goal is None:
         return True, None
     steps = [(m, ((op, r),)) for m, op, r, _ in path(parent, goal)[1]]

@@ -6,6 +6,7 @@ stated time budgets.
 """
 
 import math
+import re
 import time
 
 from sra.algebra import And, Atom, Div, Interval, Or, INTEGERS, TRUE
@@ -241,3 +242,35 @@ def test_9_inclusion_finishes_at_four_registers():
         if not ok:
             assert membership(S1, word) and not membership(S2, word)
         assert time.perf_counter() - t0 < 30.0, (n1, "included in", n2)
+
+
+def test_10_negative_answers_at_six_and_nine_registers():
+    # a breadth-first search explores millions of normalized states or
+    # triples before answering these rows; the guided one a few dozen
+    rows = [
+        ("Pr-C6", None, 33),
+        ("Pr-C9", None, 39),
+        ("IP9", None, 43),
+        ("Pr-CL6", "Pr-C6", 31),
+        ("Pr-CL9", "Pr-C9", 37),
+    ]
+    for n1, n2, length in rows:
+        p1 = rx.BENCHMARK_PATTERNS[n1]
+        S1 = rx.compile(p1).sra
+        t0 = time.process_time()
+        if n2 is None:
+            empty, word = is_empty(S1)
+            assert not empty, n1
+        else:
+            p2 = rx.BENCHMARK_PATTERNS[n2]
+            S2 = rx.compile(p2).sra
+            t0 = time.process_time()
+            ok, word = includes(S1, S2)
+            assert not ok, (n1, "included in", n2)
+        assert time.process_time() - t0 < 5.0, (n1, n2)
+        assert len(word) == length, (n1, n2)
+        text = "".join(map(chr, word))
+        assert membership(S1, word) and re.fullmatch(p1, text, re.ASCII), (n1, text)
+        if n2 is not None:
+            assert not membership(S2, word), (n2, text)
+            assert not re.fullmatch(p2, text, re.ASCII), (n2, text)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sra.algebra import INTEGERS, MAX_NESTING, TRUE, And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
 from sra.core import loads, make_sra, membership, save, to_json_dict
+from sra import regex as rx
 
 from fixtures import example3, first_symbol_repeats, remark1
 
@@ -71,12 +73,21 @@ def test_subset_verb(tmp_path, capsys):
     assert len(word) == 2 and word[0] != word[1]
 
 
-def test_equiv_verb(tmp_path):
-    a = write_text(tmp_path, "a.regex", r"(\d)\1")
-    b = write_text(tmp_path, "b.regex", r"(\d)\1")
-    c = write_text(tmp_path, "c.regex", r"(\d)\d")
-    assert main(["equiv", "--lhs", a, "--rhs", b]) == 0
-    assert main(["equiv", "--lhs", a, "--rhs", c]) == 1
+def test_equiv_verb(tmp_path, capsys):
+    patterns = {"a": r"(\d)\1", "c": r"(\d)\d"}
+    path = {k: write_text(tmp_path, f"{k}.regex", p) for k, p in patterns.items()}
+    b = write_text(tmp_path, "b.regex", patterns["a"])
+    assert main(["equiv", "--lhs", path["a"], "--rhs", b]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    # the separating word is found whichever operand accepts it
+    for lhs, rhs in (("a", "c"), ("c", "a")):
+        assert main(["equiv", "--lhs", path[lhs], "--rhs", path[rhs]]) == 1
+        out = json.loads(capsys.readouterr().out)
+        word = out["counterexample"]
+        assert out["text"] == "".join(map(chr, word))
+        for k, p in patterns.items():
+            assert bool(re.fullmatch(p, out["text"], re.ASCII)) == (k == "c")
+            assert membership(rx.compile(p).sra, word) == (k == "c")
 
 
 def test_pattern_files_keep_trailing_spaces(tmp_path):

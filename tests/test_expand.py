@@ -1,7 +1,7 @@
 import pytest
 
 from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS
-from sra.core import make_sra, membership
+from sra.core import compile_guard, make_sra, membership
 from sra.expand import CSV_HEADER, csv_report, expand_to_sfa, size_report
 from sra import regex as rx
 
@@ -111,6 +111,18 @@ def test_stock_expansion_sizes():
         assert (ex.state_count, len(ex.sfa.states), len(ex.sfa.transitions)) == (
             states, states, transitions,
         ), name
+
+
+def test_member_tables_from_compiled_guards_match_denotation():
+    # expansion fills its per-guard tables with compiled guards
+    digits = [ord(c) for c in "0123456789"]
+    letters = [ord(c) for c in "abcdefghABCDEFGH"]
+    for name, domain in (("IP3", digits), ("XML", letters)):
+        S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
+        for guard in {lab.guard for _, lab, _ in S.transitions}:
+            admits = compile_guard(S.algebra, guard)
+            compiled = [a for a in domain if admits(a)]
+            assert compiled == [a for a in domain if S.algebra.denotes(guard, a)], (name, guard)
 
 
 def test_name_benchmark_expands_to_low_hundreds():

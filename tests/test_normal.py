@@ -5,12 +5,15 @@ import pytest
 from sra import regex as rx
 from sra.algebra import And, Atom, Div, Interval, Not, Or, TRUE, INTEGERS
 from sra.core import make_sra, membership
+from sra import normal
 from sra.normal import (
     LazyNorm,
+    final_distances,
     is_deterministic,
     is_empty,
     minterm_basis,
     normalize,
+    path,
     reach,
 )
 from sra.core import SraError
@@ -20,6 +23,7 @@ from fixtures import (
     digits_sfa,
     example3,
     first_symbol_repeats,
+    random_chain,
     random_sra,
     remark1,
     remark1_oracle,
@@ -293,6 +297,67 @@ def test_emptiness_agrees_with_brute_force_on_random_automata():
             assert membership(S, w)
         else:
             assert not found
+
+
+def goal_depths(S):
+    """Steps to the accepting state found breadth-first and in A* order,
+    both on one LazyNorm, or None where none is found."""
+    ln = LazyNorm(S)
+    dist = final_distances(S)
+    depths = []
+    for priority in (None, lambda key: dist[key[0][0]]):
+        parent, goal = reach(ln, ln.is_final, priority)
+        depths.append(None if goal is None else len(path(parent, goal)[1]))
+    return depths
+
+
+@pytest.mark.parametrize("name, length", [
+    ("Pr-C2", 25), ("Pr-C4", 29), ("Pr-CL4", 27), ("IP4", 43), ("IP6", 43),
+    ("XML", 11), ("Name", 6), ("Name-F", 6),
+])
+def test_guided_search_finds_a_shortest_witness(name, length):
+    S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
+    assert goal_depths(S) == [length, length]
+    assert len(is_empty(S)[1]) == length
+
+
+def test_guided_search_reroutes_through_a_shorter_prefix():
+    # a1-a3 look one move from f through reads of the empty register y,
+    # which never fire; b looks four moves away.  Both lead to x, which
+    # is three moves from f: a shortest word takes b, not the a's.
+    moves = [("p", "a1"), ("a1", "a2"), ("a2", "a3"), ("a3", "x"), ("p", "b"),
+             ("b", "x"), ("x", "y1"), ("y1", "y2"), ("y2", "f")]
+    S = make_sra(
+        INTEGERS, ["y"], ["p", "a1", "a2", "a3", "b", "x", "y1", "y2", "f"], "p", {}, ["f"],
+        [(src, TRUE, (), (), (), dst) for src, dst in moves]
+        + [(a, TRUE, ("y",), (), (), "f") for a in ("a1", "a2", "a3")],
+    )
+    assert final_distances(S)[:5] == [2, 1, 1, 1, 4]
+    assert goal_depths(S) == [5, 5]
+    empty, word = is_empty(S)
+    assert not empty and len(word) == 5 and membership(S, word)
+
+
+def test_guided_search_is_shortest_on_random_automata():
+    rng = random.Random(47)
+    for _ in range(300):
+        S = random_chain(rng) if rng.random() < 0.3 else random_sra(rng, 6, 3)
+        breadth_first, guided = goal_depths(S)
+        assert breadth_first == guided, S
+
+
+def test_emptiness_without_a_path_to_a_final_builds_nothing(monkeypatch):
+    # the final state has no incoming move, so no normalized state is needed
+    S = make_sra(
+        INTEGERS, ["x"], ["p", "q"], "p", {}, ["q"],
+        [("p", TRUE, (), (), ("x",), "p"), ("q", TRUE, ("x",), (), (), "p")],
+    )
+
+    def no_lazy_norm(*args):
+        raise AssertionError("LazyNorm built")
+
+    monkeypatch.setattr(normal, "LazyNorm", no_lazy_norm)
+    assert is_empty(S) == (True, None)
 
 
 # ---------------------------------------------------------------------------
