@@ -330,25 +330,30 @@ class Algebra:
         return False
 
     def has_min_size(self, p: Predicate, k: int) -> bool:
-        """True iff the denotation holds at least k distinct elements.
-
-        Counting is capped at k, so infinite denotations are fine.
-        """
+        """True iff the denotation holds at least k distinct elements."""
         if k < 0:
             raise AlgebraError("k must be non-negative")
+        return self.size(p, k) == k
+
+    def size(self, p: Predicate, cap: int) -> int:
+        """How many distinct elements the denotation holds, up to cap.
+
+        One pass over the cells, stopping once cap is reached, so
+        infinite denotations are fine.
+        """
         self.check(p)
         total = 0
         for res, L, ivs in self._cells(p):
             for lo, hi in ivs:
-                # k * L consecutive integers hold k of each class
-                if lo + k * L <= hi:
-                    return True
+                # cap * L consecutive integers hold cap of each class
+                if lo + cap * L <= hi:
+                    return cap
                 first = _first_in_class(lo, res, L)
                 if first <= hi:
                     total += (hi - first) // L + 1
-                    if total >= k:
-                        return True
-        return total >= k
+                    if total >= cap:
+                        return cap
+        return total
 
     def witness(self, p: Predicate, excluded: Iterable[int] = ()) -> Optional[int]:
         """Deterministic pick from [[p]] minus the excluded set, or None.

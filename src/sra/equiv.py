@@ -22,6 +22,24 @@ parent map is walked back with `normal.path`, and the matched steps on
 the way are turned into the word by `normal.replay`.  Equivalence runs
 the one-way simulation in both directions over one shared basis and one
 pair of lazily normalized automata.
+
+Inclusion and equivalence of two equality-only operands, where no move
+excludes a register and none reads more than one, as in every
+regex-compiled automaton, take canonical fresh inputs.  An input that
+the left move does not read, in a minterm with more than one element,
+is taken fresh to every value either side holds: the left side's
+coincidental reads of such inputs are dropped, and so are the classes
+of the right side's uncorrelated values.  This stays exact.  Renaming
+such an input of a separating word to a value fresh to both sides keeps
+the left run, and lets the deterministic right side take no move it
+would not take on the original word, so a shortest separating word
+survives the renaming.  The right side keeps its coincidental reads, since they
+fire on values that the left side reads from a correlated slot.  A
+minterm with at least one more element than both sides' registers
+together always has such a value.  Where a smaller one has none at some
+triple, the search drops it from the projected minterms and starts
+over.  One-element minterms, dead ends, `n_similar` and operands with a
+disequality keep every coincidence.
 """
 
 from __future__ import annotations
@@ -51,6 +69,19 @@ def _sigma_update(sigma: tuple, r: int, s: int) -> tuple:
     return tuple(s if i == r else -1 if t == s else t for i, t in enumerate(sigma))
 
 
+def _equality_only(S: Sra) -> bool:
+    """Does every move exclude no register and read at most one?"""
+    return all(not lab.I and len(lab.E) <= 1 for _, lab, _ in S.transitions)
+
+
+class _NoFreshValue(Exception):
+    """A projected minterm has no value fresh to both sides at a triple."""
+
+    def __init__(self, minterm: int):
+        super().__init__(minterm)
+        self.minterm = minterm
+
+
 class _Simulation:
     """The one-way simulation of ln1 by ln2 as a graph for `normal.reach`.
 
@@ -65,15 +96,20 @@ class _Simulation:
     end (left key, None, ()), where only the left side moves on.  The
     step into a dead end keeps the class as its right move, so that the
     replayed input lies in it; the steps out of one have None there.
+    In a projected minterm, a left move that does not read has the
+    doubly-fresh class only, and a coincidental read none.
     """
 
-    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes):
+    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, projected=frozenset()):
         self.ln1 = ln1
         self.ln2 = ln2
         # sizes[i] counts minterm i's elements up to one more than both
         # sides' registers together, which decides whether a value fresh
         # on both sides exists
         self.sizes = sizes
+        # minterms in which an input the left side does not read is taken
+        # fresh to both sides (see `_projected`)
+        self.projected = projected
         self.initial = (
             ln1.initial,
             ln2.initial,
@@ -87,33 +123,49 @@ class _Simulation:
 
     def reach_accepts_alone(self):
         """`normal.reach` up to a nearest triple whose left side accepts
-        alone, guided by the left state's distance to a final state."""
+        alone, guided by the left state's distance to a final state.
+
+        A projected minterm that runs out of values fresh to both sides
+        leaves the projected set, and the search starts over."""
         dist = final_distances(self.ln1.S)
-        return reach(self, self.accepts_alone, lambda triple: dist[triple[0][0][0]])
+        while True:
+            try:
+                return reach(self, self.accepts_alone, lambda triple: dist[triple[0][0][0]])
+            except _NoFreshValue as exc:
+                self.projected = self.projected - {exc.minterm}
 
     def successors(self, triple):
         key1, key2, sigma = triple
         if key2 is None:
             return [
                 (m, ((op, r), None), (key1b, None, ()))
-                for m, op, r, key1b in self.ln1.successors(key1)
+                for m, op, r, _, key1b in self.ln1.successors(key1)
             ]
         theta1 = key1[1]
         theta2 = key2[1]
+        projected = self.projected
         reads2, fresh2 = self.ln2.successor_index(key2)
         out = []
-        for m, op, r, key1b in self.ln1.successors(key1):
-            if op == "read":
+        for m, op, r, coincidental, key1b in self.ln1.successors(key1):
+            if op == "read" and not (coincidental and m in projected):
                 s = sigma[r]
                 classes = [("read", s)] if s >= 0 else [("fresh", -1)]
             else:
-                classes = [
-                    ("read", s) for s in range(self.ln2.nregs)
-                    if theta2[s] == m and s not in sigma
+                right_only = [
+                    s for s in range(self.ln2.nregs) if theta2[s] == m and s not in sigma
                 ]
                 # distinct values of m held on either side
-                if theta1.count(m) + len(classes) < self.sizes[m]:
-                    classes.append(("fresh", -1))
+                fresh = theta1.count(m) + len(right_only) < self.sizes[m]
+                if m in projected:
+                    if not fresh:
+                        raise _NoFreshValue(m)
+                    if op == "read":
+                        continue  # the move's fresh variant stands for it
+                    classes = [("fresh", -1)]
+                else:
+                    classes = [("read", s) for s in right_only]
+                    if fresh:
+                        classes.append(("fresh", -1))
             for op2, s in classes:
                 if op2 == "read":
                     moves = [(s, k2b) for k2b in reads2.get((s, m), ())]
@@ -136,6 +188,16 @@ def _normalized_pair(A: Sra, B: Sra):
     basis = minterm_basis(A, B)
     sizes = capped_sizes(A.algebra, basis, len(A.registers) + len(B.registers) + 1)
     return LazyNorm(A, basis, sizes), LazyNorm(B, basis, sizes), sizes
+
+
+def _projected(A: Sra, B: Sra, sizes) -> frozenset:
+    """The minterms in which inclusion and equivalence take an input the
+    left side does not read as fresh to both sides: every minterm with
+    more than one element, when both operands are equality-only, and
+    none otherwise."""
+    if not (_equality_only(A) and _equality_only(B)):
+        return frozenset()
+    return frozenset(m for m, k in enumerate(sizes) if k > 1)
 
 
 def n_similar(S1: Sra, S2: Sra):
@@ -188,7 +250,8 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
-    sim = _Simulation(*_normalized_pair(S1, S2))
+    ln1, ln2, sizes = _normalized_pair(S1, S2)
+    sim = _Simulation(ln1, ln2, sizes, _projected(S1, S2, sizes))
     parent, goal = sim.reach_accepts_alone()
     if goal is None:
         return True, None
@@ -207,12 +270,16 @@ def equivalent(S1: Sra, S2: Sra) -> bool:
     """Do both automata accept exactly the same words?
 
     Each side must simulate the other; both runs share one basis and
-    the successor caches of one pair of normalized automata.
+    the successor caches of one pair of normalized automata, and the
+    second starts without the minterms that ran out in the first.
     """
     _require_deterministic(S1, "left")
     _require_deterministic(S2, "right")
     ln1, ln2, sizes = _normalized_pair(S1, S2)
-    return all(
-        sim.reach_accepts_alone()[1] is None
-        for sim in (_Simulation(ln1, ln2, sizes), _Simulation(ln2, ln1, sizes))
-    )
+    projected = _projected(S1, S2, sizes)
+    for left, right in ((ln1, ln2), (ln2, ln1)):
+        sim = _Simulation(left, right, sizes, projected)
+        if sim.reach_accepts_alone()[1] is not None:
+            return False
+        projected = sim.projected
+    return True

@@ -62,9 +62,12 @@ def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
 
 
 def capped_sizes(algebra: Algebra, basis: MintermSet, cap: int) -> List[int]:
-    """Per minterm index, how many elements the minterm has, up to cap."""
+    """Per minterm index, how many elements the minterm has, up to cap.
+
+    `Algebra.has_min_size` settles a minterm that reaches the cap, and
+    `Algebra.size` counts one that does not."""
     return [
-        next(k for k in range(cap, 0, -1) if algebra.has_min_size(m.conjunction, k))
+        cap if algebra.has_min_size(m.conjunction, cap) else algebra.size(m.conjunction, cap)
         for m in basis
     ]
 
@@ -73,11 +76,12 @@ class LazyNorm:
     """Reachable part of the normalized automaton of any SRA, grown on demand.
 
     States are ((q, f), abstraction) pairs.  Each base (q, f) turns its
-    moves into rows (minterm indices, op, slot, base2) once; successors
-    are cached per state as (minterm_index, op, slot, successor_key)
-    tuples.  `valuation` is the initial slot valuation.  `sizes`, when
-    given, is the basis's `capped_sizes` table at any cap above the
-    number of registers.
+    moves into rows (minterm indices, op, slot, coincidental, base2)
+    once; successors are cached per state as (minterm_index, op, slot,
+    coincidental, successor_key) tuples, where coincidental marks a
+    read that `slot_moves` lists only as a coincidence.  `valuation` is
+    the initial slot valuation.  `sizes`, when given, is the basis's
+    `capped_sizes` table at any cap above the number of registers.
     """
 
     def __init__(
@@ -111,7 +115,7 @@ class LazyNorm:
     def is_final(self, key) -> bool:
         return key[0][0] in self.S.finals
 
-    def successors(self, key) -> List[Tuple[int, str, int, tuple]]:
+    def successors(self, key) -> List[Tuple[int, str, int, bool, tuple]]:
         cached = self._succ.get(key)
         if cached is not None:
             return cached
@@ -119,19 +123,19 @@ class LazyNorm:
         rows = self._rows.get(base)
         if rows is None:
             rows = self._rows[base] = [
-                (self.inside.get(guard, ()), op, r, base2)
-                for guard, op, r, base2 in slot_moves(self.S, *base)
+                (self.inside.get(guard, ()), op, r, coincidental, base2)
+                for (guard, op, r, base2), coincidental in slot_moves(self.S, *base).items()
             ]
         out = []
-        for inside, op, r, base2 in rows:
+        for inside, op, r, coincidental, base2 in rows:
             if op == "read":
                 if theta[r] in inside:
-                    out.append((theta[r], "read", r, (base2, theta)))
+                    out.append((theta[r], "read", r, coincidental, (base2, theta)))
             else:  # fresh, stored into r or, when r < 0, nowhere
                 for i in inside:
                     if theta.count(i) < self.sizes[i]:
                         theta2 = theta if r < 0 else theta[:r] + (i,) + theta[r + 1:]
-                        out.append((i, "fresh", r, (base2, theta2)))
+                        out.append((i, "fresh", r, False, (base2, theta2)))
         self._succ[key] = out
         return out
 
@@ -142,7 +146,7 @@ class LazyNorm:
         if cached is None:
             reads = {}
             fresh = {}
-            for m, op, r, k2 in self.successors(key):
+            for m, op, r, _, k2 in self.successors(key):
                 if op == "read":
                     reads.setdefault((r, m), []).append(k2)
                 else:
@@ -312,7 +316,7 @@ def normalize(S: Sra) -> Sra:
     transitions = tuple(
         (i, sv_label(ln.nregs, minterms[m].conjunction, op, r), index[key2])
         for i, key in enumerate(order)
-        for m, op, r, key2 in ln.successors(key)
+        for m, op, r, _, key2 in ln.successors(key)
     )
     show_slots = not is_single_valued(S)
     return Sra(
@@ -342,7 +346,7 @@ def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
     parent, goal = reach(ln, ln.is_final, lambda key: dist[key[0][0]])
     if goal is None:
         return True, None
-    steps = [(m, ((op, r),)) for m, op, r, _ in path(parent, goal)[1]]
+    steps = [(m, ((op, r),)) for m, op, r, _, _ in path(parent, goal)[1]]
     return False, replay(ln, [ln.valuation], steps)
 
 
@@ -380,8 +384,8 @@ def is_deterministic(S: Sra) -> bool:
 
 def _clashes(succ) -> bool:
     """Do two of one state's normalized moves fire on one symbol?"""
-    for i, (m1, op1, r1, d1) in enumerate(succ):
-        for m2, op2, r2, d2 in succ[i + 1:]:
+    for i, (m1, op1, r1, _, d1) in enumerate(succ):
+        for m2, op2, r2, _, d2 in succ[i + 1:]:
             if m1 == m2 and op1 == op2:
                 if r1 == r2 and d1 != d2 or op1 == "fresh" and r1 != r2:
                     return True

@@ -71,7 +71,7 @@ def initial_slots(S: Sra):
     return tuple(a if f0[x] == x else None for x, a in enumerate(v)), f0
 
 
-def slot_moves(S: Sra, q: int, f: tuple) -> list:
+def slot_moves(S: Sra, q: int, f: tuple) -> dict:
     """The single-valued moves out of (q, f), as (guard, op, slot, (q2, f2)).
 
     For every original move out of q:
@@ -86,6 +86,11 @@ def slot_moves(S: Sra, q: int, f: tuple) -> list:
     The slot choice for fresh moves depends only on (f, U), which keeps
     the construction canonical and determinism-preserving.  Reads of
     empty slots are listed too; they never fire.
+
+    The moves are the keys of the returned dict, in order.  A read's
+    value is True when it is a coincidence: every original move giving
+    it has E = {}, so it fires on slot s's value only because that
+    value also satisfies the guard.  Other moves map to False.
     """
     n = len(S.registers)
     classes = [set() for _ in range(n)]
@@ -95,19 +100,20 @@ def slot_moves(S: Sra, q: int, f: tuple) -> list:
     def target(q2, U, s):
         return q2, tuple(s if x in U else t for x, t in enumerate(f)) if U else f
 
-    moves = []
+    moves = {}
     for _, lab, q2 in S.out[q]:
         E, I, U = lab.E, lab.I, lab.U
         # E lies in one class only if all of it maps to one slot
         for s in (f[next(iter(E))],) if E else range(n):
             if E <= classes[s] and not (I & classes[s]):
-                moves.append((lab.guard, "read", s, target(q2, U, s)))
+                move = (lab.guard, "read", s, target(q2, U, s))
+                moves[move] = moves.get(move, True) and not E
         if not E:
             # with U non-empty some class lies inside it: an empty
             # slot's, or else every class is a single register
             s = min(s for s in range(n) if classes[s] <= U) if U else -1
-            moves.append((lab.guard, "fresh", s, target(q2, U, s)))
-    return list(dict.fromkeys(moves))
+            moves[(lab.guard, "fresh", s, target(q2, U, s))] = False
+    return moves
 
 
 def to_single_valued(S: Sra) -> Sra:

@@ -176,3 +176,33 @@ def random_chain(rng: random.Random):
         transitions.append((src, rng.choice(CHAIN_GUARDS), E, I, U, dst))
     finals = [s for s in states[:-1] if rng.random() < 0.3] + states[-1:]
     return make_sra(INTEGERS, registers, states, states[0], {}, finals, transitions)
+
+
+# one-, two- and three-element guards: stored values use up the small
+# ones, so an input fresh to both sides of a simulation can run out
+EQUALITY_GUARDS = (Interval(0, 0), Interval(0, 1), Interval(0, 2))
+
+
+def random_equality_chain(rng: random.Random):
+    """A path of three or four moves over EQUALITY_GUARDS, each one
+    reading a register, maybe storing the value too, or storing a value
+    without testing any register.
+
+    Equality-only, as every regex-compiled automaton is: no move
+    excludes a register or reads two.  So whether a stored value equals
+    another one matters only where a move reads it.  Deterministic, with
+    one move out of each state, and every word it accepts lies in 0..2.
+    """
+    registers = [f"r{i}" for i in range(rng.randint(1, 3))]
+    states = [f"s{i}" for i in range(rng.randint(3, 4) + 1)]
+    transitions = []
+    for src, dst in zip(states, states[1:]):
+        U = {r for r in registers if rng.random() < 0.3}
+        if rng.random() < 0.4:
+            E = (rng.choice(registers),)
+        else:
+            E = ()
+            U.add(rng.choice(registers))
+        transitions.append((src, rng.choice(EQUALITY_GUARDS), E, (), tuple(sorted(U)), dst))
+    finals = [s for s in states[:-1] if rng.random() < 0.3] + states[-1:]
+    return make_sra(INTEGERS, registers, states, states[0], {}, finals, transitions)

@@ -14,7 +14,7 @@ from sra.boolean_ops import complement, complete, intersect, union
 from sra.core import make_sra, membership
 from sra.equiv import equivalent, includes, n_similar
 from sra.expand import expand_to_sfa
-from sra.normal import is_deterministic, is_empty, normalize
+from sra.normal import LazyNorm, is_deterministic, is_empty, normalize
 from sra.single_valued import to_single_valued
 from sra import regex as rx
 
@@ -274,3 +274,35 @@ def test_10_negative_answers_at_six_and_nine_registers():
         if n2 is not None:
             assert not membership(S2, word), (n2, text)
             assert not re.fullmatch(p2, text, re.ASCII), (n2, text)
+
+
+def test_11_positive_answers_at_six_and_nine_registers(monkeypatch):
+    # an input that no move of the left side reads is taken fresh to
+    # both sides, so a simulation explores a few dozen triples instead
+    # of one per pattern of equal stored digits
+    compiled = {name: rx.compile(rx.BENCHMARK_PATTERNS[name]).sra for name in ("IP6", "IP9")}
+    for name, S in compiled.items():
+        t0 = time.process_time()
+        assert equivalent(S, S), name
+        assert time.process_time() - t0 < 5.0, name
+    for n1, n2, expected in (("IP9", "IP6", True), ("IP6", "IP9", False)):
+        S1, S2 = compiled[n1], compiled[n2]
+        t0 = time.process_time()
+        ok, word = includes(S1, S2)
+        assert ok == expected, (n1, "included in", n2)
+        assert time.process_time() - t0 < 5.0, (n1, n2)
+        if not ok:
+            p1, p2 = rx.BENCHMARK_PATTERNS[n1], rx.BENCHMARK_PATTERNS[n2]
+            text = "".join(map(chr, word))
+            assert membership(S1, word) and re.fullmatch(p1, text, re.ASCII), (n1, text)
+            assert not membership(S2, word), (n2, text)
+            assert not re.fullmatch(p2, text, re.ASCII), (n2, text)
+
+    # each explored triple asks its right state's successor index once
+    explored = []
+    successor_index = LazyNorm.successor_index
+    monkeypatch.setattr(
+        LazyNorm, "successor_index", lambda ln, key: explored.append(key) or successor_index(ln, key)
+    )
+    assert equivalent(compiled["IP6"], compiled["IP6"])
+    assert len(explored) == 2 * 44

@@ -131,6 +131,7 @@ def test_has_min_size_matches_bruteforce_on_bounded_fragment():
         n = brute_count(INTEGERS, p)
         assert INTEGERS.has_min_size(p, n)
         assert not INTEGERS.has_min_size(p, n + 1)
+        assert INTEGERS.size(p, n + 1) == n
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,7 @@ def test_is_sat_agrees_with_bruteforce(p):
 def test_has_min_size_agrees_with_bruteforce(p, k):
     bounded = And((p, Interval(-100, 100)))
     assert INTEGERS.has_min_size(bounded, k) == (brute_count(INTEGERS, bounded) >= k)
+    assert INTEGERS.size(bounded, k) == min(brute_count(INTEGERS, bounded), k)
 
 
 @given(bounded_predicates(), st.sets(bounded_ints, max_size=5))

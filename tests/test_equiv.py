@@ -19,6 +19,7 @@ from fixtures import (
     example3,
     first_symbol_repeats,
     random_chain,
+    random_equality_chain,
     random_sra,
     remark1,
 )
@@ -177,6 +178,26 @@ def deterministic_pool(seed, size):
     return pool
 
 
+def agree_with_brute_force(pool, words, seed):
+    """includes and equivalent on every ordered pair of the pool agree
+    with the languages cut to words, and every separating word
+    separates."""
+    lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
+    for i, S1 in enumerate(pool):
+        for j, S2 in enumerate(pool):
+            ok, word = includes(S1, S2)
+            if ok:
+                assert word is None
+                assert lang[i] <= lang[j], (seed, i, j)
+            else:
+                assert brute_membership(S1, word), (seed, i, j)
+                assert not brute_membership(S2, word), (seed, i, j)
+            both = ok and includes(S2, S1)[0]
+            assert equivalent(S1, S2) == both, (seed, i, j)
+            if both:
+                assert lang[i] == lang[j], (seed, i, j)
+
+
 def test_includes_and_equivalent_agree_with_bounded_brute_force(monkeypatch):
     # seed 47 catches a double count of the values both sides hold, and
     # seed 50 a doubly-fresh cap cut to one side's registers; every
@@ -186,21 +207,17 @@ def test_includes_and_equivalent_agree_with_bounded_brute_force(monkeypatch):
     )
     words = [tuple(w) for w in words_up_to(range(0, 4), 3)]
     for seed in (47, 50):
-        pool = deterministic_pool(seed, 14)
-        lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
-        for i, S1 in enumerate(pool):
-            for j, S2 in enumerate(pool):
-                ok, word = includes(S1, S2)
-                if ok:
-                    assert word is None
-                    assert lang[i] <= lang[j], (seed, i, j)
-                else:
-                    assert brute_membership(S1, word), (seed, i, j)
-                    assert not brute_membership(S2, word), (seed, i, j)
-                both = ok and includes(S2, S1)[0]
-                assert equivalent(S1, S2) == both, (seed, i, j)
-                if both:
-                    assert lang[i] == lang[j], (seed, i, j)
+        agree_with_brute_force(deterministic_pool(seed, 14), words, seed)
+    # equality-only chains take unread inputs fresh to both sides, and
+    # restart where a small minterm runs out of such values: seed 5
+    # catches a search that takes them fresh anyway, seed 128 one that
+    # drops the move instead of restarting.  Every guard lies in [0,2]
+    # and no chain has more than four moves, so these words are all of
+    # their languages
+    words = [tuple(w) for w in words_up_to(range(0, 3), 4)]
+    for seed in (5, 60, 128):
+        rng = random.Random(seed)
+        agree_with_brute_force([random_equality_chain(rng) for _ in range(12)], words, seed)
 
 
 def test_doubly_fresh_input_counts_shared_values_once():
@@ -254,3 +271,50 @@ def test_dead_end_replay_ignores_the_right_values(monkeypatch):
     ])
     assert includes(L, R) == (False, [0, 1])
     assert brute_membership(L, [0, 1]) and not brute_membership(R, [0, 1])
+
+
+def test_projected_minterm_that_runs_out_restarts_the_search():
+    # L stores two values of [0,1] and takes a third input, which must
+    # repeat one of them: the search that takes every unread input fresh
+    # to both sides finds no such value there, drops [0,1] from its
+    # projected minterms and starts over.  R stops after two inputs, so
+    # every word of L separates, but only through that coincidence.
+    # Shrunk from the chain pair (10, 11) of seed 128
+    g = Interval(0, 1)
+    L = make_sra(INTEGERS, ["r", "t"], ["0", "1", "2", "3"], "0", {}, ["3"], [
+        ("0", g, (), (), ("r",), "1"),
+        ("1", g, (), (), ("t",), "2"),
+        ("2", g, (), (), (), "3"),
+    ])
+    R = make_sra(INTEGERS, [], ["0", "1", "2"], "0", {}, ["2"], [
+        ("0", g, (), (), (), "1"),
+        ("1", g, (), (), (), "2"),
+    ])
+    ok, word = includes(L, R)
+    assert not ok
+    assert len(word) == 3
+    assert brute_membership(L, word) and not brute_membership(R, word)
+    assert not equivalent(L, R)
+    assert not equivalent(R, L)
+
+
+def test_an_operand_with_a_disequality_keeps_every_coincidence():
+    # R accepts x y with y != x.  Taken fresh to both sides, L's unread
+    # second input would always differ from x, and x x would never be
+    # tried: so neither direction projects when a move excludes a register
+    g = Interval(0, 2)
+    L = make_sra(INTEGERS, [], ["0", "1", "2"], "0", {}, ["2"], [
+        ("0", g, (), (), (), "1"),
+        ("1", g, (), (), (), "2"),
+    ])
+    R = make_sra(INTEGERS, ["t"], ["0", "1", "2"], "0", {}, ["2"], [
+        ("0", g, (), (), ("t",), "1"),
+        ("1", g, (), ("t",), (), "2"),
+    ])
+    ok, word = includes(L, R)
+    assert not ok
+    assert word[0] == word[1]
+    assert brute_membership(L, word) and not brute_membership(R, word)
+    assert includes(R, L) == (True, None)
+    assert not equivalent(L, R)
+    assert not equivalent(R, L)

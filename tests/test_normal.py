@@ -237,7 +237,7 @@ def test_every_constructed_transition_is_enabled_at_source():
         stack = [ln.initial]
         while stack:
             key = stack.pop()
-            for i, op, r, key2 in ln.successors(key):
+            for i, op, r, _, key2 in ln.successors(key):
                 assert enabled(ln, key[1], (op, r), i)
                 if key2 not in seen:
                     seen.add(key2)
