@@ -16,12 +16,13 @@ triple whose left state cannot reach a final is never expanded.
 final can be one step from, so it searches breadth-first.
 
 Inclusion and equivalence require deterministic operands, so the
-simulation fails exactly at a triple whose left side accepts alone.  A
-failed inclusion is backed by a concrete separating word: the search's
-parent map is walked back with `normal.path`, and the matched steps on
-the way are turned into the word by `normal.replay`.  Equivalence runs
-the one-way simulation in both directions over one shared basis and one
-pair of lazily normalized automata.
+simulation fails exactly at a triple whose left side accepts alone.
+Both take one route: inclusion runs the one-way simulation, equivalence
+runs it in both directions over one shared basis and one pair of lazily
+normalized automata.  Only a failed inclusion is replayed, into a
+separating word: the search's parent map is walked back with
+`normal.path`, and the matched steps are turned into the word by
+`normal.replay`.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
@@ -46,13 +47,14 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .boolean_ops import complement, complete, intersect
+from .boolean_ops import complete, intersect  # noqa: F401 - perfbench's tracer pins them here
 from .core import Sra, SraError, membership
 from .normal import (
-    LazyNorm, capped_sizes, final_distances, is_deterministic, is_empty, minterm_basis, path,
-    reach, replay,
+    LazyNorm, capped_sizes, final_distances, is_deterministic, minterm_basis, path, reach,
+    replay,
 )
-from .single_valued import to_single_valued
+from .normal import is_empty  # noqa: F401 - perfbench's tracer pins it here
+from .single_valued import to_single_valued  # noqa: F401 - perfbench's tracer pins it here
 
 
 def correspondence_of(v1, v2) -> Tuple[int, ...]:
@@ -234,9 +236,23 @@ def n_similar(S1: Sra, S2: Sra):
     }
 
 
-def _require_deterministic(S: Sra, side: str):
-    if not is_deterministic(S):
-        raise SraError(f"{side} operand must be deterministic")
+def _first_failure(S1: Sra, S2: Sra, both: bool):
+    """The first failing simulation, with its parent map and goal, or
+    None: of S1 by S2, then, when both is set, of S2 by S1, sharing one
+    basis and one pair of normalized automata.  The second run starts
+    without the minterms that ran out in the first."""
+    for S, side in ((S1, "left"), (S2, "right")):
+        if not is_deterministic(S):
+            raise SraError(f"{side} operand must be deterministic")
+    ln1, ln2, sizes = _normalized_pair(S1, S2)
+    projected = _projected(S1, S2, sizes)
+    for left, right in ((ln1, ln2), (ln2, ln1)) if both else ((ln1, ln2),):
+        sim = _Simulation(left, right, sizes, projected)
+        parent, goal = sim.reach_accepts_alone()
+        if goal is not None:
+            return sim, parent, goal
+        projected = sim.projected
+    return None
 
 
 def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
@@ -244,42 +260,24 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
 
     Requires deterministic operands.  On failure a separating word
     (accepted by S1, rejected by S2) is replayed from a shortest path to
-    a triple whose left side accepts alone.  The intersection with
-    the complement of the completed S2 is a fallback extraction route,
-    taken only if that word fails its membership check.
+    a triple whose left side accepts alone, and checked by membership.
     """
-    _require_deterministic(S1, "left")
-    _require_deterministic(S2, "right")
-    ln1, ln2, sizes = _normalized_pair(S1, S2)
-    sim = _Simulation(ln1, ln2, sizes, _projected(S1, S2, sizes))
-    parent, goal = sim.reach_accepts_alone()
-    if goal is None:
+    failure = _first_failure(S1, S2, both=False)
+    if failure is None:
         return True, None
-    # B is deterministic, so its one run on the word either ends where
+    sim, parent, goal = failure
+    # S2 is deterministic, so its one run on the word either ends where
     # the right side does not accept or stops at the dead end
-    steps = path(parent, goal)[1]
-    word = replay(sim.ln1, [sim.ln1.valuation, sim.ln2.valuation], steps)
-    if not membership(S1, word) or membership(S2, word):  # pragma: no cover - fallback
-        empty, word = is_empty(intersect(S1, complement(complete(to_single_valued(S2)))))
-        if empty:
-            raise SraError("internal error: no separating word found")
+    word = replay(sim.ln1, [sim.ln1.valuation, sim.ln2.valuation], path(parent, goal)[1])
+    if not membership(S1, word) or membership(S2, word):
+        raise SraError("internal error: the replayed word does not separate the operands")
     return False, word
 
 
 def equivalent(S1: Sra, S2: Sra) -> bool:
     """Do both automata accept exactly the same words?
 
-    Each side must simulate the other; both runs share one basis and
-    the successor caches of one pair of normalized automata, and the
-    second starts without the minterms that ran out in the first.
+    Each side must simulate the other.  A failure is answered at the
+    goal of the failing simulation, without replaying a word.
     """
-    _require_deterministic(S1, "left")
-    _require_deterministic(S2, "right")
-    ln1, ln2, sizes = _normalized_pair(S1, S2)
-    projected = _projected(S1, S2, sizes)
-    for left, right in ((ln1, ln2), (ln2, ln1)):
-        sim = _Simulation(left, right, sizes, projected)
-        if sim.reach_accepts_alone()[1] is not None:
-            return False
-        projected = sim.projected
-    return True
+    return _first_failure(S1, S2, both=True) is None

@@ -17,12 +17,11 @@ state reachable?" into finite-graph searches:
 
 Normalized automata are materialized lazily; decision procedures only
 touch states reachable from the initial abstraction.  Normalization,
-emptiness and the determinism check share one search (`reach`).  It is
-breadth-first for normalization and the determinism check.  Emptiness
-searches for an accepting state in A* order instead, guided by the
-automaton's `final_distances`, the fewest moves to a final state with
-guards and registers ignored: a consistent lower bound, so the path
-found is still a shortest one.
+emptiness and the determinism check share one A* search (`reach`).
+Emptiness guides it by the automaton's `final_distances`, the fewest
+moves to a final state with guards and registers ignored: a consistent
+lower bound, so the path found is still a shortest one.  Without a
+bound, the search is breadth-first.
 A path `reach` finds is walked back from its parent map once (`path`)
 and turned into a concrete word once (`replay`).  The simulation in
 `sra.equiv` is a graph that `reach` walks too, and it reuses `path` and
@@ -32,7 +31,6 @@ and turned into a concrete word once (`replay`).  The simulation in
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, And, Atom, MintermSet
@@ -177,11 +175,11 @@ def final_distances(S: Sra) -> List[Optional[int]]:
     for q, _, q2 in S.transitions:
         preds[q2].append(q)
     dist: List[Optional[int]] = [None] * len(S.states)
-    queue = deque(S.finals)
-    for q in S.finals:
+    queue = list(S.finals)
+    for q in queue:
         dist[q] = 0
-    while queue:
-        q = queue.popleft()
+    # breadth-first from the finals: the queue grows while it is walked
+    for q in queue:
         for p in preds[q]:
             if dist[p] is None:
                 dist[p] = dist[q] + 1
@@ -190,49 +188,27 @@ def final_distances(S: Sra) -> List[Optional[int]]:
 
 
 def reach(ln, stop=None, priority=None):
-    """Search ln from its initial state, breadth-first or, given a
-    priority, in A* order.
+    """Search ln from its initial state in A* order.
 
     ln is a LazyNorm or any graph with an `initial` node and a
     `successors` method listing steps whose last entry is the successor
     node, such as the simulation in `sra.equiv`.
     Returns (parent, goal).  parent maps every discovered state, in
     discovery order, to (predecessor, step) or, for the initial state,
-    None.  goal is a state passing stop at the fewest steps from the
-    initial state, and the search ends when it finds one.  Without a
-    goal every reachable state is discovered and goal is None.
+    None.  goal is the first expanded state passing stop, and the search
+    ends there; without one every reachable state is discovered.
 
-    Breadth-first, a state is tested against stop when it is
-    discovered.  priority, which needs a stop, maps a state to a lower
-    bound on its steps to a goal that drops by at most one per step, or
-    to None where no goal is reachable.  Such a state is recorded in
-    parent but never expanded.  The others are expanded in order of
-    steps so far plus bound, ties going to the smaller bound and then
-    to the state queued first, and are tested against stop when expanded.
+    priority maps a state to a lower bound on its steps to a goal that
+    drops by at most one per step, or to None where no goal is
+    reachable; such a state is recorded but never expanded.  States are
+    expanded by steps so far plus bound, then by smaller bound, then in
+    queue order, so goal is at the fewest steps.  Without a priority
+    every bound is 0 and the order is breadth-first.  A heap entry whose
+    steps exceed its state's depth was superseded and is skipped.
     """
+    bound = priority or (lambda key: 0)
     parent = {ln.initial: None}
-    if priority is not None:
-        return _guided(ln, stop, priority, parent)
-    if stop is not None and stop(ln.initial):
-        return parent, ln.initial
-    queue = deque([ln.initial])
-    while queue:
-        key = queue.popleft()
-        for step in ln.successors(key):
-            key2 = step[-1]
-            if key2 not in parent:
-                parent[key2] = (key, step)
-                if stop is not None and stop(key2):
-                    return parent, key2
-                queue.append(key2)
-    return parent, None
-
-
-def _guided(ln, stop, priority, parent):
-    """`reach` in A* order.  depth holds the fewest steps found so far to
-    each state with a bound; a heap entry whose steps exceed its state's
-    depth was superseded by a shorter route and is skipped."""
-    h = priority(ln.initial)
+    h = bound(ln.initial)
     if h is None:
         return parent, None
     depth = {ln.initial: 0}
@@ -242,7 +218,7 @@ def _guided(ln, stop, priority, parent):
         _, _, _, g, key = heapq.heappop(heap)
         if g > depth[key]:
             continue
-        if stop(key):
+        if stop is not None and stop(key):
             return parent, key
         g += 1
         for step in ln.successors(key):
@@ -251,7 +227,7 @@ def _guided(ln, stop, priority, parent):
             if key2 in parent and depth.get(key2, 0) <= g:
                 continue
             parent[key2] = (key, step)
-            h = priority(key2)
+            h = bound(key2)
             if h is not None:
                 depth[key2] = g
                 heapq.heappush(heap, (g + h, h, queued, g, key2))

@@ -321,11 +321,8 @@ def fixed_length(node, group_lengths: dict) -> Optional[int]:
         if len(lengths) == 1 and None not in lengths:
             return lengths.pop()
         return None
-    if isinstance(node, Star):
+    if isinstance(node, (Star, Plus)):
         return 0 if fixed_length(node.item, group_lengths) == 0 else None
-    if isinstance(node, Plus):
-        n = fixed_length(node.item, group_lengths)
-        return 0 if n == 0 else None
     if isinstance(node, Repeat):
         n = fixed_length(node.item, group_lengths)
         if n is None:
@@ -399,12 +396,8 @@ class _Builder:
         self.edges[at].append((pred, tuple(reads), (), at))
 
     def build(self, node, src: int) -> int:
-        if isinstance(node, Lit):
-            return self.consume(src, Atom(ord(node.char)))
-        if isinstance(node, Class):
-            return self.consume(src, node.pred)
-        if isinstance(node, Dot):
-            return self.consume(src, ANY_BUT_NEWLINE)
+        if isinstance(node, (Lit, Class, Dot)):
+            return self.consume(src, self._atom_pred(node))
         if isinstance(node, Concat):
             for item in node.items:
                 src = self.build(item, src)

@@ -8,6 +8,7 @@ are compared against them.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
 from sra import algebra as alg
@@ -63,6 +64,28 @@ def brute_membership(sra, word):
         if not configs:
             return False
     return any(state in sra.finals for state, _ in configs)
+
+
+def breadth_first_reach(graph, stop=None, priority=None):
+    """A plain breadth-first `normal.reach`: (parent, goal), where parent
+    maps every discovered node, in discovery order, to (predecessor,
+    step) or None, and goal is the first node discovered that passes
+    stop.  It takes no priority."""
+    assert priority is None
+    parent = {graph.initial: None}
+    if stop is not None and stop(graph.initial):
+        return parent, graph.initial
+    queue = deque([graph.initial])
+    while queue:
+        node = queue.popleft()
+        for step in graph.successors(node):
+            node2 = step[-1]
+            if node2 not in parent:
+                parent[node2] = (node, step)
+                if stop is not None and stop(node2):
+                    return parent, node2
+                queue.append(node2)
+    return parent, None
 
 
 def words_up_to(alphabet, max_len):

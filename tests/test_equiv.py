@@ -23,7 +23,7 @@ from fixtures import (
     random_sra,
     remark1,
 )
-from oracles import brute_membership, words_up_to
+from oracles import breadth_first_reach, brute_membership, words_up_to
 
 
 def weakened_remark1():
@@ -152,6 +152,13 @@ def test_includes_of_weakening_and_separating_word():
     assert not membership(S, w)
 
 
+def test_includes_refuses_a_replayed_word_that_does_not_separate(monkeypatch):
+    # the empty word is in neither operand
+    monkeypatch.setattr("sra.equiv.replay", lambda *_: [])
+    with pytest.raises(SraError, match="internal error"):
+        includes(weakened_remark1(), remark1())
+
+
 def test_includes_rejects_nondeterministic_input():
     with pytest.raises(SraError):
         includes(first_symbol_repeats(), remark1())
@@ -198,13 +205,19 @@ def agree_with_brute_force(pool, words, seed):
                 assert lang[i] == lang[j], (seed, i, j)
 
 
-def test_includes_and_equivalent_agree_with_bounded_brute_force(monkeypatch):
+def test_similarity_traces_match_a_breadth_first_search(monkeypatch):
+    pool = deterministic_pool(47, 14)
+    pairs = [(S1, S2) for S1 in pool for S2 in pool]
+    with monkeypatch.context() as m:
+        m.setattr("sra.equiv.reach", breadth_first_reach)
+        expected = [n_similar(S1, S2) for S1, S2 in pairs]
+    assert [n_similar(S1, S2) for S1, S2 in pairs] == expected
+    assert sum(not ok for ok, _ in expected) > 50
+
+
+def test_includes_and_equivalent_agree_with_bounded_brute_force():
     # seed 47 catches a double count of the values both sides hold, and
-    # seed 50 a doubly-fresh cap cut to one side's registers; every
-    # separating word comes from the simulation, never from the fallback
-    monkeypatch.setattr(
-        "sra.equiv.intersect", lambda *_: pytest.fail("intersect fallback ran")
-    )
+    # seed 50 a doubly-fresh cap cut to one side's registers
     words = [tuple(w) for w in words_up_to(range(0, 4), 3)]
     for seed in (47, 50):
         agree_with_brute_force(deterministic_pool(seed, 14), words, seed)
@@ -241,10 +254,7 @@ def test_doubly_fresh_input_counts_shared_values_once():
     assert not equivalent(L, R)
 
 
-def test_dead_end_replay_ignores_the_right_values(monkeypatch):
-    monkeypatch.setattr(
-        "sra.equiv.intersect", lambda *_: pytest.fail("intersect fallback ran")
-    )
+def test_dead_end_replay_ignores_the_right_values():
     # after 5 6 the right side has no move, so the last input need not
     # avoid the 5 it stored: the only separating word repeats it
     L = make_sra(INTEGERS, [], ["0", "1", "2", "3"], "0", {}, ["3"], [

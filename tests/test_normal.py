@@ -28,7 +28,7 @@ from fixtures import (
     remark1,
     remark1_oracle,
 )
-from oracles import brute_membership, words_up_to
+from oracles import breadth_first_reach, brute_membership, words_up_to
 
 
 OUTSIDE = Or((Interval(None, -1), Interval(11, None)))
@@ -344,6 +344,27 @@ def test_guided_search_is_shortest_on_random_automata():
         S = random_chain(rng) if rng.random() < 0.3 else random_sra(rng, 6, 3)
         breadth_first, guided = goal_depths(S)
         assert breadth_first == guided, S
+
+
+def test_search_without_a_priority_is_breadth_first():
+    # normalized state numbering and dumps follow the discovery order,
+    # and the determinism check's clash is the first one discovered
+    rng = random.Random(47)
+    pool = [rx.compile(rx.BENCHMARK_PATTERNS[name]).sra for name in ("IP4", "Pr-C2", "Pr-CL3")]
+    pool += [random_sra(rng, 6, 3) for _ in range(60)]
+    clashes = 0
+    for S in pool:
+        ln = LazyNorm(S)
+        parent = reach(ln)[0]
+        assert list(parent.items()) == list(breadth_first_reach(ln)[0].items())
+
+        def clash(key):
+            return normal._clashes(ln.successors(key))
+
+        goal = reach(ln, clash)[1]
+        assert goal == breadth_first_reach(ln, clash)[1]
+        clashes += goal is not None
+    assert clashes > 10
 
 
 def test_emptiness_without_a_path_to_a_final_builds_nothing(monkeypatch):
