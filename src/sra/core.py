@@ -205,19 +205,50 @@ def compile_guard(algebra: Algebra, p: Predicate):
     raise AlgebraError(f"unknown predicate node {p!r}")
 
 
-def compiled_moves(S: Sra, q: int) -> list:
-    """The moves out of q as (guard closure, E, I, U, dst) rows."""
-    algebra = S.algebra
-    return [
-        (
-            compile_guard(algebra, lab.guard),
-            tuple(sorted(lab.E)),
-            tuple(sorted(lab.I)),
-            tuple(sorted(lab.U)),
-            dst,
-        )
-        for _, lab, dst in S.out[q]
-    ]
+ASCII = 128  # symbols 0 <= a < ASCII have a cached entry per state
+_COLD = (None,) * ASCII  # shared, read-only row of a state not yet read from
+
+
+class Moves:
+    """The moves of S, compiled only for the states a scan reaches.
+
+    A state's (guard closure, E, I, U, dst) rows are compiled the first
+    time it is read from.  `table[q][a]` caches, for 0 <= a < ASCII, what
+    reading a in q does: the plain int dst when exactly one row's guard
+    holds of a and that row neither reads nor stores a register, else
+    the tuple of (E, I, U, dst) rows whose guard holds, in row order.  A
+    slot is None until `entry` fills it.  Other symbols (negative ones
+    too, which Python would read from the end of the row) are never
+    cached: `entry` filters the rows afresh each time.
+    """
+
+    def __init__(self, S: Sra):
+        self.S = S
+        self._rows = [None] * len(S.states)
+        self.table = [_COLD] * len(S.states)
+
+    def entry(self, q: int, a: int):
+        """What reading a in q does, filling its table slot if cacheable."""
+        rows = self._rows[q]
+        if rows is None:
+            algebra = self.S.algebra
+            rows = self._rows[q] = [
+                (
+                    compile_guard(algebra, lab.guard),
+                    tuple(sorted(lab.E)),
+                    tuple(sorted(lab.I)),
+                    tuple(sorted(lab.U)),
+                    dst,
+                )
+                for _, lab, dst in self.S.out[q]
+            ]
+        held = tuple((E, I, U, dst) for g, E, I, U, dst in rows if g(a))
+        e = held[0][3] if len(held) == 1 and not any(held[0][:3]) else held
+        if 0 <= a < ASCII:
+            if self.table[q] is _COLD:
+                self.table[q] = [None] * ASCII
+            self.table[q][a] = e
+        return e
 
 
 def membership(S: Sra, word: Sequence[int]) -> bool:
@@ -225,37 +256,40 @@ def membership(S: Sra, word: Sequence[int]) -> bool:
 
     Reachable valuations only mention initial values and word symbols, so
     the per-step configuration set is finite.  A deterministic SRA keeps
-    the set at size one and this degenerates to a linear scan.
+    the set at size one and this degenerates to a linear scan.  Each call
+    reads moves through a fresh `Moves` table, so only the states the
+    word reaches are compiled and nothing is kept on S.
     """
-    out = [compiled_moves(S, q) for q in range(len(S.states))]
+    moves = Moves(S)
+    table, entry = moves.table, moves.entry
     finals = S.finals
     cur = [(S.initial, S.initial_valuation)]
     for a in word:
+        cached = 0 <= a < ASCII
         nxt = []
         for q, v in cur:
-            for g, E, I, U, dst in out[q]:
-                if not g(a):
-                    continue
-                ok = True
+            e = table[q][a] if cached else None
+            if e is None:
+                e = entry(q, a)
+            if e.__class__ is int:
+                nxt.append((e, v))
+                continue
+            for E, I, U, dst in e:
                 for r in E:
                     if v[r] != a:
-                        ok = False
                         break
-                if not ok:
-                    continue
-                for r in I:
-                    if v[r] == a:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if U:
-                    w = list(v)
-                    for r in U:
-                        w[r] = a
-                    nxt.append((dst, tuple(w)))
                 else:
-                    nxt.append((dst, v))
+                    for r in I:
+                        if v[r] == a:
+                            break
+                    else:
+                        if U:
+                            w = list(v)
+                            for r in U:
+                                w[r] = a
+                            nxt.append((dst, tuple(w)))
+                        else:
+                            nxt.append((dst, v))
         if not nxt:
             return False
         if len(nxt) > 1:

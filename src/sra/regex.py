@@ -26,7 +26,7 @@ from .algebra import (
     UNICODE,
     disj,
 )
-from .core import Label, Sra, SraError, compiled_moves, membership, validate
+from .core import ASCII, Label, Moves, Sra, SraError, membership, validate
 from .normal import is_deterministic
 
 
@@ -343,11 +343,15 @@ def fixed_length(node, group_lengths: dict) -> Optional[int]:
 
 class CompiledPattern:
     """A compiled automaton, plus what `match` caches for it on first use:
-    whether it is deterministic, and its scan table."""
+    whether it is deterministic, and, when it is, a `core.Moves` table
+    that compiles a state's moves when the scan first reaches it and
+    fills a state's entry for an ASCII character when the scan first
+    reads that character there.  The table lasts as long as the pattern,
+    so later matches reuse what earlier ones filled."""
 
     def __init__(self, sra: Sra):
         self.sra = sra
-        self._scan = None
+        self._moves = None
         self._deterministic = None
 
     def __repr__(self):
@@ -571,30 +575,38 @@ def _compile(ast_or_pattern) -> CompiledPattern:
 
 
 def match(compiled: CompiledPattern, text: str) -> bool:
-    """Does the whole text match?  Single linear scan when deterministic."""
+    """Does the whole text match?  Single linear scan when deterministic,
+    updating the one valuation in place."""
     if compiled._deterministic is None:
         compiled._deterministic = is_deterministic(compiled.sra)
     S = compiled.sra
     if not compiled._deterministic:
         return membership(S, [ord(c) for c in text])
-    if compiled._scan is None:
-        compiled._scan = [compiled_moves(S, q) for q in range(len(S.states))]
-    table = compiled._scan
+    if compiled._moves is None:
+        compiled._moves = Moves(S)
+    table, entry = compiled._moves.table, compiled._moves.entry
     v = list(S.initial_valuation)
     q = S.initial
     for c in map(ord, text):
-        rows = table[q]
-        for guard, E, I, U, dst in rows:
-            if not guard(c):
-                continue
-            if E and any(v[r] != c for r in E):
-                continue
-            if I and any(v[r] == c for r in I):
-                continue
-            for r in U:
-                v[r] = c
-            q = dst
-            break
+        e = table[q][c] if c < ASCII else None  # ord is never negative
+        if e is None:
+            e = entry(q, c)
+        if e.__class__ is int:
+            q = e
+            continue
+        for E, I, U, dst in e:
+            for r in E:
+                if v[r] != c:
+                    break
+            else:
+                for r in I:
+                    if v[r] == c:
+                        break
+                else:
+                    for r in U:
+                        v[r] = c
+                    q = dst
+                    break
         else:
             return False
     return q in S.finals

@@ -201,6 +201,23 @@ def test_bench_verb(tmp_path):
     assert len(sizes) == 2 and sizes[0] < sizes[1]
 
 
+def test_bench_warms_the_scanner_on_the_unit_first(tmp_path, monkeypatch):
+    texts = []
+    real = rx.match
+
+    def recording(cp, text):
+        texts.append(text)
+        return real(cp, text)
+
+    monkeypatch.setattr(rx, "match", recording)
+    out = str(tmp_path / "bench.csv")
+    assert main(["bench", "--unit", "C:ab L:x D:yz", "--sizes", "100,1000", "--out", out]) == 0
+    assert texts[0] == "C:ab L:x D:yz"
+    assert [len(t) for t in texts[1:]] == [
+        int(line.split(",")[0]) for line in Path(out).read_text().split("\n")[1:-1]
+    ]
+
+
 # ---------------------------------------------------------------------------
 # errors
 

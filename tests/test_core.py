@@ -18,6 +18,7 @@ from sra.core import (
     to_json_dict,
     validate,
 )
+from sra import core
 from sra.normal import normalize
 from sra.single_valued import to_single_valued
 
@@ -25,6 +26,7 @@ from fixtures import (
     digits_sfa,
     example3,
     first_symbol_repeats,
+    random_chain,
     random_sra,
     remark1,
     remark1_oracle,
@@ -155,6 +157,56 @@ def test_membership_matches_bruteforce_on_random_pairs():
         w = [rng.randint(0, 3) for _ in range(rng.randint(0, 4))]
         assert membership(S, w) == brute_membership(S, w)
         checked += 1
+
+
+def test_negative_symbols_do_not_read_cached_slots():
+    S = make_sra(
+        INTEGERS, [], ["p", "f"], "p", {}, ["f"],
+        [("p", TRUE, (), (), (), "p"), ("p", Interval(0, 2), (), (), (), "f")],
+    )
+    for small in (0, 1, 2):
+        assert membership(S, [small - 128, small])
+        assert not membership(S, [small, small - 128])
+
+
+# -128..-126 would alias table slots 0..2 if read as negative indexes;
+# 128 and 200 lie past the cached ASCII range
+WIDE_SYMBOLS = (-128, -127, -126, -1, 0, 1, 2, 3, 127, 128, 200)
+
+
+@pytest.mark.parametrize("seed", [42, 47, 50])
+def test_membership_matches_bruteforce_on_symbols_outside_the_cached_range(seed):
+    rng = random.Random(seed)
+    for _ in range(4000):
+        S = random_chain(rng) if rng.random() < 0.5 else random_sra(rng)
+        w = [rng.choice(WIDE_SYMBOLS) for _ in range(rng.randint(0, 10))]
+        assert membership(S, w) == brute_membership(S, w), (S, w)
+
+
+def test_membership_compiles_only_the_states_it_reaches(monkeypatch):
+    S = normalize(to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["Pr-CL3"]).sra))
+    word = [ord(c) for c in "C:ab L:x D:y C:ab L:"]
+    visited = {S.initial}
+    configs = {(S.initial, S.initial_valuation)}
+    for a in word:
+        configs = {c for config in configs for c in successors(S, config, a)}
+        visited |= {q for q, _ in configs}
+    calls = []
+    depth = [0]
+    real = core.compile_guard
+
+    def counting(algebra, p):  # counts guards, not their sub-predicates
+        if not depth[0]:
+            calls.append(p)
+        depth[0] += 1
+        try:
+            return real(algebra, p)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(core, "compile_guard", counting)
+    assert membership(S, word) is False
+    assert 0 < len(calls) <= sum(len(S.out[q]) for q in visited) < len(S.states)
 
 
 # ---------------------------------------------------------------------------

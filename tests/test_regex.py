@@ -1,4 +1,6 @@
 import random
+import re
+import string
 
 import pytest
 
@@ -286,3 +288,86 @@ def test_benchmark_samples():
     assert not rx.match(bm["Pr-C2"], "C:ab L:1 D:x C:ac L:2 D:y")
     assert rx.match(bm["Pr-CL2"], "C:a L:1 D:x C:a L:1 D:y")
     assert not rx.match(bm["Pr-CL2"], "C:a L:1 D:x C:a L:2 D:y")
+
+
+# e acute, no-break space and line separator: none is \s under re.ASCII,
+# so each one is part of a [^\s]+ run, and . matches each one
+NON_ASCII = "\u00e9\u00a0\u2028"
+
+
+def _word(rng, alphabet, lo, hi):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+
+def stock_text(name, rng):
+    """A text the stock pattern accepts, with non-ASCII characters in
+    product codes and descriptions."""
+    if name.startswith("IP"):
+        head = _word(rng, string.digits, int(name[2:]), int(name[2:]))
+
+        def endpoint():
+            digits = head + _word(rng, string.digits, 12 - len(head), 12 - len(head))
+            address = ".".join(digits[i:i + 3] for i in range(0, 12, 3))
+            return f"IP: {address}:{_word(rng, string.digits, 1, 4)}"
+
+        return " ".join(endpoint() for _ in range(rng.randint(2, 3)))
+    if name.startswith("Name"):
+        first, last = (_word(rng, string.ascii_lowercase, 1, 6) for _ in range(2))
+        suffix = {"Name-F": first[0] + ".", "Name-L": last[0] + ".", "Name": first[0] + last[0]}
+        return f"{first} {last} {suffix[name]}"
+    if name == "XML":
+        tag = _word(rng, string.ascii_letters, 3, 3)
+        return f"<{tag}>{_word(rng, string.ascii_letters + string.digits + ' ', 0, 8)}</{tag}>"
+    lot_referenced = name.startswith("Pr-CL")
+    width = int(name[5:]) - 1 if lot_referenced else int(name[4:])
+    visible = string.ascii_letters + string.digits + NON_ASCII
+    code = _word(rng, visible, width, width)
+    if rng.random() < 0.5:  # a non-ASCII character right after C:
+        code = rng.choice(NON_ASCII) + code[1:]
+    lot = rng.choice(visible)
+    return " ".join(
+        f"C:{code} L:{lot if lot_referenced else rng.choice(visible)} D:{_word(rng, visible, 1, 5)}"
+        for _ in range(rng.randint(2, 3))
+    )
+
+
+def mutants(text, rng, n):
+    """Copies of text with one character replaced, inserted or deleted."""
+    out = []
+    for _ in range(n):
+        i = rng.randrange(len(text))
+        c = rng.choice(string.ascii_letters + string.digits + " .:" + NON_ASCII)
+        out.append(rng.choice([text[:i] + c + text[i + 1:], text[:i] + c + text[i:],
+                               text[:i] + text[i + 1:]]))
+    return out
+
+
+def seeded_texts(name, rng):
+    texts = []
+    for _ in range(4):
+        text = stock_text(name, rng)
+        texts += [text] + mutants(text, rng, 4)
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(rx.BENCHMARK_PATTERNS))
+def test_cold_and_warm_match_agree_with_re(name):
+    pattern = rx.BENCHMARK_PATTERNS[name]
+    texts = seeded_texts(name, random.Random(name))
+    expected = [re.fullmatch(pattern, t, re.ASCII) is not None for t in texts]
+    assert any(expected) and not all(expected)
+    if name.startswith("Pr-"):
+        assert any(ok and not t.isascii() for ok, t in zip(expected, texts))
+    cp = rx.compile(pattern)
+    assert [rx.match(cp, t) for t in texts] == expected  # fills the table
+    assert [rx.match(cp, t) for t in texts] == expected  # reads it warm
+
+
+def test_nondeterministic_match_agrees_with_re_beyond_ascii():
+    pattern = r"(..).*\1"
+    rng = random.Random(7)
+    texts = [_word(rng, "ab" + NON_ASCII, 0, 7) for _ in range(300)]
+    cp = rx.compile(pattern)
+    assert not is_deterministic(cp.sra)
+    for t in texts:
+        assert rx.match(cp, t) == (re.fullmatch(pattern, t, re.ASCII) is not None), t
