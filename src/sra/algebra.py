@@ -155,6 +155,24 @@ def _last_in_class(hi: int, res: int, L: int) -> int:
     return hi - ((hi - res) % L)
 
 
+def _count(cells, cap: int) -> int:
+    """How many elements the cells hold, up to cap.  A cell (res, L, ivs)
+    holds the x === res (mod L) inside the intervals ivs."""
+    total = 0
+    for res, L, ivs in cells:
+        for lo, hi in ivs:
+            # cap * L consecutive integers hold cap of each class; adding
+            # keeps a float end away from an int too large for a float
+            if lo + cap * L <= hi:
+                return cap
+            first = _first_in_class(lo, res, L)
+            if first <= hi:
+                total += (hi - first) // L + 1
+                if total >= cap:
+                    return cap
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Minterms
 
@@ -320,14 +338,8 @@ class Algebra:
     # -- decision procedures -------------------------------------------------
 
     def is_sat(self, p: Predicate) -> bool:
-        self.check(p)
-        for res, L, ivs in self._cells(p):
-            for lo, hi in ivs:
-                # L consecutive integers hold one of each class; adding
-                # keeps a float end away from an int too large for a float
-                if lo + (L - 1) <= hi or _first_in_class(lo, res, L) <= hi:
-                    return True
-        return False
+        """True iff the denotation is non-empty: `has_min_size` at 1."""
+        return self.has_min_size(p, 1)
 
     def has_min_size(self, p: Predicate, k: int) -> bool:
         """True iff the denotation holds at least k distinct elements."""
@@ -342,18 +354,7 @@ class Algebra:
         infinite denotations are fine.
         """
         self.check(p)
-        total = 0
-        for res, L, ivs in self._cells(p):
-            for lo, hi in ivs:
-                # cap * L consecutive integers hold cap of each class
-                if lo + cap * L <= hi:
-                    return cap
-                first = _first_in_class(lo, res, L)
-                if first <= hi:
-                    total += (hi - first) // L + 1
-                    if total >= cap:
-                        return cap
-        return total
+        return _count(self._cells(p), cap)
 
     def witness(self, p: Predicate, excluded: Iterable[int] = ()) -> Optional[int]:
         """Deterministic pick from [[p]] minus the excluded set, or None.
@@ -387,29 +388,34 @@ class Algebra:
     def minterms(self, predicates: Sequence[Predicate]) -> MintermSet:
         """All satisfiable sign-assignments over the given predicate set.
 
-        Duplicates are removed (keeping first occurrence).  Cells are grown
-        one predicate at a time, discarding unsatisfiable branches early, so
-        the work is proportional to the number of live minterms rather than
-        2^n in typical cases.
+        Duplicates are removed (keeping first occurrence).  One residue
+        class at a time, modulo the lcm of all the sources' div moduli,
+        each source is decomposed once and splits every cell into its
+        inside and outside parts, keeping the parts that hold a member
+        of the class.  Bit vectors are listed in descending order.
         """
-        sources: list = []
         for q in predicates:
             self.check(q)
-            if q not in sources:
-                sources.append(q)
-        src = tuple(sources)
-        cells = [((), ())]  # (literal tuple, bits tuple)
-        for q in src:
-            grown = []
-            for lits, bits in cells:
-                pos = lits + (q,)
-                if self.is_sat(conj(pos)):
-                    grown.append((pos, bits + (1,)))
-                neg = lits + (Not(q),)
-                if self.is_sat(conj(neg)):
-                    grown.append((neg, bits + (0,)))
-            cells = grown
-        return MintermSet(src, tuple(Minterm(conj(lits), bits) for lits, bits in cells))
+        src = tuple(dict.fromkeys(predicates))
+        L = self._moduli_lcm(conj(src))
+        if L > MAX_DIV_LCM:
+            raise AlgebraError(f"lcm {L} of div moduli exceeds {MAX_DIV_LCM}")
+        dom = self._domain_ivs
+        live = set()
+        for res in range(L):
+            cells = [((), dom)]  # (bits, intervals)
+            for q in src:
+                inside = self._restrict(q, res, L)
+                halves = ((1, inside), (0, iv_complement(inside, dom)))
+                split = [
+                    (bits + (b,), iv_intersect(ivs, h)) for bits, ivs in cells for b, h in halves
+                ]
+                cells = [(bits, part) for bits, part in split if _count([(res, L, part)], 1)]
+            live.update(bits for bits, _ in cells)
+        return MintermSet(src, tuple(
+            Minterm(conj([q if b else Not(q) for q, b in zip(src, bits)]), bits)
+            for bits in sorted(live, reverse=True)
+        ))
 
     def minterm_of(self, mts: MintermSet, a: int) -> Minterm:
         """The unique minterm containing the element a."""

@@ -122,18 +122,18 @@ def union(S1: Sra, S2: Sra) -> Sra:
     )
 
 
-def _channel_guards(S: Sra, state: int):
-    """Per-state guards grouped by input channel: one per register + fresh."""
+def _gaps(S: Sra, state: int):
+    """The sink label of each input channel, fresh first and then one read
+    per register, whose guards at the state leave a satisfiable gap."""
     nregs = len(S.registers)
-    reads = {r: [] for r in range(nregs)}
-    fresh = []
+    channels = {("fresh", -1): [], **{("read", r): [] for r in range(nregs)}}
     for _, lab, _ in S.out[state]:
         op, r = sv_label_kind(nregs, lab)
-        if op == "read":
-            reads[r].append(lab.guard)
-        else:
-            fresh.append(lab.guard)
-    return reads, fresh
+        channels[("read", r) if op == "read" else ("fresh", -1)].append(lab.guard)
+    for (op, r), guards in channels.items():
+        gap = Not(disj(guards))
+        if S.algebra.is_sat(gap):
+            yield sv_label(nregs, gap, op, r)
 
 
 def is_complete(S: Sra) -> bool:
@@ -143,17 +143,9 @@ def is_complete(S: Sra) -> bool:
     guards must each cover the whole domain; then every configuration
     can consume every domain element.
     """
-    if not is_single_valued(S):
-        return False
-    algebra = S.algebra
-    for p in range(len(S.states)):
-        reads, fresh = _channel_guards(S, p)
-        if algebra.is_sat(Not(disj(fresh))):
-            return False
-        for guards in reads.values():
-            if algebra.is_sat(Not(disj(guards))):
-                return False
-    return True
+    return is_single_valued(S) and all(
+        next(_gaps(S, p), None) is None for p in range(len(S.states))
+    )
 
 
 def complete(S: Sra) -> Sra:
@@ -166,26 +158,17 @@ def complete(S: Sra) -> Sra:
     """
     if not is_single_valued(S):
         raise SraError("completion requires a single-valued automaton")
-    algebra = S.algebra
     nregs = len(S.registers)
     sink = len(S.states)
     sink_name = "sink"
     while sink_name in S.states:
         sink_name += "'"
     transitions = list(S.transitions)
-    for p in range(len(S.states)):
-        reads, fresh = _channel_guards(S, p)
-        gap = Not(disj(fresh))
-        if algebra.is_sat(gap):
-            transitions.append((p, sv_label(nregs, gap, "fresh", -1), sink))
-        for r in range(nregs):
-            gap = Not(disj(reads.get(r, [])))
-            if algebra.is_sat(gap):
-                transitions.append((p, sv_label(nregs, gap, "read", r), sink))
+    transitions += [(p, lab, sink) for p in range(len(S.states)) for lab in _gaps(S, p)]
     transitions += [(sink, sv_label(nregs, TRUE, "read", r), sink) for r in range(nregs)]
     transitions.append((sink, sv_label(nregs, TRUE, "fresh", -1), sink))
     return Sra(
-        algebra=algebra,
+        algebra=S.algebra,
         registers=S.registers,
         states=S.states + (sink_name,),
         initial=S.initial,

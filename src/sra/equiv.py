@@ -19,10 +19,10 @@ Inclusion and equivalence require deterministic operands, so the
 simulation fails exactly at a triple whose left side accepts alone.
 Both take one route: inclusion runs the one-way simulation, equivalence
 runs it in both directions over one shared basis and one pair of lazily
-normalized automata.  Only a failed inclusion is replayed, into a
-separating word: the search's parent map is walked back with
-`normal.path`, and the matched steps are turned into the word by
-`normal.replay`.
+normalized automata.  `includes` and `separating_word`, the sibling of
+`equivalent`, replay a failure into a separating word: the search's
+parent map is walked back with `normal.path`, and the matched steps are
+turned into the word by `normal.replay`.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
@@ -255,23 +255,31 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     return None
 
 
+def _separating_word(S1: Sra, S2: Sra, both: bool) -> Optional[list]:
+    """`_first_failure`'s shortest path to a triple whose left side
+    accepts alone, replayed into a word and checked by membership, or
+    None."""
+    failure = _first_failure(S1, S2, both)
+    if failure is None:
+        return None
+    sim, parent, goal = failure
+    left, right = sim.ln1, sim.ln2
+    # the right side is deterministic, so its one run on the word either
+    # ends where it does not accept or stops at the dead end
+    word = replay(left, [left.valuation, right.valuation], path(parent, goal)[1])
+    if not membership(left.S, word) or membership(right.S, word):
+        raise SraError("internal error: the replayed word does not separate the operands")
+    return word
+
+
 def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """Is every word of S1 accepted by S2?
 
-    Requires deterministic operands.  On failure a separating word
-    (accepted by S1, rejected by S2) is replayed from a shortest path to
-    a triple whose left side accepts alone, and checked by membership.
+    Requires deterministic operands.  On failure a separating word,
+    accepted by S1 and rejected by S2, comes with the answer.
     """
-    failure = _first_failure(S1, S2, both=False)
-    if failure is None:
-        return True, None
-    sim, parent, goal = failure
-    # S2 is deterministic, so its one run on the word either ends where
-    # the right side does not accept or stops at the dead end
-    word = replay(sim.ln1, [sim.ln1.valuation, sim.ln2.valuation], path(parent, goal)[1])
-    if not membership(S1, word) or membership(S2, word):
-        raise SraError("internal error: the replayed word does not separate the operands")
-    return False, word
+    word = _separating_word(S1, S2, both=False)
+    return word is None, word
 
 
 def equivalent(S1: Sra, S2: Sra) -> bool:
@@ -281,3 +289,10 @@ def equivalent(S1: Sra, S2: Sra) -> bool:
     goal of the failing simulation, without replaying a word.
     """
     return _first_failure(S1, S2, both=True) is None
+
+
+def separating_word(S1: Sra, S2: Sra) -> Optional[list]:
+    """None when both automata accept the same words, else a word that
+    exactly one accepts: `equivalent`'s one search, with its failure
+    replayed.  Requires deterministic operands."""
+    return _separating_word(S1, S2, both=True)

@@ -60,14 +60,9 @@ def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
 
 
 def capped_sizes(algebra: Algebra, basis: MintermSet, cap: int) -> List[int]:
-    """Per minterm index, how many elements the minterm has, up to cap.
-
-    `Algebra.has_min_size` settles a minterm that reaches the cap, and
-    `Algebra.size` counts one that does not."""
-    return [
-        cap if algebra.has_min_size(m.conjunction, cap) else algebra.size(m.conjunction, cap)
-        for m in basis
-    ]
+    """Per minterm index, how many elements the minterm has, up to cap:
+    one `Algebra.size` pass over each minterm."""
+    return [algebra.size(m.conjunction, cap) for m in basis]
 
 
 class LazyNorm:

@@ -376,6 +376,7 @@ class _Builder:
         self.edges = {0: []}
         self.n = 1
         self.active = []  # [group index, next offset] for open groups
+        self.forks = set()  # nodes that more than one branch leaves from
 
     def node(self) -> int:
         if self.n >= MAX_NODES:
@@ -386,6 +387,11 @@ class _Builder:
         self.eps[i] = []
         self.edges[i] = []
         return i
+
+    def eps_node(self, src: int) -> int:
+        dst = self.node()
+        self.eps[src].append(dst)
+        return dst
 
     def consume(self, src: int, pred: Predicate, reads=()) -> int:
         stores = tuple(self.registers[(entry[0], entry[1])] for entry in self.active)
@@ -407,6 +413,7 @@ class _Builder:
                 src = self.build(item, src)
             return src
         if isinstance(node, Alt):
+            self.forks.add(src)
             saved = [entry[1] for entry in self.active]
             out = self.node()
             for item in node.items:
@@ -422,36 +429,39 @@ class _Builder:
                 )
             atoms = self._atom_items(node.item)
             if atoms is not None and (isinstance(node, Star) or len(atoms) == 1):
-                # repetition of single symbols: self-loops, no extra state
+                # repetition of single symbols: self-loops on a node that
+                # nothing but what follows leaves
                 if isinstance(node, Plus):
                     src = self.build(atoms[0], src)
+                elif src in self.forks or self.eps[src] or self.edges[src]:
+                    src = self.eps_node(src)
                 for a in atoms:
                     self.loop(src, self._atom_pred(a))
                 return src
-            entry = self.node()
-            self.eps[src].append(entry)
+            # a star is left where each iteration starts, so two branches
+            # leave entry
+            entry = self.eps_node(src)
+            if isinstance(node, Star):
+                self.forks.add(entry)
             end = self.build(node.item, entry)
             self.eps[end].append(entry)
-            if isinstance(node, Star):
-                # zero iterations permitted: skip straight to the exit
-                self.eps[src].append(end)
-            return end
+            return entry if isinstance(node, Star) else end
         if isinstance(node, Repeat):
             for _ in range(node.lo):
                 src = self.build(node.item, src)
             if node.hi is None:
                 return self.build(Star(node.item), src)
+            if node.hi == node.lo:
+                return src
+            if self.active:
+                raise SraError("referenced capture groups must have a fixed length")
+            # nested optional copies, (x(x(x)?)?)?, all skipping to one exit
+            out = self.node()
             for _ in range(node.hi - node.lo):
-                if self.active:
-                    raise SraError(
-                        "referenced capture groups must have a fixed length"
-                    )
-                out = self.node()
                 self.eps[src].append(out)
-                end = self.build(node.item, src)
-                self.eps[end].append(out)
-                src = out
-            return src
+                src = self.build(node.item, src)
+            self.eps[src].append(out)
+            return out
         if isinstance(node, Group):
             if node.index in self.group_lengths:
                 entry = [node.index, 0]

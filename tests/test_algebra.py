@@ -17,6 +17,7 @@ from sra.algebra import (
     Or,
     TRUE,
     algebra_by_name,
+    conj,
 )
 
 from oracles import INT_RANGE, brute_count, brute_is_sat, brute_minterm_bits, enum_denotation
@@ -354,6 +355,25 @@ def test_minterm_partition_property(preds, a):
     mts = INTEGERS.minterms(preds)
     holds = [m for m in mts if INTEGERS.denotes(m.conjunction, a)]
     assert len(holds) == 1
+
+
+@given(
+    st.lists(st.one_of(bounded_predicates(depth=1), st.builds(Div, st.integers(2, 9))), max_size=4)
+)
+@example([Div(4096), Interval(0, 30), Atom(7), Not(Div(2)), Interval(None, -5)])
+@example([Div(6), Atom(4), Div(4), Atom(9)])
+@settings(max_examples=100, deadline=None)
+def test_minterm_basis_is_exact_and_ordered(preds):
+    # every bit vector inhabited in the exact window of all the sources,
+    # none other, listed with 1 before 0 at each position
+    sources = tuple(dict.fromkeys(preds))
+    mts = INTEGERS.minterms(preds)
+    assert mts.sources == sources
+    window = exact_window(conj(sources))
+    expected = sorted(brute_minterm_bits(INTEGERS, sources, window), reverse=True)
+    assert [m.bits for m in mts] == expected
+    for m in mts:
+        assert m.conjunction == conj([q if b else Not(q) for q, b in zip(sources, m.bits)])
 
 
 # ---------------------------------------------------------------------------

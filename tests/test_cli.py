@@ -7,6 +7,7 @@ import pytest
 from sra.algebra import INTEGERS, MAX_NESTING, TRUE, And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
 from sra.core import loads, make_sra, membership, save, to_json_dict
+from sra.normal import LazyNorm
 from sra import regex as rx
 
 from fixtures import example3, first_symbol_repeats, remark1
@@ -88,6 +89,26 @@ def test_equiv_verb(tmp_path, capsys):
         for k, p in patterns.items():
             assert bool(re.fullmatch(p, out["text"], re.ASCII)) == (k == "c")
             assert membership(rx.compile(p).sra, word) == (k == "c")
+
+
+def test_equiv_builds_one_normalized_pair(tmp_path, capsys, monkeypatch):
+    # the answer and the separating word come from one search
+    built = []
+
+    class CountingLazyNorm(LazyNorm):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("sra.equiv.LazyNorm", CountingLazyNorm)
+    lhs = write_text(tmp_path, "lhs.regex", rx.BENCHMARK_PATTERNS["Name"])
+    rhs = write_text(tmp_path, "rhs.regex", rx.BENCHMARK_PATTERNS["Name-F"])
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        built.clear()
+        assert main(["equiv", "--lhs", a, "--rhs", b]) == 1
+        word = json.loads(capsys.readouterr().out)["counterexample"]
+        assert len(built) == 2
+        assert membership(built[0], word) != membership(built[1], word)
 
 
 def test_pattern_files_keep_trailing_spaces(tmp_path):

@@ -10,6 +10,7 @@ from sra.equiv import (
     equivalent,
     includes,
     n_similar,
+    separating_word,
 )
 from sra.normal import is_deterministic, normalize
 from sra.single_valued import to_single_valued
@@ -157,6 +158,8 @@ def test_includes_refuses_a_replayed_word_that_does_not_separate(monkeypatch):
     monkeypatch.setattr("sra.equiv.replay", lambda *_: [])
     with pytest.raises(SraError, match="internal error"):
         includes(weakened_remark1(), remark1())
+    with pytest.raises(SraError, match="internal error"):
+        separating_word(remark1(), weakened_remark1())
 
 
 def test_includes_rejects_nondeterministic_input():
@@ -186,9 +189,9 @@ def deterministic_pool(seed, size):
 
 
 def agree_with_brute_force(pool, words, seed):
-    """includes and equivalent on every ordered pair of the pool agree
-    with the languages cut to words, and every separating word
-    separates."""
+    """includes, equivalent and separating_word on every ordered pair of
+    the pool agree with the languages cut to words, and every separating
+    word separates."""
     lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
     for i, S1 in enumerate(pool):
         for j, S2 in enumerate(pool):
@@ -203,6 +206,11 @@ def agree_with_brute_force(pool, words, seed):
             assert equivalent(S1, S2) == both, (seed, i, j)
             if both:
                 assert lang[i] == lang[j], (seed, i, j)
+            word = separating_word(S1, S2)
+            if both:
+                assert word is None, (seed, i, j)
+            else:
+                assert brute_membership(S1, word) != brute_membership(S2, word), (seed, i, j)
 
 
 def test_similarity_traces_match_a_breadth_first_search(monkeypatch):

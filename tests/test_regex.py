@@ -80,6 +80,24 @@ def test_repeat_counts_and_builds_are_bounded():
     cp = rx.compile("a{1000}")
     assert rx.match(cp, "a" * 1000)
     assert not rx.match(cp, "a" * 999)
+    # the optional copies nest, so moves grow linearly, not quadratically
+    cp = rx.compile("(a|b){0,1000}")
+    assert len(cp.sra.transitions) <= 4000
+    assert rx.match(cp, "ab" * 500)
+    assert not rx.match(cp, "a" * 1001)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["a*b*", "(a*|b)c", "a*|b", "(ab+)*", "(a([ab])+)*", "(ab)+c*", "(a*b){0,2}a"],
+)
+def test_single_symbol_loops_stay_where_they_belong(pattern):
+    # a self-loop must neither fire from a sibling branch nor be reached
+    # by skipping the repetition it belongs to
+    cp = rx.compile(pattern)
+    for w in words_up_to("abc", 5):
+        text = "".join(w)
+        assert rx.match(cp, text) == bool(re.fullmatch(pattern, text, re.ASCII)), text
 
 
 def test_class_and_escape_denotations():
@@ -176,6 +194,10 @@ PLAIN_PATTERNS = [
     "[^ab]c*",
     "(a|b)(c|d)",
     "a*b*c*",
+    "(a|b){0,3}c",
+    "(ab){1,3}",
+    "a{0,2}(b|c){1,2}",
+    "(a*b){0,2}a",
 ]
 
 
@@ -196,6 +218,9 @@ BACKREF_PATTERNS = [
     r"(..)\1",
     r"(a|b)c\1",
     r"(.)a*\1",
+    r"(a|b){0,2}\1",
+    r"(a){1,3}c\1",
+    r"(a(.)){0,2}\2",
 ]
 
 
