@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     Algebra,
@@ -299,66 +299,6 @@ def membership(S: Sra, word: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# embeddings
-
-
-def from_ra(
-    states: Sequence[str],
-    initial: str,
-    finals: Iterable[str],
-    transitions: Iterable[tuple],
-    registers: Sequence[str] = (),
-    initial_valuation: Optional[dict] = None,
-    algebra: Algebra = None,
-) -> Sra:
-    """Register automaton embedding: every guard becomes TOP.
-
-    RA transitions are (src, kind, register, dst) where kind is "read"
-    (input must equal the register), "store" (input overwrites the
-    register) or "skip" (register is None, no constraint).
-    """
-    from .algebra import INTEGERS
-
-    algebra = algebra or INTEGERS
-    regs = list(registers)
-    trans = []
-    for src, kind, reg, dst in transitions:
-        if kind == "skip":
-            if reg is not None:
-                raise SraError("skip transitions carry no register")
-            trans.append((src, TRUE, (), (), (), dst))
-            continue
-        if reg is None:
-            raise SraError(f"{kind} transition needs a register")
-        if reg not in regs:
-            regs.append(reg)
-        if kind == "read":
-            trans.append((src, TRUE, (reg,), (), (), dst))
-        elif kind == "store":
-            trans.append((src, TRUE, (), (), (reg,), dst))
-        else:
-            raise SraError(f"unknown RA transition kind {kind!r}")
-    return make_sra(
-        algebra, regs, states, initial, initial_valuation or {}, finals, trans
-    )
-
-
-def from_sfa(
-    states: Sequence[str],
-    initial: str,
-    finals: Iterable[str],
-    transitions: Iterable[tuple],
-    algebra: Algebra = None,
-) -> Sra:
-    """Symbolic finite automaton embedding: no registers at all."""
-    from .algebra import UNICODE
-
-    algebra = algebra or UNICODE
-    trans = [(src, guard, (), (), (), dst) for src, guard, dst in transitions]
-    return make_sra(algebra, (), states, initial, {}, finals, trans)
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange format
 
 
@@ -440,7 +380,3 @@ def load(path) -> Sra:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
-
-def save(S: Sra, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(S))

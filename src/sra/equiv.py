@@ -12,14 +12,18 @@ with the right one.  Inclusion and equivalence search it in A* order,
 guided by the left state's distance to a final state in the left
 operand's state graph, since only a left final can accept alone; a
 triple whose left state cannot reach a final is never expanded.
-`n_similar` also stops at dead ends, which a triple far from any left
-final can be one step from, so it searches breadth-first.
 
-Inclusion and equivalence require deterministic operands, so the
-simulation fails exactly at a triple whose left side accepts alone.
-Both take one route: inclusion runs the one-way simulation, equivalence
-runs it in both directions over one shared basis and one pair of lazily
-normalized automata.  `includes` and `separating_word`, the sibling of
+Only the right operand of the simulation must be deterministic: a path
+pairs one left run with the right side's one run on the same word, so
+the simulation fails exactly at a triple whose left side accepts alone.
+So `includes` takes a nondeterministic left operand, while `equivalent`
+and `separating_word`, where each operand is the right side once,
+require both to be deterministic.  A nondeterministic right operand is
+refused: inclusion between nondeterministic register automata is
+undecidable in general.  Inclusion and equivalence take one route:
+inclusion runs the one-way simulation, equivalence runs it in both
+directions over one shared basis and one pair of lazily normalized
+automata.  `includes` and `separating_word`, the sibling of
 `equivalent`, replay a failure into a separating word: the search's
 parent map is walked back with `normal.path`, and the matched steps are
 turned into the word by `normal.replay`.
@@ -39,8 +43,8 @@ fire on values that the left side reads from a correlated slot.  A
 minterm with at least one more element than both sides' registers
 together always has such a value.  Where a smaller one has none at some
 triple, the search drops it from the projected minterms and starts
-over.  One-element minterms, dead ends, `n_similar` and operands with a
-disequality keep every coincidence.
+over.  One-element minterms, dead ends and operands with a disequality
+keep every coincidence.
 """
 
 from __future__ import annotations
@@ -202,46 +206,14 @@ def _projected(A: Sra, B: Sra, sizes) -> frozenset:
     return frozenset(m for m, k in enumerate(sizes) if k > 1)
 
 
-def n_similar(S1: Sra, S2: Sra):
-    """Does every behavior of S1 have a matching behavior in S2?
-
-    Returns (True, None) or (False, trace) where the trace names the
-    chain of state triples leading to the unmatched move or to the
-    left state accepting alone, and the reason.
-    """
-    sim = _Simulation(*_normalized_pair(S1, S2))
-    ln1, ln2 = sim.ln1, sim.ln2
-    parent, goal = reach(sim, lambda t: t[1] is None or sim.accepts_alone(t))
-    if goal is None:
-        return True, None
-    triples = path(parent, goal)[0]
-    if goal[1] is None:
-        m, ((op, r), _), _ = parent[goal][1]
-        target = ln1.S.registers[r] if r >= 0 else "no register"
-        move = f"read of {target}" if op == "read" else f"fresh input into {target}"
-        guard = ln1.algebra.show(ln1.basis.minterms[m].conjunction)
-        reason = f"no right move matches the left {move} for guard {guard}"
-        triples.pop()
-    else:
-        reason = (
-            f"left state {ln1.S.states[goal[0][0][0]]} accepts,"
-            f" right state {ln2.S.states[goal[1][0][0]]} does not"
-        )
-    return False, {
-        "reason": reason,
-        "path": [
-            (key1[0][0], key2[0][0], tuple((r, s) for r, s in enumerate(sigma) if s >= 0))
-            for key1, key2, sigma in triples
-        ],
-    }
-
-
 def _first_failure(S1: Sra, S2: Sra, both: bool):
     """The first failing simulation, with its parent map and goal, or
     None: of S1 by S2, then, when both is set, of S2 by S1, sharing one
     basis and one pair of normalized automata.  The second run starts
-    without the minterms that ran out in the first."""
-    for S, side in ((S1, "left"), (S2, "right")):
+    without the minterms that ran out in the first.  Each right side
+    must be deterministic, so S1 must be too only when both is set."""
+    operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
+    for S, side in operands:
         if not is_deterministic(S):
             raise SraError(f"{side} operand must be deterministic")
     ln1, ln2, sizes = _normalized_pair(S1, S2)
@@ -275,8 +247,9 @@ def _separating_word(S1: Sra, S2: Sra, both: bool) -> Optional[list]:
 def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     """Is every word of S1 accepted by S2?
 
-    Requires deterministic operands.  On failure a separating word,
-    accepted by S1 and rejected by S2, comes with the answer.
+    Requires a deterministic S2; S1 may be nondeterministic.  On
+    failure a separating word, accepted by S1 and rejected by S2, comes
+    with the answer.
     """
     word = _separating_word(S1, S2, both=False)
     return word is None, word

@@ -7,8 +7,10 @@ and configurations are numbered in the order they are discovered.  A
 move that reads or stores has one candidate input per value: the value
 its read registers share, or each domain value its guard admits when it
 only stores.  A move that neither reads nor stores stays symbolic,
-constrained by the concrete register contents.  All steps between one
-configuration pair are merged into a single predicate.
+constrained by the concrete register contents; it fires when its guard
+admits more values than it admits among the contents of the registers
+it excludes, and the guard's size is counted once.  All steps between
+one configuration pair are merged into a single predicate.
 
 The construction stops with an overflow report instead of an automaton
 when it discovers more configurations than the state limit; overflow is
@@ -49,6 +51,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
         + [v for v in S.initial_valuation if v is not None]
     ))
     members = {}  # guard -> {value: Atom(value)} for the values of dom it admits
+    counts = {}  # guard -> (its closure, its size up to one more than the registers)
     start = (S.initial, *S.initial_valuation)
     order = [start]
     index = {start: 0}
@@ -75,11 +78,23 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                             target[r + 1] = a
                         targets.append((tuple(target), table[a]))
             else:
-                pred = conj(
-                    [lab.guard]
-                    + [Not(Atom(config[r + 1])) for r in lab.I if config[r + 1] is not None]
-                )
-                targets = [((q2, *config[1:]), pred)] if algebra.is_sat(pred) else []
+                entry = counts.get(lab.guard)
+                if entry is None:
+                    entry = counts[lab.guard] = (
+                        compile_guard(algebra, lab.guard),
+                        algebra.size(lab.guard, len(S.registers) + 1),
+                    )
+                admits, size = entry
+                # an input the guard admits and no excluded register holds
+                # exists when the guard admits more values than the held ones
+                held = {config[r + 1] for r in lab.I} - {None}
+                if size > sum(map(admits, held)):
+                    pred = conj([lab.guard] + [
+                        Not(Atom(config[r + 1])) for r in lab.I if config[r + 1] is not None
+                    ])
+                    targets = [((q2, *config[1:]), pred)]
+                else:
+                    targets = []
             for target, pred in targets:
                 j = index.get(target)
                 if j is None:

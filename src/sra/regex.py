@@ -3,13 +3,18 @@
 Supported syntax: literals, escapes (\\d \\s \\w and negations, \\.),
 character classes with ranges and negation, the any-character dot,
 alternation, * + {n} {n,m} quantifiers, capture groups and back-
-references \\1..\\9.  A referenced capture group must have one fixed
-length: its j-th position compiles to a store into a dedicated register
-and each back-reference replays the group's registers as equality
-reads.  Unreferenced groups compile as plain subexpressions.
+references \\1..\\99, read as `re` reads them: up to two digits name a
+group, which must be closed.  A referenced capture group must have one
+fixed length: its j-th position compiles to a store into a dedicated
+register and each back-reference replays the group's registers as
+equality reads.  Unreferenced groups compile as plain subexpressions.
 
 Patterns are anchored: the automaton's language is the set of whole
-strings the pattern matches.
+strings the pattern matches.  Forms that `re` reads as something this
+parser does not support are refused with a RegexError, not read as
+plain characters: ^ and $ outside a class, octal escapes (\\0, three
+octal digits, and a digit escaped in a class), and a letter escaped in
+a class other than \\d \\s \\w and their negations.
 """
 
 from __future__ import annotations
@@ -108,6 +113,10 @@ WORD = disj(
 )
 ANY_BUT_NEWLINE = Not(Atom(ord("\n")))
 
+# the digits `re` reads in escapes and repeat counts: ASCII only
+_DECIMAL = "0123456789"
+_OCTAL = "01234567"
+
 _CLASS_ESCAPES = {
     "d": DIGIT,
     "D": Not(DIGIT),
@@ -143,6 +152,10 @@ class _Parser:
             raise self.error("unexpected end of pattern")
         self.pos += 1
         return c
+
+    def peek_in(self, chars: str) -> bool:
+        c = self.peek()
+        return c is not None and c in chars
 
     def expect(self, c: str):
         if self.peek() != c:
@@ -202,7 +215,7 @@ class _Parser:
     def number(self) -> int:
         start = self.pos
         digits = ""
-        while (c := self.peek()) is not None and c.isdigit():
+        while self.peek_in(_DECIMAL):
             digits += self.take()
         if not digits:
             raise self.error("expected a number")
@@ -232,6 +245,8 @@ class _Parser:
             return self.escape()
         if c in "*+{}?":
             raise self.error(f"nothing to repeat with {c!r}")
+        if c in "^$":
+            raise self.error(f"anchor {c!r}: patterns are anchored already")
         self.take()
         return Lit(c)
 
@@ -240,10 +255,17 @@ class _Parser:
         c = self.take()
         if c in _CLASS_ESCAPES:
             return Class(_CLASS_ESCAPES[c])
-        if c.isdigit():
-            index = int(c)
-            if index == 0 or index not in self.closed_groups:
-                raise self.error(f"back-reference to unopened group {c}")
+        if c in _DECIMAL:
+            # read as `re` reads it: \0 and three octal digits are an
+            # octal escape, and otherwise up to two digits name a group
+            ref = c
+            if c != "0" and self.peek_in(_DECIMAL):
+                ref += self.take()
+            if c == "0" or len(ref) == 2 and self.peek_in(_OCTAL) and set(ref) <= set(_OCTAL):
+                raise self.error("octal escapes are not supported")
+            index = int(ref)
+            if index not in self.closed_groups:
+                raise self.error(f"back-reference to unopened group {index}")
             return Backref(index)
         if c.isalpha():
             raise self.error(f"unknown escape \\{c}")
@@ -266,20 +288,30 @@ class _Parser:
     def class_item(self) -> Predicate:
         c = self.take()
         if c == "\\":
-            e = self.take()
-            if e in _CLASS_ESCAPES:
-                return _CLASS_ESCAPES[e]
-            c = e
+            if self.peek() in _CLASS_ESCAPES:
+                return _CLASS_ESCAPES[self.take()]
+            c = self.class_escape()
         if self.peek() == "-" and self.pos + 1 < len(self.pattern) and \
                 self.pattern[self.pos + 1] != "]":
             self.take()
             hi = self.take()
             if hi == "\\":
-                hi = self.take()
+                hi = self.class_escape()
             if ord(hi) < ord(c):
                 raise self.error(f"reversed range {c}-{hi}")
             return Interval(ord(c), ord(hi))
         return Atom(ord(c))
+
+    def class_escape(self) -> str:
+        """The character escaped in a class.  `re` reads a digit there as
+        an octal escape and a letter as a control character or a class,
+        so both are refused."""
+        e = self.take()
+        if e in _DECIMAL:
+            raise self.error("octal escapes are not supported")
+        if e.isalpha():
+            raise self.error(f"unknown escape \\{e}")
+        return e
 
 
 def parse(pattern: str):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable, Optional, Sequence
 
-from sra.algebra import And, Atom, Div, Interval, Not, TRUE, INTEGERS, UNICODE
-from sra.core import make_sra
+from sra.algebra import Algebra, And, Atom, Div, Interval, Not, TRUE, INTEGERS, UNICODE
+from sra.core import Sra, SraError, make_sra
 
 
 def example3(final_guard=None):
@@ -206,3 +207,59 @@ def random_equality_chain(rng: random.Random):
         transitions.append((src, rng.choice(EQUALITY_GUARDS), E, (), tuple(sorted(U)), dst))
     finals = [s for s in states[:-1] if rng.random() < 0.3] + states[-1:]
     return make_sra(INTEGERS, registers, states, states[0], {}, finals, transitions)
+
+
+# ---------------------------------------------------------------------------
+# embeddings: register automata and symbolic finite automata as SRAs
+
+
+def from_ra(
+    states: Sequence[str],
+    initial: str,
+    finals: Iterable[str],
+    transitions: Iterable[tuple],
+    registers: Sequence[str] = (),
+    initial_valuation: Optional[dict] = None,
+    algebra: Algebra = None,
+) -> Sra:
+    """Register automaton embedding: every guard becomes TOP.
+
+    RA transitions are (src, kind, register, dst) where kind is "read"
+    (input must equal the register), "store" (input overwrites the
+    register) or "skip" (register is None, no constraint).
+    """
+    algebra = algebra or INTEGERS
+    regs = list(registers)
+    trans = []
+    for src, kind, reg, dst in transitions:
+        if kind == "skip":
+            if reg is not None:
+                raise SraError("skip transitions carry no register")
+            trans.append((src, TRUE, (), (), (), dst))
+            continue
+        if reg is None:
+            raise SraError(f"{kind} transition needs a register")
+        if reg not in regs:
+            regs.append(reg)
+        if kind == "read":
+            trans.append((src, TRUE, (reg,), (), (), dst))
+        elif kind == "store":
+            trans.append((src, TRUE, (), (), (reg,), dst))
+        else:
+            raise SraError(f"unknown RA transition kind {kind!r}")
+    return make_sra(
+        algebra, regs, states, initial, initial_valuation or {}, finals, trans
+    )
+
+
+def from_sfa(
+    states: Sequence[str],
+    initial: str,
+    finals: Iterable[str],
+    transitions: Iterable[tuple],
+    algebra: Algebra = None,
+) -> Sra:
+    """Symbolic finite automaton embedding: no registers at all."""
+    algebra = algebra or UNICODE
+    trans = [(src, guard, (), (), (), dst) for src, guard, dst in transitions]
+    return make_sra(algebra, (), states, initial, {}, finals, trans)

@@ -6,7 +6,7 @@ import pytest
 
 from sra.algebra import INTEGERS, MAX_NESTING, TRUE, And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
-from sra.core import loads, make_sra, membership, save, to_json_dict
+from sra.core import dumps, loads, make_sra, membership, to_json_dict
 from sra.normal import LazyNorm
 from sra import regex as rx
 
@@ -15,7 +15,7 @@ from fixtures import example3, first_symbol_repeats, remark1
 
 def write_sra(tmp_path, name, S):
     path = tmp_path / name
-    save(S, path)
+    path.write_text(dumps(S), encoding="utf-8")
     return str(path)
 
 
@@ -72,6 +72,19 @@ def test_subset_verb(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     word = out["counterexample"]
     assert len(word) == 2 and word[0] != word[1]
+
+
+def test_subset_takes_a_nondeterministic_lhs_only(tmp_path, capsys):
+    repeats = write_text(tmp_path, "repeats.regex", r"(.).*\1")
+    assert main(["deterministic", "--sra", repeats]) == 1
+    assert main(["subset", "--lhs", repeats, "--rhs", write_text(tmp_path, "w.regex", ".+")]) == 0
+    capsys.readouterr()
+    no_a = write_text(tmp_path, "no_a.regex", "(.)[^a]*")
+    assert main(["subset", "--lhs", repeats, "--rhs", no_a]) == 1
+    text = json.loads(capsys.readouterr().out)["text"]
+    assert re.fullmatch(r"(.).*\1", text) and not re.fullmatch("(.)[^a]*", text)
+    assert main(["subset", "--lhs", no_a, "--rhs", repeats]) == 2
+    assert "right operand must be deterministic" in capsys.readouterr().err
 
 
 def test_equiv_verb(tmp_path, capsys):
@@ -286,10 +299,14 @@ def json_text(**changes):
              "E": [], "I": [], "U": [], "to": "qf"}
         ])),
         ("empty", "--sra", json_text(initial_valuation=[])),
+        ("compile", "--pattern", "^ab$"),
+        ("compile", "--pattern", "(1)(2)(3)(4)(5)(6)(7)(8)(9)-\\10"),
+        ("compile", "--pattern", "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)\\123"),
+        ("compile", "--pattern", "[\\1]"),
     ],
     ids=[
         "groups", "stars", "counts", "big_count", "big_build", "guard", "guard_above_cap",
-        "div_lcm", "valuation",
+        "div_lcm", "valuation", "anchor", "missing_group", "octal", "class_octal",
     ],
 )
 def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):

@@ -10,8 +10,6 @@ from sra.core import (
     SraError,
     dumps,
     from_json_dict,
-    from_ra,
-    from_sfa,
     loads,
     make_sra,
     membership,
@@ -26,6 +24,8 @@ from fixtures import (
     digits_sfa,
     example3,
     first_symbol_repeats,
+    from_ra,
+    from_sfa,
     random_chain,
     random_sra,
     remark1,

@@ -5,13 +5,7 @@ import pytest
 from sra.algebra import Div, Interval, INTEGERS
 from sra.boolean_ops import complete, union
 from sra.core import SraError, make_sra, membership
-from sra.equiv import (
-    correspondence_of,
-    equivalent,
-    includes,
-    n_similar,
-    separating_word,
-)
+from sra.equiv import correspondence_of, equivalent, includes, separating_word
 from sra.normal import is_deterministic, normalize
 from sra.single_valued import to_single_valued
 
@@ -24,7 +18,7 @@ from fixtures import (
     random_sra,
     remark1,
 )
-from oracles import breadth_first_reach, brute_membership, words_up_to
+from oracles import brute_membership, words_up_to
 
 
 def weakened_remark1():
@@ -73,41 +67,6 @@ def test_correspondence_rejects_non_injective():
         correspondence_of((5, 5), (None,))
 
 
-# ---------------------------------------------------------------------------
-# n_similar
-
-
-def test_self_similarity():
-    for S in (remark1(), to_single_valued(example3()), digits_sfa()):
-        assert n_similar(S, S) == (True, None)
-
-
-def test_empty_language_below_complete_automata():
-    E = example3()
-    for S2 in (complete(to_single_valued(remark1())), complete(to_single_valued(E))):
-        assert n_similar(E, S2)[0]
-
-
-def test_weakening_is_one_directional():
-    S = remark1()
-    W = weakened_remark1()
-    assert n_similar(S, W) == (True, None)
-    ok, trace = n_similar(W, S)
-    assert not ok
-    assert trace["path"][0][2] == ()  # seed carries the empty correspondence
-    # W accepts where remark1 does not; example3's first move on an odd
-    # multiple of 3 has no match in W, a dead end
-    for left, right, reason in (
-        (W, S, "left state qf accepts, right state qm does not"),
-        (example3(), W, "no right move matches the left fresh input into r for guard ("),
-    ):
-        ok, trace = n_similar(left, right)
-        assert not ok
-        assert trace["reason"].startswith(reason)
-        # every triple names a real right state: the dead end is not traced
-        assert all(0 <= q2 < len(right.states) for _, q2, _ in trace["path"])
-
-
 def test_equivalent_to_own_translation_and_normalization():
     for S in (remark1(), example3(), digits_sfa()):
         T = to_single_valued(S)
@@ -120,27 +79,35 @@ def test_finals_condition_breaks_equivalence():
     assert not equivalent(S, strip_finals(S))
 
 
+# ---------------------------------------------------------------------------
+# includes / equivalent
+
+
+def test_includes_reflexive():
+    for S in (remark1(), weakened_remark1(), to_single_valued(example3()), digits_sfa()):
+        assert includes(S, S) == (True, None)
+
+
+def test_empty_language_below_complete_automata():
+    E = example3()
+    for S2 in (complete(to_single_valued(remark1())), complete(to_single_valued(E))):
+        assert includes(E, S2) == (True, None)
+    # example3's first move on an odd multiple of 3 has no match in the
+    # weakening: a dead end, whose left side never accepts
+    assert includes(E, weakened_remark1()) == (True, None)
+
+
 def test_similarity_is_sound_for_bounded_inclusion():
     auts = [
         remark1(),
         weakened_remark1(),
         to_single_valued(example3()),
     ]
-    for S1 in auts:
-        for S2 in auts:
-            ok, _ = n_similar(S1, complete(to_single_valued(S2)))
-            if ok:
-                for w in words_up_to(range(0, 5), 3):
-                    assert not membership(S1, w) or membership(S2, w), (w, S1, S2)
-
-
-# ---------------------------------------------------------------------------
-# includes / equivalent
-
-
-def test_includes_reflexive():
-    for S in (remark1(), weakened_remark1(), digits_sfa()):
-        assert includes(S, S) == (True, None)
+    words = list(words_up_to(range(0, 5), 3))
+    lang = [{tuple(w) for w in words if membership(S, w)} for S in auts]
+    for i, S1 in enumerate(auts):
+        for j, S2 in enumerate(auts):
+            check_includes(S1, complete(to_single_valued(S2)), lang[i], lang[j], (i, j))
 
 
 def test_includes_of_weakening_and_separating_word():
@@ -163,10 +130,17 @@ def test_includes_refuses_a_replayed_word_that_does_not_separate(monkeypatch):
 
 
 def test_includes_rejects_nondeterministic_input():
-    with pytest.raises(SraError):
-        includes(first_symbol_repeats(), remark1())
-    with pytest.raises(SraError):
-        includes(remark1(), first_symbol_repeats())
+    # only the right operand of includes must be deterministic
+    N, D = first_symbol_repeats(), remark1()
+    words = list(words_up_to(range(0, 4), 4))
+    lang = [{tuple(w) for w in words if brute_membership(S, w)} for S in (N, D)]
+    assert not check_includes(N, D, *lang, "N, D")
+    with pytest.raises(SraError, match="right operand must be deterministic"):
+        includes(D, N)
+    for decide in (equivalent, separating_word):
+        for S1, S2 in ((N, D), (D, N)):
+            with pytest.raises(SraError, match="must be deterministic"):
+                decide(S1, S2)
 
 
 def test_equivalence_checks():
@@ -188,6 +162,19 @@ def deterministic_pool(seed, size):
     return pool
 
 
+def check_includes(S1, S2, lang1, lang2, tag) -> bool:
+    """includes(S1, S2) agrees with the languages cut to some words, and
+    its separating word is in S1 and not in S2; returns its answer."""
+    ok, word = includes(S1, S2)
+    if ok:
+        assert word is None, tag
+        assert lang1 <= lang2, tag
+    else:
+        assert brute_membership(S1, word), tag
+        assert not brute_membership(S2, word), tag
+    return ok
+
+
 def agree_with_brute_force(pool, words, seed):
     """includes, equivalent and separating_word on every ordered pair of
     the pool agree with the languages cut to words, and every separating
@@ -195,13 +182,7 @@ def agree_with_brute_force(pool, words, seed):
     lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
     for i, S1 in enumerate(pool):
         for j, S2 in enumerate(pool):
-            ok, word = includes(S1, S2)
-            if ok:
-                assert word is None
-                assert lang[i] <= lang[j], (seed, i, j)
-            else:
-                assert brute_membership(S1, word), (seed, i, j)
-                assert not brute_membership(S2, word), (seed, i, j)
+            ok = check_includes(S1, S2, lang[i], lang[j], (seed, i, j))
             both = ok and includes(S2, S1)[0]
             assert equivalent(S1, S2) == both, (seed, i, j)
             if both:
@@ -211,16 +192,6 @@ def agree_with_brute_force(pool, words, seed):
                 assert word is None, (seed, i, j)
             else:
                 assert brute_membership(S1, word) != brute_membership(S2, word), (seed, i, j)
-
-
-def test_similarity_traces_match_a_breadth_first_search(monkeypatch):
-    pool = deterministic_pool(47, 14)
-    pairs = [(S1, S2) for S1 in pool for S2 in pool]
-    with monkeypatch.context() as m:
-        m.setattr("sra.equiv.reach", breadth_first_reach)
-        expected = [n_similar(S1, S2) for S1, S2 in pairs]
-    assert [n_similar(S1, S2) for S1, S2 in pairs] == expected
-    assert sum(not ok for ok, _ in expected) > 50
 
 
 def test_includes_and_equivalent_agree_with_bounded_brute_force():
@@ -239,6 +210,35 @@ def test_includes_and_equivalent_agree_with_bounded_brute_force():
     for seed in (5, 60, 128):
         rng = random.Random(seed)
         agree_with_brute_force([random_equality_chain(rng) for _ in range(12)], words, seed)
+
+
+def mixed_pool(seed):
+    """Automata of which some are nondeterministic.  Unions of two
+    equality-only chains are equality-only too, so against a chain they
+    take unread inputs fresh to both sides."""
+    rng = random.Random(seed)
+    return (
+        [random_sra(rng, 4, 3) for _ in range(6)]
+        + [random_chain(rng) for _ in range(3)]
+        + [union(random_equality_chain(rng), random_equality_chain(rng)) for _ in range(5)]
+        + [random_equality_chain(rng) for _ in range(4)]
+    )
+
+
+def test_includes_with_nondeterministic_lefts_agrees_with_bounded_brute_force():
+    # every word of an equality chain, and so of a union of two, lies
+    # in 0..2 and has at most four symbols
+    words = [tuple(w) for w in words_up_to(range(0, 4), 4)]
+    nondeterministic = 0
+    for seed in range(4):
+        pool = mixed_pool(seed)
+        lang = [{w for w in words if brute_membership(S, list(w))} for S in pool]
+        rights = [j for j, S in enumerate(pool) if is_deterministic(S)]
+        nondeterministic += len(pool) - len(rights)
+        for i, S1 in enumerate(pool):
+            for j in rights:
+                check_includes(S1, pool[j], lang[i], lang[j], (seed, i, j))
+    assert nondeterministic >= 10
 
 
 def test_doubly_fresh_input_counts_shared_values_once():

@@ -1,8 +1,10 @@
-"""Every name a module of `sra` imports is used there.
+"""Every name a module of `sra` imports is used there, and every
+function, class and method it defines is read somewhere in `sra`.
 
-The one exception is a name that `perfbench/test_tracer.py` pins in its
-`COPIED` table: the benchmark's tracer patches that binding site, so the
-import stays until the tracer no longer needs it.  Running this file,
+The one exception to the first is a name that `perfbench/test_tracer.py`
+pins in its `COPIED` table: the benchmark's tracer patches that binding
+site, so the import stays until the tracer no longer needs it.  Running
+this file,
 
     python tests/test_imports.py
 
@@ -75,6 +77,69 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "    return os.sep\n"
     )
     assert unused_imports(module) == {"regex": 2, "dumps": 3}
+
+
+def definitions(tree):
+    """The name of each module-level function and class in tree, and of
+    each method whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name
+
+
+def reads(tree):
+    """The names tree reads: loaded names and attributes, and the names
+    its imports bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def unread_definitions(paths):
+    """module.name of each definition in paths that none of them reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    read = {name for tree in trees.values() for name in reads(tree)}
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in definitions(tree)
+        if name not in read
+    )
+
+
+def test_every_definition_is_read_somewhere_in_sra():
+    assert unread_definitions(SRC.glob("*.py")) == []
+
+
+def test_the_check_sees_an_unread_definition(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .core import Sra\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.x = self.used()\n"
+        "    def used(self):\n"
+        "        return helper\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def dead(S: Sra):\n"
+        "    dead = A()\n"
+        "class Dead:\n"
+        "    pass\n"
+    )
+    assert unread_definitions([module]) == ["m.Dead", "m.dead", "m.unused"]
 
 
 if __name__ == "__main__":

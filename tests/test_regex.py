@@ -61,6 +61,58 @@ def test_parse_errors_carry_a_position(pattern):
     assert exc.value.position >= 0
 
 
+TWELVE_GROUPS = "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)"
+
+
+@pytest.mark.parametrize(
+    "pattern, position, accepted, rejected",
+    [
+        # re reads ^ and $ as anchors, not as characters
+        (r"^ab$", 0, "ab", "^ab$"),
+        (r"a|^b", 2, "b", "^b"),
+        # three octal digits are one character, 0o123 = S, not \12 3
+        (TWELVE_GROUPS + r"\123", 39, "123456789012S", "123456789012123"),
+        # a digit or letter escaped in a class is a special character
+        (r"[\1]", 3, "\x01", "1"),
+        (r"[\t]", 3, "\t", "t"),
+        (r"\0", 2, "\x00", "0"),
+        # re counts repeats in ASCII digits only, and reads this { as itself
+        ("a{\u0663}", 2, "a{\u0663}", "aaa"),
+    ],
+)
+def test_forms_re_reads_otherwise_are_refused(pattern, position, accepted, rejected):
+    assert re.fullmatch(pattern, accepted, re.ASCII)
+    assert not re.fullmatch(pattern, rejected, re.ASCII)
+    with pytest.raises(rx.RegexError) as exc:
+        rx.compile(pattern)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize(
+    "pattern, texts",
+    [
+        (TWELVE_GROUPS + r"-\10", ["123456789012-0", "123456789012-10", "123456789012-1"]),
+        (TWELVE_GROUPS + r"-\12\1", ["123456789012-21", "123456789012-12", "123456789012-11"]),
+        (r"(a)\1{2}", ["aaa", "aa"]),
+        (r"\^a\$", ["^a$", "a"]),
+        (r"[^$]b[$]", ["ab$", "$b$", "ab"]),
+    ],
+)
+def test_references_and_escaped_anchors_agree_with_re(pattern, texts):
+    cp = rx.compile(pattern)
+    for text in texts:
+        assert rx.match(cp, text) == bool(re.fullmatch(pattern, text, re.ASCII)), text
+
+
+def test_reference_to_a_group_that_does_not_exist_is_refused():
+    # with nine groups re reads \10 as a reference to group 10, not \1 0
+    pattern = TWELVE_GROUPS[:27] + r"-\10"
+    with pytest.raises(re.error, match="invalid group reference 10"):
+        re.compile(pattern)
+    with pytest.raises(rx.RegexError, match="group 10"):
+        rx.compile(pattern)
+
+
 @pytest.mark.parametrize(
     "pattern",
     ["(" * 2000 + "a" + ")" * 2000, "a" + "*" * 2000, "a" + "{1}" * 2000],
