@@ -23,10 +23,31 @@ refused: inclusion between nondeterministic register automata is
 undecidable in general.  Inclusion and equivalence take one route:
 inclusion runs the one-way simulation, equivalence runs it in both
 directions over one shared basis and one pair of lazily normalized
-automata.  `includes` and `separating_word`, the sibling of
+automata per view.  `includes` and `separating_word`, the sibling of
 `equivalent`, replay a failure into a separating word: the search's
 parent map is walked back with `normal.path`, and the matched steps are
 turned into the word by `normal.replay`.
+
+Each direction is searched first on the coarse view of
+`normal.LazyNorm`, where a slot holds the set of minterms its value may
+lie in.  The simulation reads every slot entry as that set, a singleton
+on the exact view, so the coarse search takes every answer a minterm
+question could have: a read fires on any minterm in its slot's set, an
+input may equal any uncorrelated right value whose set holds its
+minterm, and a value fresh to both sides is always assumed to exist.
+The correspondence stays exact, and a right move on an input class
+exists on the coarse view whenever it exists on the exact one, and only
+then, since both views fire a read on the same rows when the slot's
+set holds the input's minterm.  So every exact path, dead ends
+included, is a coarse path, and a coarse search without failure proves
+the direction.  A coarse failure may be spurious.  `includes` and
+`separating_word` replay it, and keep its word when `membership` finds
+that it separates the operands: the coarse search is shortest over more
+paths, so that word is as short as the exact search's.  `equivalent`
+walks the path with exact slot minterms instead (`_taken_exactly`),
+without a word.  A spurious or unconfirmed failure goes to the exact
+search, which is unchanged, so negative answers stay exact and
+shortest.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
@@ -44,7 +65,10 @@ minterm with at least one more element than both sides' registers
 together always has such a value.  Where a smaller one has none at some
 triple, the search drops it from the projected minterms and starts
 over.  One-element minterms, dead ends and operands with a disequality
-keep every coincidence.
+keep every coincidence.  On the coarse view the left slots plus the
+uncorrelated right slots whose sets hold a minterm bound the values of
+it held, so the search drops the minterm once that bound reaches its
+size, and wherever it takes a value fresh to both sides one exists.
 """
 
 from __future__ import annotations
@@ -103,7 +127,10 @@ class _Simulation:
     step into a dead end keeps the class as its right move, so that the
     replayed input lies in it; the steps out of one have None there.
     In a projected minterm, a left move that does not read has the
-    doubly-fresh class only, and a coincidental read none.
+    doubly-fresh class only, and a coincidental read none.  Both sides
+    are exact or both coarse; on the coarse view "holding its minterm"
+    means a slot whose set holds it, and the doubly-fresh class is
+    always there outside the projected minterms.
     """
 
     def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, projected=frozenset()):
@@ -147,21 +174,20 @@ class _Simulation:
                 (m, ((op, r), None), (key1b, None, ()))
                 for m, op, r, _, key1b in self.ln1.successors(key1)
             ]
-        theta1 = key1[1]
-        theta2 = key2[1]
         projected = self.projected
         reads2, fresh2 = self.ln2.successor_index(key2)
+        held1 = self.ln1.holders(key1[1])
+        held2 = self.ln2.holders(key2[1])
         out = []
         for m, op, r, coincidental, key1b in self.ln1.successors(key1):
             if op == "read" and not (coincidental and m in projected):
                 s = sigma[r]
                 classes = [("read", s)] if s >= 0 else [("fresh", -1)]
             else:
-                right_only = [
-                    s for s in range(self.ln2.nregs) if theta2[s] == m and s not in sigma
-                ]
-                # distinct values of m held on either side
-                fresh = theta1.count(m) + len(right_only) < self.sizes[m]
+                right_only = [s for s in held2.get(m, ()) if s not in sigma]
+                # distinct values of m held on either side, or on the
+                # coarse view a bound on them
+                fresh = len(held1.get(m, ())) + len(right_only) < self.sizes[m]
                 if m in projected:
                     if not fresh:
                         raise _NoFreshValue(m)
@@ -170,7 +196,7 @@ class _Simulation:
                     classes = [("fresh", -1)]
                 else:
                     classes = [("read", s) for s in right_only]
-                    if fresh:
+                    if fresh or self.ln1.coarse:
                         classes.append(("fresh", -1))
             for op2, s in classes:
                 if op2 == "read":
@@ -186,14 +212,9 @@ class _Simulation:
         return out
 
 
-def _normalized_pair(A: Sra, B: Sra):
-    """Both operands normalized over one basis, sharing one table of
-    minterm sizes capped at one more than their slots together."""
-    if A.algebra is not B.algebra:
-        raise SraError("operands must share an algebra")
-    basis = minterm_basis(A, B)
-    sizes = capped_sizes(A.algebra, basis, len(A.registers) + len(B.registers) + 1)
-    return LazyNorm(A, basis, sizes), LazyNorm(B, basis, sizes), sizes
+def _normalized_pair(A: Sra, B: Sra, basis, sizes, coarse: bool):
+    """Both operands normalized over one basis and one table of sizes."""
+    return LazyNorm(A, basis, sizes, coarse), LazyNorm(B, basis, sizes, coarse)
 
 
 def _projected(A: Sra, B: Sra, sizes) -> frozenset:
@@ -206,41 +227,101 @@ def _projected(A: Sra, B: Sra, sizes) -> frozenset:
     return frozenset(m for m, k in enumerate(sizes) if k > 1)
 
 
-def _first_failure(S1: Sra, S2: Sra, both: bool):
-    """The first failing simulation, with its parent map and goal, or
-    None: of S1 by S2, then, when both is set, of S2 by S1, sharing one
-    basis and one pair of normalized automata.  The second run starts
-    without the minterms that ran out in the first.  Each right side
-    must be deterministic, so S1 must be too only when both is set."""
+def _first_failure(S1: Sra, S2: Sra, both: bool, replayed: bool):
+    """None when S2 simulates S1 and, when both is set, S1 simulates S2;
+    else, for the first direction that fails, its separating word when
+    replayed is set and True otherwise.  Each right side must be
+    deterministic, so S1 must be too only when both is set.
+
+    Both directions share one basis, one table of minterm sizes capped
+    at one more than the operands' slots together, and one pair of
+    normalized automata per view.  Each direction is searched on the
+    coarse view first: no failure there means none exists.  A coarse
+    failure stands when its replayed word separates the operands or,
+    for a bare verdict, when its path walks with exact slot minterms;
+    otherwise the exact search decides the direction.  Each view's next
+    run starts without the projected minterms that ran out in its last
+    one."""
     operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
     for S, side in operands:
         if not is_deterministic(S):
             raise SraError(f"{side} operand must be deterministic")
-    ln1, ln2, sizes = _normalized_pair(S1, S2)
-    projected = _projected(S1, S2, sizes)
-    for left, right in ((ln1, ln2), (ln2, ln1)) if both else ((ln1, ln2),):
-        sim = _Simulation(left, right, sizes, projected)
+    if S1.algebra is not S2.algebra:
+        raise SraError("operands must share an algebra")
+    basis = minterm_basis(S1, S2)
+    sizes = capped_sizes(S1.algebra, basis, len(S1.registers) + len(S2.registers) + 1)
+    coarse = _normalized_pair(S1, S2, basis, sizes, True)
+    exact = None
+    projected = exact_projected = _projected(S1, S2, sizes)
+    for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
+        sim = _Simulation(coarse[i], coarse[j], sizes, projected)
         parent, goal = sim.reach_accepts_alone()
-        if goal is not None:
-            return sim, parent, goal
         projected = sim.projected
+        if goal is None:
+            continue
+        if replayed:
+            word = _separating(sim, parent, goal)
+            if word is not None:
+                return word
+        elif _taken_exactly(sim, parent, goal):
+            return True
+        # the failure is spurious or unconfirmed
+        if exact is None:
+            exact = _normalized_pair(S1, S2, basis, sizes, False)
+        sim = _Simulation(exact[i], exact[j], sizes, exact_projected)
+        parent, goal = sim.reach_accepts_alone()
+        exact_projected = sim.projected
+        if goal is None:
+            continue
+        if not replayed:
+            return True
+        word = _separating(sim, parent, goal)
+        if word is None:
+            raise SraError("internal error: the replayed word does not separate the operands")
+        return word
     return None
 
 
-def _separating_word(S1: Sra, S2: Sra, both: bool) -> Optional[list]:
-    """`_first_failure`'s shortest path to a triple whose left side
-    accepts alone, replayed into a word and checked by membership, or
-    None."""
-    failure = _first_failure(S1, S2, both)
-    if failure is None:
-        return None
-    sim, parent, goal = failure
+def _taken_exactly(sim: _Simulation, parent, goal) -> bool:
+    """Does some word take the coarse search's path to goal?
+
+    The path is walked with each slot's exact minterm, read off the
+    initial abstractions and set by every fresh step.  A read needs its
+    slot to hold the step's minterm, and an input fresh to the left side
+    needs a value of the minterm that no moving side holds.  Values of
+    one minterm are interchangeable, so such a walk is a joint run, and
+    its left side accepts alone."""
+    sizes = sim.sizes
+    t1, t2 = ([next(iter(held), -1) for held in ln.initial[1]] for ln in (sim.ln1, sim.ln2))
+    nodes, steps = path(parent, goal)
+    for (_, _, sigma), (m, (side1, side2), *_) in zip(nodes, steps):
+        op1, r = side1
+        op2, s = side2 or (None, -1)
+        if op1 == "read" and t1[r] != m or op2 == "read" and t2[s] != m:
+            return False
+        if op1 == "fresh" and op2 != "read":
+            # distinct values of m held on the left and, unless it has
+            # stopped, on the right
+            held = t1.count(m)
+            if op2 is not None:
+                held += len([s2 for s2, i in enumerate(t2) if i == m and s2 not in sigma])
+            if held >= sizes[m]:
+                return False
+        if op1 == "fresh" and r >= 0:
+            t1[r] = m
+        if op2 == "fresh" and s >= 0:
+            t2[s] = m
+    return True
+
+
+def _separating(sim: _Simulation, parent, goal) -> Optional[list]:
+    """The word along the search's path to goal, replayed by
+    `normal.replay`, when there is one and membership finds it accepted
+    by the left operand alone; else None."""
     left, right = sim.ln1, sim.ln2
-    # the right side is deterministic, so its one run on the word either
-    # ends where it does not accept or stops at the dead end
     word = replay(left, [left.valuation, right.valuation], path(parent, goal)[1])
-    if not membership(left.S, word) or membership(right.S, word):
-        raise SraError("internal error: the replayed word does not separate the operands")
+    if word is None or not membership(left.S, word) or membership(right.S, word):
+        return None
     return word
 
 
@@ -251,7 +332,7 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     failure a separating word, accepted by S1 and rejected by S2, comes
     with the answer.
     """
-    word = _separating_word(S1, S2, both=False)
+    word = _first_failure(S1, S2, both=False, replayed=True)
     return word is None, word
 
 
@@ -259,13 +340,15 @@ def equivalent(S1: Sra, S2: Sra) -> bool:
     """Do both automata accept exactly the same words?
 
     Each side must simulate the other.  A failure is answered at the
-    goal of the failing simulation, without replaying a word.
+    goal of the failing simulation, without replaying a word: a coarse
+    failure counts once its path is walked with exact slot minterms,
+    and otherwise the exact search decides.
     """
-    return _first_failure(S1, S2, both=True) is None
+    return _first_failure(S1, S2, both=True, replayed=False) is None
 
 
 def separating_word(S1: Sra, S2: Sra) -> Optional[list]:
     """None when both automata accept the same words, else a word that
     exactly one accepts: `equivalent`'s one search, with its failure
     replayed.  Requires deterministic operands."""
-    return _separating_word(S1, S2, both=True)
+    return _first_failure(S1, S2, both=True, replayed=True)

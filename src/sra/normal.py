@@ -25,7 +25,10 @@ bound, the search is breadth-first.
 A path `reach` finds is walked back from its parent map once (`path`)
 and turned into a concrete word once (`replay`).  The simulation in
 `sra.equiv` is a graph that `reach` walks too, and it reuses `path` and
-`replay` for its failure traces and separating words.
+`replay` for its failure traces and separating words.  It runs first on
+a coarse view of `LazyNorm`, where each slot holds the set of minterms
+its value may lie in, so a path there need not have a word: `replay`
+then answers None.
 """
 
 from __future__ import annotations
@@ -75,12 +78,23 @@ class LazyNorm:
     read that `slot_moves` lists only as a coincidence.  `valuation` is
     the initial slot valuation.  `sizes`, when given, is the basis's
     `capped_sizes` table at any cap above the number of registers.
+
+    With `coarse` set, a slot forgets its minterm and holds instead the
+    frozenset of minterms its value may lie in: its initial value's
+    minterm, or all that the guard of the fresh move storing it admits.
+    Such a fresh move is always enabled and leads to one successor for
+    all of them, and a read of a slot fires on every minterm that lies
+    both in its guard and in the slot's set.  Every path of the exact
+    view is then a path of the coarse one, with the same moves and
+    minterms; `sra.equiv` searches the coarse view first.
     """
 
     def __init__(
         self, S: Sra, basis: Optional[MintermSet] = None, sizes: Optional[List[int]] = None,
+        coarse: bool = False,
     ):
         self.S = S
+        self.coarse = coarse
         self.algebra = S.algebra
         self.basis = minterm_basis(S) if basis is None else basis
         self.nregs = len(S.registers)
@@ -100,10 +114,16 @@ class LazyNorm:
             -1 if v is None else minterms.index(self.algebra.minterm_of(self.basis, v))
             for v in self.valuation
         )
+        if coarse:
+            # a coarse slot holds the set of minterms its value may lie in,
+            # one shared frozenset per guard, whose hash is computed once
+            self._sets = {t: frozenset(t) for t in self.inside.values()}
+            theta0 = tuple(frozenset() if i < 0 else frozenset({i}) for i in theta0)
         self.initial = ((S.initial, f0), theta0)
         self._rows = {}
         self._succ = {}
         self._succ_idx = {}
+        self._holders = {}
 
     def is_final(self, key) -> bool:
         return key[0][0] in self.S.finals
@@ -121,7 +141,19 @@ class LazyNorm:
             ]
         out = []
         for inside, op, r, coincidental, base2 in rows:
-            if op == "read":
+            if self.coarse:
+                if op == "read":
+                    held = theta[r]
+                    key2 = (base2, theta)
+                    for i in inside:
+                        if i in held:
+                            out.append((i, "read", r, coincidental, key2))
+                else:
+                    theta2 = theta if r < 0 else theta[:r] + (self._sets[inside],) + theta[r + 1:]
+                    key2 = (base2, theta2)
+                    for i in inside:
+                        out.append((i, "fresh", r, False, key2))
+            elif op == "read":
                 if theta[r] in inside:
                     out.append((theta[r], "read", r, coincidental, (base2, theta)))
             else:  # fresh, stored into r or, when r < 0, nowhere
@@ -146,6 +178,20 @@ class LazyNorm:
                     fresh.setdefault(m, []).append((r, k2))
             cached = (reads, fresh)
             self._succ_idx[key] = cached
+        return cached
+
+    def holders(self, theta) -> dict:
+        """Per minterm, the slots of abstraction theta that may hold one
+        of its values."""
+        cached = self._holders.get(theta)
+        if cached is None:
+            cached = {}
+            for s, held in enumerate(theta):
+                if not self.coarse:
+                    held = (held,) if held >= 0 else ()
+                for i in held:
+                    cached.setdefault(i, []).append(s)
+            self._holders[theta] = cached
         return cached
 
 
@@ -243,8 +289,9 @@ def path(parent, goal):
     return nodes, steps
 
 
-def replay(ln: LazyNorm, valuations, steps) -> list:
-    """A concrete word along matched steps over one or more valuations.
+def replay(ln: LazyNorm, valuations, steps) -> Optional[list]:
+    """A concrete word along matched steps over one or more valuations,
+    or None where a step's minterm has no member left to take.
 
     Each step starts (m, sides), with one (op, register) pair per
     valuation, or None for a side that has stopped moving; such a side
@@ -252,8 +299,11 @@ def replay(ln: LazyNorm, valuations, steps) -> list:
     register's value; otherwise the input is minterm m's least member
     that no moving side's valuation holds.  Every fresh side stores the
     input into its register, unless that register is negative.
+    Minterm m's least members are listed once per call, in witness
+    order, and the list grows only while every member on it is held.
     """
     vs = [list(v) for v in valuations]
+    least = {}
     word = []
     for m, sides, *_ in steps:
         live = [(v, side) for v, side in zip(vs, sides) if side is not None]
@@ -261,10 +311,16 @@ def replay(ln: LazyNorm, valuations, steps) -> list:
         if reads:
             a = reads[0]
         else:
-            a = ln.algebra.witness(
-                ln.basis.minterms[m].conjunction,
-                excluded=[x for v, _ in live for x in v if x is not None],
-            )
+            held = {x for v, _ in live for x in v}
+            members = least.setdefault(m, [])
+            a = next((x for x in members if x not in held), None)
+            while a is None:
+                a = ln.algebra.witness(ln.basis.minterms[m].conjunction, excluded=members)
+                if a is None:
+                    return None
+                members.append(a)
+                if a in held:
+                    a = None
         for v, (op, r) in live:
             if op != "read" and r >= 0:
                 v[r] = a

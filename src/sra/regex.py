@@ -2,9 +2,10 @@
 
 Supported syntax: literals, escapes (\\d \\s \\w and negations, \\.),
 character classes with ranges and negation, the any-character dot,
-alternation, * + {n} {n,m} quantifiers, capture groups and back-
-references \\1..\\99, read as `re` reads them: up to two digits name a
-group, which must be closed.  A referenced capture group must have one
+alternation, * + ? {n} {n,m} quantifiers (x? is x{0,1}), capture
+groups, (?:...) groups, which take no number, and back-references
+\\1..\\99, read as `re` reads them: up to two digits name a group, which
+must be closed.  A referenced capture group must have one
 fixed length: its j-th position compiles to a store into a dedicated
 register and each back-reference replays the group's registers as
 equality reads.  Unreferenced groups compile as plain subexpressions.
@@ -13,8 +14,10 @@ Patterns are anchored: the automaton's language is the set of whole
 strings the pattern matches.  Forms that `re` reads as something this
 parser does not support are refused with a RegexError, not read as
 plain characters: ^ and $ outside a class, octal escapes (\\0, three
-octal digits, and a digit escaped in a class), and a letter escaped in
-a class other than \\d \\s \\w and their negations.
+octal digits, and a digit escaped in a class), a letter escaped in a
+class other than \\d \\s \\w and their negations, one of those as a
+range end, a quantifier after a quantifier (lazy, possessive or
+stacked), and every (? form other than (?:...).
 """
 
 from __future__ import annotations
@@ -187,18 +190,29 @@ class _Parser:
 
     def repeatable(self):
         node = self.atom()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.take()
-                node = Star(node)
-            elif c == "+":
-                self.take()
-                node = Plus(node)
-            elif c == "{":
-                node = self.braces(node)
-            else:
-                return node
+        c = self.peek()
+        if c == "*":
+            self.take()
+            node = Star(node)
+        elif c == "+":
+            self.take()
+            node = Plus(node)
+        elif c == "?":
+            self.take()
+            node = Repeat(node, 0, 1)
+        elif c == "{":
+            node = self.braces(node)
+        else:
+            return node
+        # re reads a ? after a quantifier as lazy, a + as possessive, and
+        # refuses any other quantifier there
+        if self.peek() == "?":
+            raise self.error("lazy quantifiers are not supported")
+        if self.peek() == "+":
+            raise self.error("possessive quantifiers are not supported")
+        if self.peek_in("*{"):
+            raise self.error("multiple repeat")
+        return node
 
     def braces(self, node):
         self.expect("{")
@@ -230,6 +244,15 @@ class _Parser:
             raise self.error("unexpected end of pattern")
         if c == "(":
             self.take()
+            if self.peek() == "?":
+                # (?:...) groups without a number; every other (? form is refused
+                self.take()
+                if self.peek() != ":":
+                    raise self.error("only the (?:...) group extension is supported")
+                self.take()
+                node = self.alternation()
+                self.expect(")")
+                return node
             index = self.next_group
             self.next_group += 1
             node = self.alternation()
@@ -286,21 +309,32 @@ class _Parser:
         return Not(pred) if negated else pred
 
     def class_item(self) -> Predicate:
+        start = self.pos
         c = self.take()
         if c == "\\":
             if self.peek() in _CLASS_ESCAPES:
-                return _CLASS_ESCAPES[self.take()]
+                pred = _CLASS_ESCAPES[self.take()]
+                if self.range_follows():
+                    raise RegexError("bad character range: a class escape cannot start one", start)
+                return pred
             c = self.class_escape()
-        if self.peek() == "-" and self.pos + 1 < len(self.pattern) and \
-                self.pattern[self.pos + 1] != "]":
+        if self.range_follows():
             self.take()
             hi = self.take()
             if hi == "\\":
+                if self.peek() in _CLASS_ESCAPES:
+                    raise RegexError("bad character range: a class escape cannot end one",
+                                     self.pos - 1)
                 hi = self.class_escape()
             if ord(hi) < ord(c):
                 raise self.error(f"reversed range {c}-{hi}")
             return Interval(ord(c), ord(hi))
         return Atom(ord(c))
+
+    def range_follows(self) -> bool:
+        """Is the next class item's - a range's, not a literal hyphen?"""
+        return self.peek() == "-" and self.pos + 1 < len(self.pattern) and \
+            self.pattern[self.pos + 1] != "]"
 
     def class_escape(self) -> str:
         """The character escaped in a class.  `re` reads a digit there as

@@ -304,3 +304,19 @@ def test_11_positive_answers_at_six_and_nine_registers(monkeypatch):
     )
     assert equivalent(compiled["IP6"], compiled["IP6"])
     assert len(explored) == 2 * 44
+
+
+def test_12_positive_answers_at_three_to_six_registers():
+    # the coarse search forgets which one-element literal minterm a
+    # stored code character lies in, so it explores hundreds or
+    # thousands of triples where the exact search explores tens of
+    # thousands, or runs out of memory at six registers
+    rows = [
+        ("Pr-C3", 1.0), ("Pr-CL3", 1.0), ("Pr-C4", 1.0), ("Pr-CL4", 1.0),
+        ("Pr-C6", 5.0), ("Pr-CL6", 5.0),
+    ]
+    for name, budget in rows:
+        S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
+        t0 = time.process_time()
+        assert equivalent(S, S), name
+        assert time.process_time() - t0 < budget, name

@@ -303,10 +303,12 @@ def json_text(**changes):
         ("compile", "--pattern", "(1)(2)(3)(4)(5)(6)(7)(8)(9)-\\10"),
         ("compile", "--pattern", "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)\\123"),
         ("compile", "--pattern", "[\\1]"),
+        ("compile", "--pattern", "[\\d-z]"),
     ],
     ids=[
         "groups", "stars", "counts", "big_count", "big_build", "guard", "guard_above_cap",
         "div_lcm", "valuation", "anchor", "missing_group", "octal", "class_octal",
+        "class_escape_range",
     ],
 )
 def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):

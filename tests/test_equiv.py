@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,7 +7,8 @@ from sra.algebra import Div, Interval, INTEGERS
 from sra.boolean_ops import complete, union
 from sra.core import SraError, make_sra, membership
 from sra.equiv import correspondence_of, equivalent, includes, separating_word
-from sra.normal import is_deterministic, normalize
+from sra.normal import LazyNorm, is_deterministic, normalize
+from sra import regex as rx
 from sra.single_valued import to_single_valued
 
 from fixtures import (
@@ -196,18 +198,23 @@ def agree_with_brute_force(pool, words, seed):
 
 def test_includes_and_equivalent_agree_with_bounded_brute_force():
     # seed 47 catches a double count of the values both sides hold, and
-    # seed 50 a doubly-fresh cap cut to one side's registers
+    # seed 50 a doubly-fresh cap cut to one side's registers; seeds 17
+    # and 23 catch a coarse search that drops the classes of the right
+    # side's uncorrelated values
     words = [tuple(w) for w in words_up_to(range(0, 4), 3)]
-    for seed in (47, 50):
+    for seed in (47, 50, 17, 23):
         agree_with_brute_force(deterministic_pool(seed, 14), words, seed)
     # equality-only chains take unread inputs fresh to both sides, and
     # restart where a small minterm runs out of such values: seed 5
     # catches a search that takes them fresh anyway, seed 128 one that
-    # drops the move instead of restarting.  Every guard lies in [0,2]
+    # drops the move instead of restarting.  At seed 11 the most coarse
+    # failures go to the exact search, and seed 22 catches an `equivalent`
+    # that confirms a coarse failure without checking the minterms its
+    # path reads.  Every guard lies in [0,2]
     # and no chain has more than four moves, so these words are all of
     # their languages
     words = [tuple(w) for w in words_up_to(range(0, 3), 4)]
-    for seed in (5, 60, 128):
+    for seed in (5, 60, 128, 11, 22):
         rng = random.Random(seed)
         agree_with_brute_force([random_equality_chain(rng) for _ in range(12)], words, seed)
 
@@ -336,3 +343,48 @@ def test_an_operand_with_a_disequality_keeps_every_coincidence():
     assert includes(R, L) == (True, None)
     assert not equivalent(L, R)
     assert not equivalent(R, L)
+
+
+def test_spurious_coarse_failures_fall_back_to_the_exact_search(monkeypatch):
+    # the coarse view forgets which one-element minterm of [ab] a stored
+    # value lies in, so its search fails in both orders; the exact search,
+    # built only then, proves inclusion
+    views = []
+
+    class RecordingLazyNorm(LazyNorm):
+        def __init__(self, *args):
+            views.append("coarse" if args[3] else "exact")
+            super().__init__(*args)
+
+    monkeypatch.setattr("sra.equiv.LazyNorm", RecordingLazyNorm)
+    A, B = rx.compile(r"([ab])\1").sra, rx.compile("aa|bb").sra
+    for S1, S2 in ((A, B), (B, A)):
+        views.clear()
+        assert includes(S1, S2) == (True, None)
+        assert views == ["coarse", "coarse", "exact", "exact"]
+    assert equivalent(A, B) and separating_word(A, B) is None
+    # Pr-CL2's coarse failure against Pr-C2 is spurious too, and the exact
+    # search keeps its shortest word
+    p1, p2 = rx.BENCHMARK_PATTERNS["Pr-CL2"], rx.BENCHMARK_PATTERNS["Pr-C2"]
+    S1, S2 = rx.compile(p1).sra, rx.compile(p2).sra
+    views.clear()
+    ok, word = includes(S1, S2)
+    assert not ok and len(word) == 23
+    assert views == ["coarse", "coarse", "exact", "exact"]
+    text = "".join(map(chr, word))
+    assert membership(S1, word) and re.fullmatch(p1, text, re.ASCII)
+    assert not membership(S2, word) and not re.fullmatch(p2, text, re.ASCII)
+
+
+def test_coarse_search_forgets_which_literal_minterm_a_code_character_lies_in(monkeypatch):
+    # Pr-C2 stores two code characters that its literals split into many
+    # one-element minterms; the exact search keeps 1,088 triples per
+    # direction apart by them, and the coarse search 48
+    explored = []
+    successor_index = LazyNorm.successor_index
+    monkeypatch.setattr(
+        LazyNorm, "successor_index", lambda ln, key: explored.append(key) or successor_index(ln, key)
+    )
+    S = rx.compile(rx.BENCHMARK_PATTERNS["Pr-C2"]).sra
+    assert equivalent(S, S)
+    assert len(explored) == 2 * 48

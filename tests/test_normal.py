@@ -17,6 +17,7 @@ from sra.normal import (
     reach,
 )
 from sra.core import SraError
+from sra.equiv import includes
 from sra.single_valued import to_single_valued
 
 from fixtures import (
@@ -297,6 +298,70 @@ def test_emptiness_agrees_with_brute_force_on_random_automata():
             assert membership(S, w)
         else:
             assert not found
+
+
+def replay_by_witness(ln, valuations, steps):
+    """`normal.replay`'s word, with one witness call per fresh step on the
+    minterm with every held value excluded."""
+    vs = [list(v) for v in valuations]
+    word = []
+    for m, sides, *_ in steps:
+        live = [(v, side) for v, side in zip(vs, sides) if side is not None]
+        reads = [v[r] for v, (op, r) in live if op == "read"]
+        if reads:
+            a = reads[0]
+        else:
+            excluded = [x for v, _ in live for x in v if x is not None]
+            a = ln.algebra.witness(ln.basis.minterms[m].conjunction, excluded=excluded)
+        for v, (op, r) in live:
+            if op != "read" and r >= 0:
+                v[r] = a
+        word.append(a)
+    return word
+
+
+def test_replay_takes_the_least_free_members_as_a_witness_per_step_does(monkeypatch):
+    # every stock emptiness witness, and every path that inclusion
+    # replays between stock pairs, coarse or exact; a coarse path may
+    # need a member that its minterm does not have, and is then None
+    replayed = []
+    replay = normal.replay
+
+    def checked(ln, valuations, steps):
+        word = replay(ln, valuations, steps)
+        expected = replay_by_witness(ln, valuations, steps)
+        assert word == (None if None in expected else expected)
+        replayed.append(word)
+        return word
+
+    monkeypatch.setattr("sra.normal.replay", checked)
+    monkeypatch.setattr("sra.equiv.replay", checked)
+    stock = {name: rx.compile(p).sra for name, p in rx.BENCHMARK_PATTERNS.items()}
+    for S in stock.values():
+        assert not is_empty(S)[0]
+    pairs = [("Pr-CL2", "Pr-C2"), ("Pr-C3", "Pr-CL3"), ("IP3", "IP4"), ("Name-F", "Name-L"),
+             ("XML", "Name")]
+    for n1, n2 in pairs:
+        for S1, S2 in ((stock[n1], stock[n2]), (stock[n2], stock[n1])):
+            includes(S1, S2)
+    rx1, rx2 = rx.compile(r"([ab])\1").sra, rx.compile("aa|bb").sra
+    includes(rx1, rx2)
+    assert len(replayed) >= 19 + 2 * len(pairs)
+
+
+def test_replay_answers_none_where_a_minterm_runs_out():
+    # three fresh inputs of [0,1] taken apart: the third has no member left
+    g = Interval(0, 1)
+    S = make_sra(INTEGERS, ["r", "t"], ["0", "1", "2", "3"], "0", {}, ["3"], [
+        ("0", g, (), ("r", "t"), ("r",), "1"),
+        ("1", g, (), ("r", "t"), ("t",), "2"),
+        ("2", g, (), ("r", "t"), (), "3"),
+    ])
+    ln = LazyNorm(S)
+    m = next(i for i in range(len(ln.basis.minterms)) if ln.sizes[i] == 2)
+    steps = [(m, (("fresh", 0),)), (m, (("fresh", 1),))]
+    assert normal.replay(ln, [ln.valuation], steps) == [0, 1]
+    assert normal.replay(ln, [ln.valuation], steps + [(m, (("fresh", -1),))]) is None
 
 
 def goal_depths(S):

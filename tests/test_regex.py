@@ -78,14 +78,49 @@ TWELVE_GROUPS = "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)"
         (r"\0", 2, "\x00", "0"),
         # re counts repeats in ASCII digits only, and reads this { as itself
         ("a{\u0663}", 2, "a{\u0663}", "aaa"),
+        # re refuses a class escape as a range end, where a literal hyphen
+        # would match -
+        (r"[\d-z]", 1, None, "-"),
+        (r"[\s-a]", 1, None, "-"),
+        (r"[a-\d]", 3, None, "-"),
+        # a quantifier after a quantifier is lazy, possessive or refused
+        ("a*?", 2, "aa", "a?"),
+        ("a??", 2, "a", "a?"),
+        ("a{1,2}?", 6, "aa", "a?"),
+        ("a*+", 2, "aa", "a+"),
+        ("a?*", 2, None, "a"),
+        # the (? forms other than (?:...) are not groups
+        ("(?=a)a", 2, "a", "?=a"),
+        ("(?i)a", 2, "A", "?ia"),
+        ("(?P<x>a)", 2, "a", "P<x>a"),
     ],
 )
 def test_forms_re_reads_otherwise_are_refused(pattern, position, accepted, rejected):
-    assert re.fullmatch(pattern, accepted, re.ASCII)
-    assert not re.fullmatch(pattern, rejected, re.ASCII)
+    # accepted None: re refuses the pattern too
+    if accepted is None:
+        with pytest.raises(re.error):
+            re.compile(pattern)
+    else:
+        assert re.fullmatch(pattern, accepted, re.ASCII)
+        assert not re.fullmatch(pattern, rejected, re.ASCII)
     with pytest.raises(rx.RegexError) as exc:
         rx.compile(pattern)
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "ab?c", "(a|b)?c", "a?a?a", "(ab)?b?", "(a)b?\\1","(?:ab)*c", "(?:a|b)+c?",
+        "(?:)a", "(?:a)(b)\\1", "(?:(a)b)\\1", r"[\w-]+", r"[-\d]b?", r"[\s-]a",
+    ],
+)
+def test_optional_and_numberless_groups_agree_with_re(pattern):
+    # (?:...) takes no group number, so \1 in (?:a)(b)\1 refers to (b)
+    cp = rx.compile(pattern)
+    for w in words_up_to("ab1- ", 4):
+        text = "".join(w)
+        assert rx.match(cp, text) == bool(re.fullmatch(pattern, text, re.ASCII)), text
 
 
 @pytest.mark.parametrize(
