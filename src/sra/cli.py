@@ -74,7 +74,10 @@ def _word(S: Sra, args) -> list:
         return [ord(c) for c in text]
     stripped = text.strip()
     if stripped.startswith("["):
-        word = list(json.loads(stripped))
+        try:
+            word = list(json.loads(stripped))
+        except RecursionError:
+            raise UsageError("input word nested too deeply") from None
     else:
         word = [int(x) for x in stripped.replace(",", " ").split()]
     for a in word:

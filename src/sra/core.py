@@ -373,6 +373,8 @@ def loads(text: str) -> Sra:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise SraError(f"not valid JSON: {e}") from e
+    except RecursionError:
+        raise SraError("JSON nested too deeply") from None
     return from_json_dict(d)
 
 

@@ -23,10 +23,12 @@ refused: inclusion between nondeterministic register automata is
 undecidable in general.  Inclusion and equivalence take one route:
 inclusion runs the one-way simulation, equivalence runs it in both
 directions over one shared basis and one pair of lazily normalized
-automata per view.  `includes` and `separating_word`, the sibling of
-`equivalent`, replay a failure into a separating word: the search's
-parent map is walked back with `normal.path`, and the matched steps are
-turned into the word by `normal.replay`.
+automata per view, and both stop at the first failing search.
+`includes` and `separating_word`, the sibling of `equivalent`, replay
+that failure into a separating word: the search's parent map is walked
+back with `normal.path`, the matched steps are turned into the word by
+`normal.replay`, and `membership` checks that the word separates the
+operands.
 
 Each direction is searched first on the coarse view of
 `normal.LazyNorm`, where a slot holds the set of minterms its value may
@@ -40,14 +42,12 @@ exists on the coarse view whenever it exists on the exact one, and only
 then, since both views fire a read on the same rows when the slot's
 set holds the input's minterm.  So every exact path, dead ends
 included, is a coarse path, and a coarse search without failure proves
-the direction.  A coarse failure may be spurious.  `includes` and
-`separating_word` replay it, and keep its word when `membership` finds
-that it separates the operands: the coarse search is shortest over more
-paths, so that word is as short as the exact search's.  `equivalent`
-walks the path with exact slot minterms instead (`_taken_exactly`),
-without a word.  A spurious or unconfirmed failure goes to the exact
-search, which is unchanged, so negative answers stay exact and
-shortest.
+the direction.  A coarse failure may be spurious, and all three verbs
+confirm it by one rule: it stands when its path walks with exact slot
+minterms (`_taken_exactly`).  The coarse search is shortest over more
+paths, so a confirmed failure's word is as short as the exact
+search's.  An unconfirmed failure goes to the exact search, which is
+unchanged, so negative answers stay exact and shortest.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
@@ -212,11 +212,6 @@ class _Simulation:
         return out
 
 
-def _normalized_pair(A: Sra, B: Sra, basis, sizes, coarse: bool):
-    """Both operands normalized over one basis and one table of sizes."""
-    return LazyNorm(A, basis, sizes, coarse), LazyNorm(B, basis, sizes, coarse)
-
-
 def _projected(A: Sra, B: Sra, sizes) -> frozenset:
     """The minterms in which inclusion and equivalence take an input the
     left side does not read as fresh to both sides: every minterm with
@@ -227,21 +222,20 @@ def _projected(A: Sra, B: Sra, sizes) -> frozenset:
     return frozenset(m for m, k in enumerate(sizes) if k > 1)
 
 
-def _first_failure(S1: Sra, S2: Sra, both: bool, replayed: bool):
+def _first_failure(S1: Sra, S2: Sra, both: bool):
     """None when S2 simulates S1 and, when both is set, S1 simulates S2;
-    else, for the first direction that fails, its separating word when
-    replayed is set and True otherwise.  Each right side must be
-    deterministic, so S1 must be too only when both is set.
+    else the first failing direction's search, (sim, parent, goal).
+    Each right side must be deterministic, so S1 must be too only when
+    both is set.
 
     Both directions share one basis, one table of minterm sizes capped
     at one more than the operands' slots together, and one pair of
     normalized automata per view.  Each direction is searched on the
     coarse view first: no failure there means none exists.  A coarse
-    failure stands when its replayed word separates the operands or,
-    for a bare verdict, when its path walks with exact slot minterms;
-    otherwise the exact search decides the direction.  Each view's next
-    run starts without the projected minterms that ran out in its last
-    one."""
+    failure stands when its path walks with exact slot minterms
+    (`_taken_exactly`); otherwise the exact search decides, and its
+    failure always stands.  Each view's next run starts without the
+    projected minterms that ran out in its last one."""
     operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
     for S, side in operands:
         if not is_deterministic(S):
@@ -250,35 +244,19 @@ def _first_failure(S1: Sra, S2: Sra, both: bool, replayed: bool):
         raise SraError("operands must share an algebra")
     basis = minterm_basis(S1, S2)
     sizes = capped_sizes(S1.algebra, basis, len(S1.registers) + len(S2.registers) + 1)
-    coarse = _normalized_pair(S1, S2, basis, sizes, True)
-    exact = None
-    projected = exact_projected = _projected(S1, S2, sizes)
+    views = {}
+    projected = dict.fromkeys((True, False), _projected(S1, S2, sizes))
     for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
-        sim = _Simulation(coarse[i], coarse[j], sizes, projected)
-        parent, goal = sim.reach_accepts_alone()
-        projected = sim.projected
-        if goal is None:
-            continue
-        if replayed:
-            word = _separating(sim, parent, goal)
-            if word is not None:
-                return word
-        elif _taken_exactly(sim, parent, goal):
-            return True
-        # the failure is spurious or unconfirmed
-        if exact is None:
-            exact = _normalized_pair(S1, S2, basis, sizes, False)
-        sim = _Simulation(exact[i], exact[j], sizes, exact_projected)
-        parent, goal = sim.reach_accepts_alone()
-        exact_projected = sim.projected
-        if goal is None:
-            continue
-        if not replayed:
-            return True
-        word = _separating(sim, parent, goal)
-        if word is None:
-            raise SraError("internal error: the replayed word does not separate the operands")
-        return word
+        for coarse in (True, False):
+            if coarse not in views:
+                views[coarse] = [LazyNorm(S, basis, sizes, coarse) for S in (S1, S2)]
+            sim = _Simulation(views[coarse][i], views[coarse][j], sizes, projected[coarse])
+            parent, goal = sim.reach_accepts_alone()
+            projected[coarse] = sim.projected
+            if goal is None:
+                break
+            if not coarse or _taken_exactly(sim, parent, goal):
+                return sim, parent, goal
     return None
 
 
@@ -314,14 +292,14 @@ def _taken_exactly(sim: _Simulation, parent, goal) -> bool:
     return True
 
 
-def _separating(sim: _Simulation, parent, goal) -> Optional[list]:
-    """The word along the search's path to goal, replayed by
-    `normal.replay`, when there is one and membership finds it accepted
-    by the left operand alone; else None."""
+def _separating(sim: _Simulation, parent, goal) -> list:
+    """The word along a failing search's path to goal, replayed by
+    `normal.replay` and checked by `membership` to be accepted by the
+    left operand alone."""
     left, right = sim.ln1, sim.ln2
     word = replay(left, [left.valuation, right.valuation], path(parent, goal)[1])
     if word is None or not membership(left.S, word) or membership(right.S, word):
-        return None
+        raise SraError("internal error: the replayed word does not separate the operands")
     return word
 
 
@@ -332,23 +310,22 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
     failure a separating word, accepted by S1 and rejected by S2, comes
     with the answer.
     """
-    word = _first_failure(S1, S2, both=False, replayed=True)
-    return word is None, word
+    failure = _first_failure(S1, S2, both=False)
+    return failure is None, failure and _separating(*failure)
 
 
 def equivalent(S1: Sra, S2: Sra) -> bool:
     """Do both automata accept exactly the same words?
 
     Each side must simulate the other.  A failure is answered at the
-    goal of the failing simulation, without replaying a word: a coarse
-    failure counts once its path is walked with exact slot minterms,
-    and otherwise the exact search decides.
+    goal of the failing simulation, without replaying a word.
     """
-    return _first_failure(S1, S2, both=True, replayed=False) is None
+    return _first_failure(S1, S2, both=True) is None
 
 
 def separating_word(S1: Sra, S2: Sra) -> Optional[list]:
     """None when both automata accept the same words, else a word that
     exactly one accepts: `equivalent`'s one search, with its failure
     replayed.  Requires deterministic operands."""
-    return _first_failure(S1, S2, both=True, replayed=True)
+    failure = _first_failure(S1, S2, both=True)
+    return failure and _separating(*failure)

@@ -8,7 +8,9 @@ groups, (?:...) groups, which take no number, and back-references
 must be closed.  A referenced capture group must have one
 fixed length: its j-th position compiles to a store into a dedicated
 register and each back-reference replays the group's registers as
-equality reads.  Unreferenced groups compile as plain subexpressions.
+equality reads.  A reference to a group of length 0 is refused: `re`
+fails it where the group took no part, and no register records that.
+Unreferenced groups compile as plain subexpressions.
 
 Patterns are anchored: the automaton's language is the set of whole
 strings the pattern matches.  Forms that `re` reads as something this
@@ -22,7 +24,7 @@ stacked), and every (? form other than (?:...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
@@ -104,6 +106,7 @@ class Group:
 @dataclass(frozen=True)
 class Backref:
     index: int
+    position: int = field(default=0, compare=False)  # of its backslash
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +277,7 @@ class _Parser:
         return Lit(c)
 
     def escape(self):
+        start = self.pos
         self.expect("\\")
         c = self.take()
         if c in _CLASS_ESCAPES:
@@ -289,7 +293,7 @@ class _Parser:
             index = int(ref)
             if index not in self.closed_groups:
                 raise self.error(f"back-reference to unopened group {index}")
-            return Backref(index)
+            return Backref(index, start)
         if c.isalpha():
             raise self.error(f"unknown escape \\{c}")
         return Lit(c)
@@ -358,9 +362,10 @@ def parse(pattern: str):
 
 
 def _collect(node, groups: dict, referenced: set):
+    """Fill groups, in the order they close, and the referenced indices."""
     if isinstance(node, Group):
-        groups[node.index] = node.item
         _collect(node.item, groups, referenced)
+        groups[node.index] = node.item
     elif isinstance(node, Backref):
         referenced.add(node.index)
     elif isinstance(node, (Concat, Alt)):
@@ -537,6 +542,10 @@ class _Builder:
                 return end
             return self.build(node.item, src)
         if isinstance(node, Backref):
+            if not self.group_lengths[node.index]:
+                # no register records whether such a group took part
+                raise RegexError(f"back-reference to group {node.index}, which matches"
+                                 " only the empty string", node.position)
             for j in range(self.group_lengths[node.index]):
                 src = self.consume(src, TRUE, reads=(self.registers[(node.index, j)],))
             return src
@@ -589,8 +598,10 @@ def _compile(ast_or_pattern) -> CompiledPattern:
     groups: dict = {}
     referenced: set = set()
     _collect(ast, groups, referenced)
+    # a group closes before any reference to it, so the lengths of the
+    # groups its body refers to are known by then
     group_lengths = {}
-    for g in sorted(referenced):
+    for g in (g for g in groups if g in referenced):
         n = fixed_length(groups[g], group_lengths)
         if n is None:
             raise SraError(

@@ -304,11 +304,12 @@ def json_text(**changes):
         ("compile", "--pattern", "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)\\123"),
         ("compile", "--pattern", "[\\1]"),
         ("compile", "--pattern", "[\\d-z]"),
+        ("empty", "--sra", "[" * 100_000),
     ],
     ids=[
         "groups", "stars", "counts", "big_count", "big_build", "guard", "guard_above_cap",
         "div_lcm", "valuation", "anchor", "missing_group", "octal", "class_octal",
-        "class_escape_range",
+        "class_escape_range", "nested_json",
     ],
 )
 def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):
@@ -345,8 +346,8 @@ def test_guards_nested_at_the_cap_go_through_every_verb(tmp_path, capsys, verb, 
 
 
 @pytest.mark.parametrize(
-    "text", ['["a"]', "[1.5]", "[true]", "[null]", "[[1]]", "[1e400]"],
-    ids=["string", "float", "bool", "null", "list", "overflow"],
+    "text", ['["a"]', "[1.5]", "[true]", "[null]", "[[1]]", "[1e400]", "[" * 100_000],
+    ids=["string", "float", "bool", "null", "list", "overflow", "nested"],
 )
 def test_member_rejects_symbols_outside_the_domain(tmp_path, capsys, text):
     # store any first symbol, then read it back: every non-empty word of

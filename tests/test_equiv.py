@@ -363,6 +363,12 @@ def test_spurious_coarse_failures_fall_back_to_the_exact_search(monkeypatch):
         assert includes(S1, S2) == (True, None)
         assert views == ["coarse", "coarse", "exact", "exact"]
     assert equivalent(A, B) and separating_word(A, B) is None
+    # a nondeterministic left operand's coarse failure may replay to a
+    # separating word and still not walk with exact slot minterms: it
+    # goes to the exact search too
+    views.clear()
+    assert includes(rx.compile(r"(.).*\1").sra, rx.compile(r"\d.+").sra) == (False, [0, 0])
+    assert views == ["coarse", "coarse", "exact", "exact"]
     # Pr-CL2's coarse failure against Pr-C2 is spurious too, and the exact
     # search keeps its shortest word
     p1, p2 = rx.BENCHMARK_PATTERNS["Pr-CL2"], rx.BENCHMARK_PATTERNS["Pr-C2"]

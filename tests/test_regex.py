@@ -93,6 +93,10 @@ TWELVE_GROUPS = "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)"
         ("(?=a)a", 2, "a", "?=a"),
         ("(?i)a", 2, "A", "?ia"),
         ("(?P<x>a)", 2, "a", "P<x>a"),
+        # re fails a reference to a group that took no part, and no
+        # register records whether a group of length 0 did
+        (r"()b|\1", 4, "b", ""),
+        (r"(a|()b)\2", 7, "b", "a"),
     ],
 )
 def test_forms_re_reads_otherwise_are_refused(pattern, position, accepted, rejected):
@@ -131,6 +135,8 @@ def test_optional_and_numberless_groups_agree_with_re(pattern):
         (r"(a)\1{2}", ["aaa", "aa"]),
         (r"\^a\$", ["^a$", "a"]),
         (r"[^$]b[$]", ["ab$", "$b$", "ab"]),
+        # group 1 refers to group 2, which closes first
+        (r"((a)\2)\1", ["aaaa", "aa", "aaa", "aaaaa"]),
     ],
 )
 def test_references_and_escaped_anchors_agree_with_re(pattern, texts):
@@ -318,6 +324,57 @@ def test_backref_patterns_agree_with_backtracker_exhaustively():
         for w in words_up_to("abc1", 4):
             text = "".join(w)
             assert rx.match(cp, text) == backtrack_match(ast, text), (pattern, text)
+
+
+FUZZ_ATOMS = ["a", "b", "-", "1", ".", r"\d", r"\w", r"\W", "[ab]", "[^a]", "[a-b1]", "[-1]"]
+FUZZ_QUANTIFIERS = ["*", "+", "?", "{0}", "{1}", "{2}", "{0,1}", "{1,2}", "{0,2}"]
+
+
+def random_pattern(rng):
+    """A pattern of the supported grammar, groups nested two deep, whose
+    back-references name groups already opened."""
+    groups = 0
+
+    def alternation(depth):
+        return "|".join(concatenation(depth) for _ in range(rng.choice((1, 1, 1, 2))))
+
+    def concatenation(depth):
+        return "".join(repeatable(depth) for _ in range(rng.randint(0, 3)))
+
+    def repeatable(depth):
+        item = atom(depth)
+        return item + rng.choice(FUZZ_QUANTIFIERS) if rng.random() < 0.3 else item
+
+    def atom(depth):
+        nonlocal groups
+        roll = rng.random()
+        if depth and roll < 0.35:
+            if roll < 0.25:
+                groups += 1
+                return "(" + alternation(depth - 1) + ")"
+            return "(?:" + alternation(depth - 1) + ")"
+        if groups and roll < 0.6:
+            return "\\%d" % rng.randint(1, groups)
+        return rng.choice(FUZZ_ATOMS)
+
+    return alternation(2)
+
+
+def test_random_patterns_agree_with_re_or_are_refused():
+    # differential testing against re (McKeeman 1998): a pattern either
+    # matches every text up to length 4 over ab-1 as re.fullmatch does,
+    # or is refused with an SraError where re may accept it
+    texts = ["".join(w) for w in words_up_to("ab-1", 4)]
+    rng = random.Random(0)
+    for _ in range(1200):
+        pattern = random_pattern(rng)
+        try:
+            cp = rx.compile(pattern)
+        except SraError:
+            continue
+        expected = re.compile(pattern, re.ASCII)
+        for text in texts:
+            assert rx.match(cp, text) == bool(expected.fullmatch(text)), (pattern, text)
 
 
 def test_nondeterministic_pattern_falls_back_to_config_search():
