@@ -51,24 +51,34 @@ unchanged, so negative answers stay exact and shortest.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
-regex-compiled automaton, take canonical fresh inputs.  An input that
-the left move does not read, in a minterm with more than one element,
-is taken fresh to every value either side holds: the left side's
-coincidental reads of such inputs are dropped, and so are the classes
-of the right side's uncorrelated values.  This stays exact.  Renaming
-such an input of a separating word to a value fresh to both sides keeps
-the left run, and lets the deterministic right side take no move it
-would not take on the original word, so a shortest separating word
-survives the renaming.  The right side keeps its coincidental reads, since they
-fire on values that the left side reads from a correlated slot.  A
-minterm with at least one more element than both sides' registers
-together always has such a value.  Where a smaller one has none at some
-triple, the search drops it from the projected minterms and starts
-over.  One-element minterms, dead ends and operands with a disequality
-keep every coincidence.  On the coarse view the left slots plus the
+regex-compiled automaton, take canonical fresh inputs.  At a triple
+where a minterm with more than one element has a value fresh to both
+sides, an input of it that the left move does not read is taken to be
+such a value: the left side's coincidental reads of it are dropped, and
+so are the classes of the right side's uncorrelated values.  The right
+side keeps its coincidental reads, since they fire on values that the
+left side reads from a correlated slot.  Where the minterm has no such
+value, that one move keeps every class.  One-element minterms, dead
+ends and operands with a disequality keep every coincidence.
+
+This stays exact and shortest.  The search takes only steps of the
+full simulation, so its failures are real.  Conversely, let w be a
+shortest separating word and i the first position where the search
+skips w's step: the left move does not read w[i], and w[i] is not
+fresh to both sides though its minterm has such a value b there.
+Renaming w[i] to b, with the later inputs that read that copy back,
+keeps the left run, as an equality-only move tests no disequality, and
+lets the deterministic right side take no move it would not take on w.
+The renamed word separates, has w's length, asks for a fresh value at
+triple i only and keeps every triple up to i.  So renaming left to
+right ends, within len(w) steps, in a word whose whole joint run the
+search takes: a minterm that runs out at one triple, and has a fresh
+value again once a store overwrites the slots holding it, is decided at
+each triple on its own.  On the coarse view the left slots plus the
 uncorrelated right slots whose sets hold a minterm bound the values of
-it held, so the search drops the minterm once that bound reaches its
-size, and wherever it takes a value fresh to both sides one exists.
+it held.  Below the minterm's size every exact triple that the coarse
+one stands for has a fresh value; elsewhere the move keeps every class,
+the fresh one included, so every exact path is still a coarse path.
 """
 
 from __future__ import annotations
@@ -104,14 +114,6 @@ def _equality_only(S: Sra) -> bool:
     return all(not lab.I and len(lab.E) <= 1 for _, lab, _ in S.transitions)
 
 
-class _NoFreshValue(Exception):
-    """A projected minterm has no value fresh to both sides at a triple."""
-
-    def __init__(self, minterm: int):
-        super().__init__(minterm)
-        self.minterm = minterm
-
-
 class _Simulation:
     """The one-way simulation of ln1 by ln2 as a graph for `normal.reach`.
 
@@ -126,14 +128,15 @@ class _Simulation:
     end (left key, None, ()), where only the left side moves on.  The
     step into a dead end keeps the class as its right move, so that the
     replayed input lies in it; the steps out of one have None there.
-    In a projected minterm, a left move that does not read has the
-    doubly-fresh class only, and a coincidental read none.  Both sides
+    Where a projected minterm has a value fresh to both sides, a left
+    move that does not read has the doubly-fresh class only, and a
+    coincidental read none; elsewhere both keep every class.  Both sides
     are exact or both coarse; on the coarse view "holding its minterm"
     means a slot whose set holds it, and the doubly-fresh class is
-    always there outside the projected minterms.
+    always there unless the canonical input is taken.
     """
 
-    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, projected=frozenset()):
+    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, projected: frozenset):
         self.ln1 = ln1
         self.ln2 = ln2
         # sizes[i] counts minterm i's elements up to one more than both
@@ -141,7 +144,7 @@ class _Simulation:
         # on both sides exists
         self.sizes = sizes
         # minterms in which an input the left side does not read is taken
-        # fresh to both sides (see `_projected`)
+        # fresh to both sides where one exists (see `_projected`)
         self.projected = projected
         self.initial = (
             ln1.initial,
@@ -156,16 +159,9 @@ class _Simulation:
 
     def reach_accepts_alone(self):
         """`normal.reach` up to a nearest triple whose left side accepts
-        alone, guided by the left state's distance to a final state.
-
-        A projected minterm that runs out of values fresh to both sides
-        leaves the projected set, and the search starts over."""
+        alone, guided by the left state's distance to a final state."""
         dist = final_distances(self.ln1.S)
-        while True:
-            try:
-                return reach(self, self.accepts_alone, lambda triple: dist[triple[0][0][0]])
-            except _NoFreshValue as exc:
-                self.projected = self.projected - {exc.minterm}
+        return reach(self, self.accepts_alone, lambda triple: dist[triple[0][0][0]])
 
     def successors(self, triple):
         key1, key2, sigma = triple
@@ -180,24 +176,23 @@ class _Simulation:
         held2 = self.ln2.holders(key2[1])
         out = []
         for m, op, r, coincidental, key1b in self.ln1.successors(key1):
-            if op == "read" and not (coincidental and m in projected):
-                s = sigma[r]
-                classes = [("read", s)] if s >= 0 else [("fresh", -1)]
-            else:
+            classes = None
+            if op != "read" or coincidental and m in projected:
                 right_only = [s for s in held2.get(m, ()) if s not in sigma]
                 # distinct values of m held on either side, or on the
                 # coarse view a bound on them
                 fresh = len(held1.get(m, ())) + len(right_only) < self.sizes[m]
-                if m in projected:
-                    if not fresh:
-                        raise _NoFreshValue(m)
+                if fresh and m in projected:
                     if op == "read":
                         continue  # the move's fresh variant stands for it
                     classes = [("fresh", -1)]
-                else:
+                elif op != "read":
                     classes = [("read", s) for s in right_only]
                     if fresh or self.ln1.coarse:
                         classes.append(("fresh", -1))
+            if classes is None:  # a read, coincidental too where m has none fresh
+                s = sigma[r]
+                classes = [("read", s)] if s >= 0 else [("fresh", -1)]
             for op2, s in classes:
                 if op2 == "read":
                     moves = [(s, k2b) for k2b in reads2.get((s, m), ())]
@@ -214,9 +209,9 @@ class _Simulation:
 
 def _projected(A: Sra, B: Sra, sizes) -> frozenset:
     """The minterms in which inclusion and equivalence take an input the
-    left side does not read as fresh to both sides: every minterm with
-    more than one element, when both operands are equality-only, and
-    none otherwise."""
+    left side does not read as fresh to both sides, where such a value
+    exists: every minterm with more than one element, when both operands
+    are equality-only, and none otherwise."""
     if not (_equality_only(A) and _equality_only(B)):
         return frozenset()
     return frozenset(m for m, k in enumerate(sizes) if k > 1)
@@ -234,8 +229,9 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     coarse view first: no failure there means none exists.  A coarse
     failure stands when its path walks with exact slot minterms
     (`_taken_exactly`); otherwise the exact search decides, and its
-    failure always stands.  Each view's next run starts without the
-    projected minterms that ran out in its last one."""
+    failure always stands.  Every search takes the same projected
+    minterms, deciding per triple whether a fresh value stands for
+    their unread inputs."""
     operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
     for S, side in operands:
         if not is_deterministic(S):
@@ -245,14 +241,13 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     basis = minterm_basis(S1, S2)
     sizes = capped_sizes(S1.algebra, basis, len(S1.registers) + len(S2.registers) + 1)
     views = {}
-    projected = dict.fromkeys((True, False), _projected(S1, S2, sizes))
+    projected = _projected(S1, S2, sizes)
     for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
         for coarse in (True, False):
             if coarse not in views:
                 views[coarse] = [LazyNorm(S, basis, sizes, coarse) for S in (S1, S2)]
-            sim = _Simulation(views[coarse][i], views[coarse][j], sizes, projected[coarse])
+            sim = _Simulation(views[coarse][i], views[coarse][j], sizes, projected)
             parent, goal = sim.reach_accepts_alone()
-            projected[coarse] = sim.projected
             if goal is None:
                 break
             if not coarse or _taken_exactly(sim, parent, goal):
@@ -298,7 +293,7 @@ def _separating(sim: _Simulation, parent, goal) -> list:
     left operand alone."""
     left, right = sim.ln1, sim.ln2
     word = replay(left, [left.valuation, right.valuation], path(parent, goal)[1])
-    if word is None or not membership(left.S, word) or membership(right.S, word):
+    if not membership(left.S, word) or membership(right.S, word):
         raise SraError("internal error: the replayed word does not separate the operands")
     return word
 

@@ -27,8 +27,8 @@ and turned into a concrete word once (`replay`).  The simulation in
 `sra.equiv` is a graph that `reach` walks too, and it reuses `path` and
 `replay` for its failure traces and separating words.  It runs first on
 a coarse view of `LazyNorm`, where each slot holds the set of minterms
-its value may lie in, so a path there need not have a word: `replay`
-then answers None.
+its value may lie in; only a path that walks with exact slot minterms is
+replayed, and a step that finds no member left is an internal error.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ def path(parent, goal):
     return nodes, steps
 
 
-def replay(ln: LazyNorm, valuations, steps) -> Optional[list]:
-    """A concrete word along matched steps over one or more valuations,
-    or None where a step's minterm has no member left to take.
+def replay(ln: LazyNorm, valuations, steps) -> list:
+    """A concrete word along matched steps over one or more valuations;
+    a step whose minterm has no member left is an internal error.
 
     Each step starts (m, sides), with one (op, register) pair per
     valuation, or None for a side that has stopped moving; such a side
@@ -317,7 +317,7 @@ def replay(ln: LazyNorm, valuations, steps) -> Optional[list]:
             while a is None:
                 a = ln.algebra.witness(ln.basis.minterms[m].conjunction, excluded=members)
                 if a is None:
-                    return None
+                    raise SraError("internal error: a replayed minterm has no member left")
                 members.append(a)
                 if a in held:
                     a = None

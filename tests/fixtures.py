@@ -210,6 +210,63 @@ def random_equality_chain(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# random regex patterns over ab-1
+
+FUZZ_ATOMS = ["a", "b", "-", "1", ".", r"\d", r"\w", r"\W", "[ab]", "[^a]", "[a-b1]", "[-1]"]
+FUZZ_QUANTIFIERS = ["*", "+", "?", "{0}", "{1}", "{2}", "{0,1}", "{1,2}", "{0,2}"]
+
+
+def random_pattern(rng):
+    """A pattern of the supported grammar, groups nested two deep, whose
+    back-references name groups already opened."""
+    groups = 0
+
+    def alternation(depth):
+        return "|".join(concatenation(depth) for _ in range(rng.choice((1, 1, 1, 2))))
+
+    def concatenation(depth):
+        return "".join(repeatable(depth) for _ in range(rng.randint(0, 3)))
+
+    def repeatable(depth):
+        item = atom(depth)
+        return item + rng.choice(FUZZ_QUANTIFIERS) if rng.random() < 0.3 else item
+
+    def atom(depth):
+        nonlocal groups
+        roll = rng.random()
+        if depth and roll < 0.35:
+            if roll < 0.25:
+                groups += 1
+                return "(" + alternation(depth - 1) + ")"
+            return "(?:" + alternation(depth - 1) + ")"
+        if groups and roll < 0.6:
+            return "\\%d" % rng.randint(1, groups)
+        return rng.choice(FUZZ_ATOMS)
+
+    return alternation(2)
+
+
+def small_backref_pattern(rng: random.Random):
+    """Three or four groups over [ab] or (a|b), and one or two items
+    that are [ab] or a back-reference to a group already closed; one
+    item in ten is optional or starred.  The groups over [ab] store
+    values of one two-element minterm, so an input fresh to both sides
+    of a simulation runs out."""
+    groups, others = rng.randint(3, 4), rng.randint(1, 2)
+    opened = 0
+    items = []
+    while opened < groups or others:
+        if opened < groups and (not opened or not others or rng.random() < 0.6):
+            opened += 1
+            item = rng.choice(("([ab])", "([ab])", "([ab])", "(a|b)"))
+        else:
+            others -= 1
+            item = rng.choice(("\\%d" % rng.randint(1, opened), "[ab]"))
+        items.append(item + rng.choice("?*") if rng.random() < 0.1 else item)
+    return "".join(items)
+
+
+# ---------------------------------------------------------------------------
 # embeddings: register automata and symbolic finite automata as SRAs
 
 

@@ -17,8 +17,10 @@ from fixtures import (
     first_symbol_repeats,
     random_chain,
     random_equality_chain,
+    random_pattern,
     random_sra,
     remark1,
+    small_backref_pattern,
 )
 from oracles import brute_membership, words_up_to
 
@@ -205,14 +207,14 @@ def test_includes_and_equivalent_agree_with_bounded_brute_force():
     for seed in (47, 50, 17, 23):
         agree_with_brute_force(deterministic_pool(seed, 14), words, seed)
     # equality-only chains take unread inputs fresh to both sides, and
-    # restart where a small minterm runs out of such values: seed 5
-    # catches a search that takes them fresh anyway, seed 128 one that
-    # drops the move instead of restarting.  At seed 11 the most coarse
-    # failures go to the exact search, and seed 22 catches an `equivalent`
-    # that confirms a coarse failure without checking the minterms its
-    # path reads.  Every guard lies in [0,2]
-    # and no chain has more than four moves, so these words are all of
-    # their languages
+    # keep a move's coincidences at a triple where a small minterm has
+    # no such value: seed 5 catches a search that takes them fresh
+    # anyway, seed 128 one that drops the move there.  At seed 11 the
+    # most coarse failures go to the exact search, and seed 22 catches
+    # an `equivalent` that confirms a coarse failure without checking
+    # the minterms its path reads.  Every guard lies in [0,2] and no
+    # chain has more than four moves, so these words are all of their
+    # languages
     words = [tuple(w) for w in words_up_to(range(0, 3), 4)]
     for seed in (5, 60, 128, 11, 22):
         rng = random.Random(seed)
@@ -246,6 +248,56 @@ def test_includes_with_nondeterministic_lefts_agrees_with_bounded_brute_force():
             for j in rights:
                 check_includes(S1, pool[j], lang[i], lang[j], (seed, i, j))
     assert nondeterministic >= 10
+
+
+def regex_pairs_agree_with_re(patterns, texts, tag) -> int:
+    """includes on every ordered pair of the patterns that compile, with
+    a deterministic right operand, agrees with re.fullmatch(p, t,
+    re.ASCII) on the texts, and its separating word is matched by the
+    left pattern alone; where both operands are deterministic,
+    equivalent agrees with includes both ways.  Returns the pairs
+    checked."""
+    compiled = []
+    for pattern in patterns:
+        try:
+            S = rx.compile(pattern).sra
+        except SraError:
+            continue
+        expected = re.compile(pattern, re.ASCII)
+        lang = {t for t in texts if expected.fullmatch(t)}
+        compiled.append((pattern, S, expected, lang, is_deterministic(S)))
+    pairs = 0
+    for p1, S1, re1, lang1, det1 in compiled:
+        for p2, S2, re2, lang2, det2 in compiled:
+            if not det2:
+                continue
+            pairs += 1
+            ok, word = includes(S1, S2)
+            if ok:
+                assert lang1 <= lang2, (tag, p1, p2)
+            else:
+                text = "".join(map(chr, word))
+                assert re1.fullmatch(text) and not re2.fullmatch(text), (tag, p1, p2, text)
+            if det1:
+                assert equivalent(S1, S2) == (ok and includes(S2, S1)[0]), (tag, p1, p2)
+    return pairs
+
+
+REGEX_TEXTS = ["".join(w) for w in words_up_to("ab-1", 5)]
+
+
+def test_regex_pairs_agree_with_re():
+    # differential testing against re (McKeeman 1998) on operands shaped
+    # as compiled regexes: groups, stars around references and
+    # nondeterministic lefts such as (.).*\1.  The second pool stores
+    # three or four values of the two-element minterm [ab], so fresh
+    # values run out at some triples and not at others
+    rng = random.Random(1)
+    pairs = regex_pairs_agree_with_re([random_pattern(rng) for _ in range(60)], REGEX_TEXTS, 1)
+    pairs += regex_pairs_agree_with_re(
+        [small_backref_pattern(rng) for _ in range(30)], REGEX_TEXTS, 1
+    )
+    assert pairs >= 1500
 
 
 def test_doubly_fresh_input_counts_shared_values_once():
@@ -298,11 +350,11 @@ def test_dead_end_replay_ignores_the_right_values():
     assert brute_membership(L, [0, 1]) and not brute_membership(R, [0, 1])
 
 
-def test_projected_minterm_that_runs_out_restarts_the_search():
+def test_projected_minterm_that_runs_out_keeps_that_moves_coincidences():
     # L stores two values of [0,1] and takes a third input, which must
     # repeat one of them: the search that takes every unread input fresh
-    # to both sides finds no such value there, drops [0,1] from its
-    # projected minterms and starts over.  R stops after two inputs, so
+    # to both sides finds no such value there, so at that triple it takes
+    # the move's coincidences instead.  R stops after two inputs, so
     # every word of L separates, but only through that coincidence.
     # Shrunk from the chain pair (10, 11) of seed 128
     g = Interval(0, 1)
@@ -321,6 +373,64 @@ def test_projected_minterm_that_runs_out_restarts_the_search():
     assert brute_membership(L, word) and not brute_membership(R, word)
     assert not equivalent(L, R)
     assert not equivalent(R, L)
+
+
+def test_projected_minterm_has_fresh_values_again_once_a_register_is_overwritten():
+    # L's third input repeats one of the two values of [0,1] it holds,
+    # since none is fresh there; its fourth input, 5, overwrites r, so
+    # its fifth may be fresh to both sides again.  R reads back its
+    # second value at the end, so only a fifth input apart from the
+    # second separates: the search takes the coincidence at one triple
+    # and the fresh value at a later one
+    g, h = Interval(0, 1), Interval(5, 5)
+    L = make_sra(INTEGERS, ["r", "t"], ["0", "1", "2", "3", "4", "5"], "0", {}, ["5"], [
+        ("0", g, (), (), ("r",), "1"),
+        ("1", g, (), (), ("t",), "2"),
+        ("2", g, (), (), (), "3"),
+        ("3", h, (), (), ("r",), "4"),
+        ("4", g, (), (), (), "5"),
+    ])
+    R = make_sra(INTEGERS, ["s", "u"], ["0", "1", "2", "3", "4", "5"], "0", {}, ["5"], [
+        ("0", g, (), (), ("s",), "1"),
+        ("1", g, (), (), ("u",), "2"),
+        ("2", g, (), (), (), "3"),
+        ("3", h, (), (), ("s",), "4"),
+        ("4", g, ("u",), (), (), "5"),
+    ])
+    words = [tuple(w) for w in words_up_to((0, 1, 5), 5)]
+    lang = [{w for w in words if brute_membership(S, list(w))} for S in (L, R)]
+    assert not check_includes(L, R, *lang, "L, R")
+    word = includes(L, R)[1]
+    assert word[2] in word[:2] and word[4] != word[1]
+    assert check_includes(R, L, *reversed(lang), "R, L")
+    assert not equivalent(L, R) and not equivalent(R, L)
+    word = separating_word(L, R)
+    assert brute_membership(L, word) and not brute_membership(R, word)
+
+
+def recorded_triples(monkeypatch) -> list:
+    """The right keys of the triples that simulations expand from now
+    on, dead ends aside: each calls `LazyNorm.successor_index` once."""
+    explored = []
+    successor_index = LazyNorm.successor_index
+    monkeypatch.setattr(
+        LazyNorm, "successor_index", lambda ln, key: explored.append(key) or successor_index(ln, key)
+    )
+    return explored
+
+
+def test_a_minterm_without_fresh_values_keeps_its_coincidences_at_that_triple_only(monkeypatch):
+    # Pr-C4 runs out of fresh whitespace characters, and five groups of
+    # [0-3] run out of fresh digits at the fifth: the triples explored by
+    # self-equivalence, 1,093 and 781 where the search took every
+    # coincidence of such a minterm from then on
+    explored = recorded_triples(monkeypatch)
+    digits = "([0-3])" * 5 + "-" + "".join("\\%d" % i for i in range(1, 6))
+    for pattern, triples in ((rx.BENCHMARK_PATTERNS["Pr-C4"], 742), (digits, 80)):
+        S = rx.compile(pattern).sra
+        explored.clear()
+        assert equivalent(S, S)
+        assert len(explored) == triples, pattern
 
 
 def test_an_operand_with_a_disequality_keeps_every_coincidence():
@@ -386,11 +496,7 @@ def test_coarse_search_forgets_which_literal_minterm_a_code_character_lies_in(mo
     # Pr-C2 stores two code characters that its literals split into many
     # one-element minterms; the exact search keeps 1,088 triples per
     # direction apart by them, and the coarse search 48
-    explored = []
-    successor_index = LazyNorm.successor_index
-    monkeypatch.setattr(
-        LazyNorm, "successor_index", lambda ln, key: explored.append(key) or successor_index(ln, key)
-    )
+    explored = recorded_triples(monkeypatch)
     S = rx.compile(rx.BENCHMARK_PATTERNS["Pr-C2"]).sra
     assert equivalent(S, S)
     assert len(explored) == 2 * 48

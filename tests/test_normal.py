@@ -329,7 +329,7 @@ def test_replay_takes_the_least_free_members_as_a_witness_per_step_does(monkeypa
     def checked(ln, valuations, steps):
         word = replay(ln, valuations, steps)
         expected = replay_by_witness(ln, valuations, steps)
-        assert word == (None if None in expected else expected)
+        assert word == expected
         replayed.append(word)
         return word
 
@@ -350,8 +350,9 @@ def test_replay_takes_the_least_free_members_as_a_witness_per_step_does(monkeypa
     assert len(replayed) == 19 + 9
 
 
-def test_replay_answers_none_where_a_minterm_runs_out():
-    # three fresh inputs of [0,1] taken apart: the third has no member left
+def test_replay_refuses_a_step_whose_minterm_has_no_member_left():
+    # three fresh inputs of [0,1] taken apart: the third has no member
+    # left, which no path that the searches replay asks for
     g = Interval(0, 1)
     S = make_sra(INTEGERS, ["r", "t"], ["0", "1", "2", "3"], "0", {}, ["3"], [
         ("0", g, (), ("r", "t"), ("r",), "1"),
@@ -362,7 +363,8 @@ def test_replay_answers_none_where_a_minterm_runs_out():
     m = next(i for i in range(len(ln.basis.minterms)) if ln.sizes[i] == 2)
     steps = [(m, (("fresh", 0),)), (m, (("fresh", 1),))]
     assert normal.replay(ln, [ln.valuation], steps) == [0, 1]
-    assert normal.replay(ln, [ln.valuation], steps + [(m, (("fresh", -1),))]) is None
+    with pytest.raises(SraError, match="internal error"):
+        normal.replay(ln, [ln.valuation], steps + [(m, (("fresh", -1),))])
 
 
 def goal_depths(S):

@@ -9,6 +9,7 @@ from sra.core import SraError, membership
 from sra.normal import is_deterministic
 from sra import regex as rx
 
+from fixtures import random_pattern
 from oracles import backtrack_match, words_up_to
 
 
@@ -324,40 +325,6 @@ def test_backref_patterns_agree_with_backtracker_exhaustively():
         for w in words_up_to("abc1", 4):
             text = "".join(w)
             assert rx.match(cp, text) == backtrack_match(ast, text), (pattern, text)
-
-
-FUZZ_ATOMS = ["a", "b", "-", "1", ".", r"\d", r"\w", r"\W", "[ab]", "[^a]", "[a-b1]", "[-1]"]
-FUZZ_QUANTIFIERS = ["*", "+", "?", "{0}", "{1}", "{2}", "{0,1}", "{1,2}", "{0,2}"]
-
-
-def random_pattern(rng):
-    """A pattern of the supported grammar, groups nested two deep, whose
-    back-references name groups already opened."""
-    groups = 0
-
-    def alternation(depth):
-        return "|".join(concatenation(depth) for _ in range(rng.choice((1, 1, 1, 2))))
-
-    def concatenation(depth):
-        return "".join(repeatable(depth) for _ in range(rng.randint(0, 3)))
-
-    def repeatable(depth):
-        item = atom(depth)
-        return item + rng.choice(FUZZ_QUANTIFIERS) if rng.random() < 0.3 else item
-
-    def atom(depth):
-        nonlocal groups
-        roll = rng.random()
-        if depth and roll < 0.35:
-            if roll < 0.25:
-                groups += 1
-                return "(" + alternation(depth - 1) + ")"
-            return "(?:" + alternation(depth - 1) + ")"
-        if groups and roll < 0.6:
-            return "\\%d" % rng.randint(1, groups)
-        return rng.choice(FUZZ_ATOMS)
-
-    return alternation(2)
 
 
 def test_random_patterns_agree_with_re_or_are_refused():
