@@ -143,6 +143,7 @@ def validate(S: Sra) -> list:
                 S.algebra.denotes(TRUE, v)
             except AlgebraError:
                 problems.append(f"initial value {v!r} of register {r} outside the domain")
+    guard_problems = {}  # guard -> what is wrong with it, or None; each is checked once
     for t, (src, lab, dst) in enumerate(S.transitions):
         where = f"transition #{t}"
         if not (0 <= src < nstates):
@@ -155,10 +156,14 @@ def validate(S: Sra) -> list:
                     problems.append(f"{where}: register index {r} in {setname} not in R")
         if lab.E & lab.I:
             problems.append(f"{where}: E and I overlap ({sorted(lab.E & lab.I)})")
-        try:
-            S.algebra.check(lab.guard)
-        except AlgebraError as e:
-            problems.append(f"{where}: bad guard: {e}")
+        if lab.guard not in guard_problems:
+            try:
+                S.algebra.check(lab.guard)
+                guard_problems[lab.guard] = None
+            except AlgebraError as e:
+                guard_problems[lab.guard] = f"bad guard: {e}"
+        if guard_problems[lab.guard]:
+            problems.append(f"{where}: {guard_problems[lab.guard]}")
     return problems
 
 
@@ -304,6 +309,10 @@ def membership(S: Sra, word: Sequence[int]) -> bool:
 
 def to_json_dict(S: Sra) -> dict:
     regs = S.registers
+    shown = {}  # guard -> its text, each shown once
+    for _, lab, _ in S.transitions:
+        if lab.guard not in shown:
+            shown[lab.guard] = S.algebra.show(lab.guard)
     return {
         "algebra": S.algebra.name,
         "registers": list(regs),
@@ -316,7 +325,7 @@ def to_json_dict(S: Sra) -> dict:
         "transitions": [
             {
                 "from": S.states[src],
-                "guard": S.algebra.show(lab.guard),
+                "guard": shown[lab.guard],
                 "E": [regs[r] for r in sorted(lab.E)],
                 "I": [regs[r] for r in sorted(lab.I)],
                 "U": [regs[r] for r in sorted(lab.U)],
@@ -334,19 +343,34 @@ def _field(d: dict, key: str, kind: type):
 
 
 def from_json_dict(d: dict) -> Sra:
+    """The automaton a JSON document describes.  Each distinct guard
+    text is parsed once; a text that fails to parse is reported on
+    every transition that carries it."""
     try:
         algebra = algebra_by_name(d["algebra"])
-        transitions = [
-            (
+        parsed = {}  # guard text -> its predicate, or what is wrong with it
+        transitions = []
+        for t in _field(d, "transitions", list):
+            text = t["guard"]
+            if text not in parsed:
+                try:
+                    parsed[text] = algebra.parse(text)
+                except AlgebraError as e:
+                    parsed[text] = f"bad guard: {e}"
+            transitions.append((
                 t["from"],
-                algebra.parse(t["guard"]),
+                parsed[text],
                 _field(t, "E", list),
                 _field(t, "I", list),
                 _field(t, "U", list),
                 t["to"],
-            )
-            for t in _field(d, "transitions", list)
+            ))
+        problems = [
+            f"transition #{n}: {guard}"
+            for n, (_, guard, *_) in enumerate(transitions) if isinstance(guard, str)
         ]
+        if problems:
+            raise SraError("; ".join(problems))
         S = make_sra(
             algebra,
             _field(d, "registers", list),

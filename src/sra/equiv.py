@@ -225,7 +225,8 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
 
     Both directions share one basis, one table of minterm sizes capped
     at one more than the operands' slots together, and one pair of
-    normalized automata per view.  Each direction is searched on the
+    normalized automata per view; the exact view takes each base's rows
+    from the coarse one.  Each direction is searched on the
     coarse view first: no failure there means none exists.  A coarse
     failure stands when its path walks with exact slot minterms
     (`_taken_exactly`); otherwise the exact search decides, and its
@@ -246,6 +247,11 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
         for coarse in (True, False):
             if coarse not in views:
                 views[coarse] = [LazyNorm(S, basis, sizes, coarse) for S in (S1, S2)]
+                if not coarse:
+                    # a base's rows depend only on the operand and the
+                    # basis, so the exact view reads the coarse one's
+                    for exact, rough in zip(views[False], views[True]):
+                        exact._rows = rough._rows
             sim = _Simulation(views[coarse][i], views[coarse][j], sizes, projected)
             parent, goal = sim.reach_accepts_alone()
             if goal is None:

@@ -3,19 +3,26 @@
 Over a finite domain of storable values, every configuration becomes a
 state of an ordinary symbolic finite automaton.  A configuration is the
 flat tuple (state, *register contents), with None for an empty register,
-and configurations are numbered in the order they are discovered.  A
-move that reads or stores has one candidate input per value: the value
-its read registers share, or each domain value its guard admits when it
-only stores.  A move that neither reads nor stores stays symbolic,
-constrained by the concrete register contents; it fires when its guard
-admits more values than it admits among the contents of the registers
-it excludes, and the guard's size is counted once.  All steps between
-one configuration pair are merged into a single predicate.
+and configurations are numbered in the order they are discovered.
+
+Each state's moves are compiled into rows the first time a
+configuration of it is expanded: the E, I and U register positions
+within a configuration, the target state, and what the guard admits.
+A move that reads or stores keeps the list and the set of the domain
+values its guard admits, computed once per guard.  A read then fires on
+the one value its registers share when that value is in the set; a
+store fires on each admitted value.  A move that neither reads nor
+stores stays symbolic, constrained by the concrete register contents;
+it fires when its guard admits more values than it admits among the
+contents of the registers it excludes, and the guard's size is counted
+once.  All steps between one configuration pair are merged into a
+single predicate.  Each value has one `Atom`, each merged predicate one
+`Label`, and each register value one string in the state names.
 
 The construction stops with an overflow report instead of an automaton
-when it discovers more configurations than the state limit; overflow is
-a result, not an error.  Domain values outside the algebra's domain are
-refused before anything is built.
+as soon as it discovers one configuration more than the state limit;
+overflow is a result, not an error.  Domain values outside the
+algebra's domain are refused before anything is built.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from .core import Label, Sra, compile_guard
 DEFAULT_MAX_STATES = 2_000_000
 
 CSV_HEADER = "name,sra_states,sra_tr,registers,reg_domain,sfa_states,sfa_tr"
+
+READ, STORE, FREE = range(3)  # row kinds: reads, only stores, neither
+NO_REGISTERS = frozenset()
 
 
 @dataclass
@@ -50,77 +60,145 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
         sorted(values, key=algebra.sort_key)
         + [v for v in S.initial_valuation if v is not None]
     ))
-    members = {}  # guard -> {value: Atom(value)} for the values of dom it admits
-    counts = {}  # guard -> (its closure, its size up to one more than the registers)
+    admitted = {}  # guard -> (list, set) of the values of dom it admits
+    counted = {}  # guard -> (its closure, its size up to one more than the registers)
+    labels = {}  # predicate -> its one label
+    value_labels = {}  # value -> the label of its atom
+
+    def label(p) -> Label:
+        lab = labels.get(p)
+        if lab is None:
+            lab = labels[p] = Label(p, NO_REGISTERS, NO_REGISTERS, NO_REGISTERS)
+        return lab
+
+    def value_label(a) -> Label:
+        lab = value_labels.get(a)
+        if lab is None:
+            lab = value_labels[a] = Label(Atom(a), NO_REGISTERS, NO_REGISTERS, NO_REGISTERS)
+        return lab
+
+    def predicate(step):
+        return (step if step.__class__ is Label else value_label(step)).guard
+
+    def compile_rows(q) -> list:
+        """q's moves as (kind, E, I, U, dst, data) rows, with register
+        positions shifted past the state and in the label's own order.
+        data is the admitted values' set (READ) or list (STORE); for
+        FREE, the label when no register is excluded, else (closure,
+        size, guard, cache).  Moves that can never fire are left out."""
+        rows = []
+        for _, lab, q2 in S.out[q]:
+            E, I, U = (tuple(r + 1 for r in rs) for rs in (lab.E, lab.I, lab.U))
+            guard = lab.guard
+            if E or U:
+                entry = admitted.get(guard)
+                if entry is None:
+                    algebra.check(guard)
+                    admits = compile_guard(algebra, guard)
+                    members = [a for a in dom if admits(a)]
+                    entry = admitted[guard] = (members, set(members))
+                data = entry[1] if E else entry[0]
+                if data:
+                    rows.append((READ if E else STORE, E, I, U, q2, data))
+                continue
+            entry = counted.get(guard)
+            if entry is None:
+                entry = counted[guard] = (
+                    compile_guard(algebra, guard),
+                    algebra.size(guard, len(S.registers) + 1),
+                )
+            admits, size = entry
+            if I:
+                rows.append((FREE, E, I, U, q2, (admits, size, guard, {})))
+            elif size:
+                rows.append((FREE, E, I, U, q2, label(guard)))
+        return rows
+
+    def excluding(data, held: tuple) -> Optional[Label]:
+        """A FREE row's label on the excluded registers' contents, or
+        None when every value its guard admits is held there."""
+        admits, size, guard, cache = data
+        if held not in cache:
+            # an input the guard admits and no excluded register holds
+            # exists when the guard admits more values than the held ones
+            if size > sum(map(admits, set(held) - {None})):
+                cache[held] = label(conj([guard] + [Not(Atom(v)) for v in held if v is not None]))
+            else:
+                cache[held] = None
+        return cache[held]
+
     start = (S.initial, *S.initial_valuation)
     order = [start]
     index = {start: 0}
-    edges = {}  # (src index, dst index) -> list of predicates
+    transitions = []
+    compiled = [None] * len(S.states)
     for i, config in enumerate(order):
-        for _, lab, q2 in S.out[config[0]]:
-            if lab.E or lab.U:
-                table = members.get(lab.guard)
-                if table is None:
-                    algebra.check(lab.guard)
-                    admits = compile_guard(algebra, lab.guard)
-                    table = members[lab.guard] = {a: Atom(a) for a in dom if admits(a)}
-                if lab.E:
-                    held = {config[r + 1] for r in lab.E}
-                    candidates = held & table.keys() if len(held) == 1 else ()
-                else:
-                    candidates = table
-                blocked = {config[r + 1] for r in lab.I}
-                target = [q2, *config[1:]]
-                targets = []
-                for a in candidates:
-                    if a not in blocked:
-                        for r in lab.U:
-                            target[r + 1] = a
-                        targets.append((tuple(target), table[a]))
+        rows = compiled[config[0]]
+        if rows is None:
+            rows = compiled[config[0]] = compile_rows(config[0])
+        # target index -> its step (a value, or a FREE row's label), or
+        # the list of merged predicates; a value's label is made once
+        # the configuration is done, so an overflow makes none
+        out = {}
+        for kind, E, I, U, q2, data in rows:
+            if kind is READ:
+                a = config[E[0]]
+                if (a not in data or any(config[r] != a for r in E[1:])
+                        or any(config[r] == a for r in I)):
+                    continue
+                steps = (a,)
+            elif kind is STORE:
+                steps = data
+                if I:
+                    blocked = {config[r] for r in I}
+                    steps = [a for a in data if a not in blocked]
             else:
-                entry = counts.get(lab.guard)
-                if entry is None:
-                    entry = counts[lab.guard] = (
-                        compile_guard(algebra, lab.guard),
-                        algebra.size(lab.guard, len(S.registers) + 1),
-                    )
-                admits, size = entry
-                # an input the guard admits and no excluded register holds
-                # exists when the guard admits more values than the held ones
-                held = {config[r + 1] for r in lab.I} - {None}
-                if size > sum(map(admits, held)):
-                    pred = conj([lab.guard] + [
-                        Not(Atom(config[r + 1])) for r in lab.I if config[r + 1] is not None
-                    ])
-                    targets = [((q2, *config[1:]), pred)]
-                else:
-                    targets = []
-            for target, pred in targets:
-                j = index.get(target)
+                lab = data if not I else excluding(data, tuple([config[r] for r in I]))
+                if lab is None:
+                    continue
+                steps = (lab,)
+            target = [q2, *config[1:]]
+            config2 = tuple(target)
+            for step in steps:
+                if U:
+                    for r in U:
+                        target[r] = step
+                    config2 = tuple(target)
+                j = index.get(config2)
                 if j is None:
                     if len(order) >= max_states:
                         return Expansion(None, True, len(order) + 1, len(dom))
-                    j = index[target] = len(order)
-                    order.append(target)
-                edges.setdefault((i, j), []).append(pred)
+                    j = index[config2] = len(order)
+                    order.append(config2)
+                prev = out.get(j)
+                if prev is None:
+                    out[j] = step
+                else:
+                    if prev.__class__ is not list:
+                        prev = out[j] = [predicate(prev)]
+                    prev.append(predicate(step))
+        for j, step in out.items():
+            if step.__class__ is list:
+                step = label(disj(step))
+            elif step.__class__ is not Label:
+                step = value_label(step)
+            transitions.append((i, step, j))
+
+    text = {None: "_", **{v: str(v) for v in dom}}  # register value -> its text in names
 
     def name(config) -> str:
         if len(config) == 1:
             return S.states[config[0]]
-        slots = ",".join("_" if x is None else str(x) for x in config[1:])
-        return f"{S.states[config[0]]}|{slots}"
+        return f"{S.states[config[0]]}|{','.join(map(text.__getitem__, config[1:]))}"
 
     sfa = Sra(
         algebra=algebra,
         registers=(),
-        states=tuple(name(config) for config in order),
+        states=tuple(map(name, order)),
         initial=0,
         initial_valuation=(),
         finals=frozenset(i for i, config in enumerate(order) if config[0] in S.finals),
-        transitions=tuple(
-            (src, Label(disj(preds), frozenset(), frozenset(), frozenset()), dst)
-            for (src, dst), preds in edges.items()
-        ),
+        transitions=tuple(transitions),
     )
     return Expansion(sfa, False, len(order), len(dom))
 

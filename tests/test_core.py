@@ -295,6 +295,42 @@ def test_json_round_trip_identity():
         assert dumps(T) == text
 
 
+def test_json_round_trip_of_completed_and_normalized_ip4():
+    sv = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["IP4"]).sra)
+    for S in (complete(sv), normalize(sv)):
+        text = dumps(S)
+        assert dumps(loads(text)) == text
+        assert loads(text) == S
+
+
+def test_json_rejects_malformed_documents_sharing_a_bad_guard():
+    # two transitions share one guard outside the domain; each is named
+    outside = Atom(0x110000)
+    S = make_sra(UNICODE, [], ["p", "q"], "p", {}, ["q"], [
+        ("p", outside, (), (), (), "q"),
+        ("p", TRUE, (), (), (), "q"),
+        ("q", outside, (), (), (), "q"),
+    ])
+    problems = validate(S)
+    assert [p.split(":")[0] for p in problems] == ["transition #0", "transition #2"]
+    assert all("bad guard" in p for p in problems)
+    with pytest.raises(SraError, match="transition #0: bad guard.*transition #2: bad guard"):
+        loads(dumps(S))
+
+
+def test_json_parses_each_distinct_guard_text_once(monkeypatch):
+    letters = Interval(ord("a"), ord("z"))
+    S = make_sra(UNICODE, [], ["p", "q"], "p", {}, ["q"], [
+        ("p", letters, (), (), (), "q") for _ in range(50)
+    ])
+    text = dumps(S)
+    calls = []
+    parse = type(UNICODE).parse
+    monkeypatch.setattr(type(UNICODE), "parse", lambda alg, s: calls.append(s) or parse(alg, s))
+    assert loads(text) == S
+    assert calls == ["['a'-'z']"]
+
+
 def test_json_canonical_file_bit_exact():
     text = dumps(example3())
     assert dumps(loads(text)) == text

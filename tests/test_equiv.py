@@ -8,7 +8,7 @@ from sra.boolean_ops import complete, union
 from sra.core import SraError, make_sra, membership
 from sra.equiv import correspondence_of, equivalent, includes, separating_word
 from sra.normal import LazyNorm, is_deterministic, normalize
-from sra import regex as rx
+from sra import normal, regex as rx
 from sra.single_valued import to_single_valued
 
 from fixtures import (
@@ -500,3 +500,17 @@ def test_coarse_search_forgets_which_literal_minterm_a_code_character_lies_in(mo
     S = rx.compile(rx.BENCHMARK_PATTERNS["Pr-C2"]).sra
     assert equivalent(S, S)
     assert len(explored) == 2 * 48
+
+
+def test_the_exact_view_reads_each_bases_rows_off_the_coarse_view(monkeypatch):
+    # Pr-CL2 ⊄ Pr-C2 fails on the coarse view, unconfirmed, and then on
+    # the exact one; both views ask `slot_moves` for a base only once
+    calls = []
+    slot_moves = normal.slot_moves
+    monkeypatch.setattr(
+        normal, "slot_moves", lambda S, *base: calls.append(base) or slot_moves(S, *base)
+    )
+    left = rx.compile(rx.BENCHMARK_PATTERNS["Pr-CL2"]).sra
+    right = rx.compile(rx.BENCHMARK_PATTERNS["Pr-C2"]).sra
+    assert includes(left, right)[0] is False
+    assert len(calls) == 29

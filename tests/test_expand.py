@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS
-from sra.core import compile_guard, make_sra, membership
+from sra.core import compile_guard, dumps, make_sra, membership
 from sra.expand import CSV_HEADER, csv_report, expand_to_sfa, size_report
 from sra import regex as rx
 
@@ -97,6 +99,15 @@ def test_overflow_is_reported_not_raised():
     assert row["sfa_states"] == "---" and row["sfa_tr"] == "---"
 
 
+def test_overflow_on_a_wide_store_stops_at_the_cap():
+    # the first store alone has 65,536 targets; the one past the cap ends it
+    S = rx.compile(r"(...)\1").sra
+    ex = expand_to_sfa(S, range(2**16), max_states=20_000)
+    assert ex.overflow
+    assert ex.sfa is None
+    assert ex.state_count == 20_001
+
+
 def test_domain_values_outside_the_algebra_are_refused():
     register_free = rx.compile("a").sra
     with pytest.raises(AlgebraError, match="-5 is not a unicode domain element"):
@@ -148,3 +159,16 @@ def test_csv_report_format():
     assert cells[1] == str(len(S.states))
     assert cells[4] == str(ex.domain_size)
     assert int(cells[5]) == len(ex.sfa.states)
+
+
+@pytest.mark.parametrize("name, domain, digest", [
+    ("IP3", "0123456789", "705ad1301063df58846ad5f0b5a51b5e5c717480c94088b3f5cd33a2ed486284"),
+    ("Name", "abcdefghijklmnopqrstuvwxyz .",
+     "a9d16c970fbda28dd8ee371e99abb577869f3a587287f79b9eb17d77af2f2f59"),
+    ("XML", "abcdefghABCDEFGH", "119b42703b19f5e0da9db0d24b06e9803f8dd25299b40294a4772131b9ec3e0c"),
+], ids=["IP3", "Name", "XML"])
+def test_stock_expansions_are_byte_identical_to_the_pinned_text(name, domain, digest):
+    # the digests were taken from the expansion that built a table per
+    # guard and a label per transition; the text must not change
+    ex = expand_to_sfa(rx.compile(rx.BENCHMARK_PATTERNS[name]).sra, [ord(c) for c in domain])
+    assert hashlib.sha256(dumps(ex.sfa).encode()).hexdigest() == digest
