@@ -77,15 +77,12 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
             lab = value_labels[a] = Label(Atom(a), NO_REGISTERS, NO_REGISTERS, NO_REGISTERS)
         return lab
 
-    def predicate(step):
-        return (step if step.__class__ is Label else value_label(step)).guard
-
     def compile_rows(q) -> list:
         """q's moves as (kind, E, I, U, dst, data) rows, with register
         positions shifted past the state and in the label's own order.
         data is the admitted values' set (READ) or list (STORE); for
         FREE, the label when no register is excluded, else (closure,
-        size, guard, cache).  Moves that can never fire are left out."""
+        size, guard).  Moves that can never fire are left out."""
         rows = []
         for _, lab, q2 in S.out[q]:
             E, I, U = (tuple(r + 1 for r in rs) for rs in (lab.E, lab.I, lab.U))
@@ -109,23 +106,10 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                 )
             admits, size = entry
             if I:
-                rows.append((FREE, E, I, U, q2, (admits, size, guard, {})))
+                rows.append((FREE, E, I, U, q2, (admits, size, guard)))
             elif size:
                 rows.append((FREE, E, I, U, q2, label(guard)))
         return rows
-
-    def excluding(data, held: tuple) -> Optional[Label]:
-        """A FREE row's label on the excluded registers' contents, or
-        None when every value its guard admits is held there."""
-        admits, size, guard, cache = data
-        if held not in cache:
-            # an input the guard admits and no excluded register holds
-            # exists when the guard admits more values than the held ones
-            if size > sum(map(admits, set(held) - {None})):
-                cache[held] = label(conj([guard] + [Not(Atom(v)) for v in held if v is not None]))
-            else:
-                cache[held] = None
-        return cache[held]
 
     start = (S.initial, *S.initial_valuation)
     order = [start]
@@ -136,10 +120,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
         rows = compiled[config[0]]
         if rows is None:
             rows = compiled[config[0]] = compile_rows(config[0])
-        # target index -> its step (a value, or a FREE row's label), or
-        # the list of merged predicates; a value's label is made once
-        # the configuration is done, so an overflow makes none
-        out = {}
+        out = {}  # target index -> its label, or the list of merged guards
         for kind, E, I, U, q2, data in rows:
             if kind is READ:
                 a = config[E[0]]
@@ -152,11 +133,18 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                 if I:
                     blocked = {config[r] for r in I}
                     steps = [a for a in data if a not in blocked]
-            else:
-                lab = data if not I else excluding(data, tuple([config[r] for r in I]))
-                if lab is None:
+            elif I:
+                admits, size, guard = data
+                # an input the guard admits and no excluded register holds
+                # exists when the guard admits more values than the held ones
+                held = {config[r] for r in I} - {None}
+                if size <= sum(map(admits, held)):
                     continue
-                steps = (lab,)
+                steps = (label(conj([guard] + [
+                    Not(Atom(config[r])) for r in I if config[r] is not None
+                ])),)
+            else:
+                steps = (data,)
             target = [q2, *config[1:]]
             config2 = tuple(target)
             for step in steps:
@@ -170,19 +158,16 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                         return Expansion(None, True, len(order) + 1, len(dom))
                     j = index[config2] = len(order)
                     order.append(config2)
+                lab = step if kind is FREE else value_label(step)
                 prev = out.get(j)
                 if prev is None:
-                    out[j] = step
+                    out[j] = lab
+                elif prev.__class__ is list:
+                    prev.append(lab.guard)
                 else:
-                    if prev.__class__ is not list:
-                        prev = out[j] = [predicate(prev)]
-                    prev.append(predicate(step))
-        for j, step in out.items():
-            if step.__class__ is list:
-                step = label(disj(step))
-            elif step.__class__ is not Label:
-                step = value_label(step)
-            transitions.append((i, step, j))
+                    out[j] = [prev.guard, lab.guard]
+        for j, lab in out.items():
+            transitions.append((i, label(disj(lab)) if lab.__class__ is list else lab, j))
 
     text = {None: "_", **{v: str(v) for v in dom}}  # register value -> its text in names
 

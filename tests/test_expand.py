@@ -5,7 +5,7 @@ import pytest
 from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS
 from sra.core import compile_guard, dumps, make_sra, membership
 from sra.expand import CSV_HEADER, csv_report, expand_to_sfa, size_report
-from sra import regex as rx
+from sra import expand, regex as rx
 
 from fixtures import digits_sfa, example3, first_symbol_repeats, remark1
 from oracles import words_up_to
@@ -99,13 +99,17 @@ def test_overflow_is_reported_not_raised():
     assert row["sfa_states"] == "---" and row["sfa_tr"] == "---"
 
 
-def test_overflow_on_a_wide_store_stops_at_the_cap():
-    # the first store alone has 65,536 targets; the one past the cap ends it
+def test_overflow_on_a_wide_store_stops_at_the_cap(monkeypatch):
+    # the first store alone has 65,536 candidate targets; the one past
+    # the cap ends the expansion before the rest are built
+    atoms = []
+    monkeypatch.setattr(expand, "Atom", lambda a: atoms.append(a) or Atom(a))
     S = rx.compile(r"(...)\1").sra
     ex = expand_to_sfa(S, range(2**16), max_states=20_000)
     assert ex.overflow
     assert ex.sfa is None
     assert ex.state_count == 20_001
+    assert len(atoms) < ex.state_count  # one per target found, not per candidate
 
 
 def test_domain_values_outside_the_algebra_are_refused():
