@@ -11,7 +11,9 @@ instances are provided:
 Satisfiability, witness extraction and cardinality thresholds are decided
 exactly by normalising a predicate into disjoint cells: one residue class
 per modulus-lcm, each restricted to a finite union of intervals.  No
-external solver is involved.
+external solver is involved.  One walk, `Algebra.check`, both refuses a
+predicate outside the algebra and returns its period, the lcm of its div
+moduli, which fixes the residue classes.
 """
 
 from __future__ import annotations
@@ -217,28 +219,30 @@ class Algebra:
 
     # -- structural checks -------------------------------------------------
 
-    def check(self, p: Predicate) -> None:
+    def check(self, p: Predicate) -> int:
+        """Refuse a predicate outside this algebra with AlgebraError, else
+        return its period: the lcm of its div moduli, 1 when it has none."""
         if isinstance(p, (TruePred, FalsePred)):
-            return
+            return 1
         if isinstance(p, Interval):
             for b in (p.lo, p.hi):
                 if b is not None and not self._in_domain(b):
                     raise AlgebraError(f"interval bound {b!r} outside {self.name} domain")
-            return
+            return 1
         if isinstance(p, Atom):
             if not self._in_domain(p.value):
                 raise AlgebraError(f"atom {p.value!r} outside {self.name} domain")
-            return
+            return 1
         if isinstance(p, Div):
             self._check_div(p)
-            return
+            return p.k
         if isinstance(p, Not):
-            self.check(p.arg)
-            return
+            return self.check(p.arg)
         if isinstance(p, (And, Or)):
+            L = 1
             for q in p.args:
-                self.check(q)
-            return
+                L = math.lcm(L, self.check(q))
+            return L
         raise AlgebraError(f"unknown predicate node {p!r}")
 
     def _check_div(self, p: Div) -> None:
@@ -281,17 +285,12 @@ class Algebra:
 
     # -- cell decomposition ------------------------------------------------
 
-    def _moduli_lcm(self, p: Predicate) -> int:
-        if isinstance(p, Div):
-            return p.k
-        if isinstance(p, Not):
-            return self._moduli_lcm(p.arg)
-        if isinstance(p, (And, Or)):
-            out = 1
-            for q in p.args:
-                out = math.lcm(out, self._moduli_lcm(q))
-            return out
-        return 1
+    def _period(self, p: Predicate) -> int:
+        """p's period (see `check`), refused above MAX_DIV_LCM."""
+        L = self.check(p)
+        if L > MAX_DIV_LCM:
+            raise AlgebraError(f"lcm {L} of div moduli exceeds {MAX_DIV_LCM}")
+        return L
 
     def _restrict(self, p: Predicate, res: int, L: int) -> tuple:
         """Interval hull of [[p]] within the residue class res (mod L).
@@ -327,9 +326,8 @@ class Algebra:
         raise AlgebraError(f"unknown predicate node {p!r}")
 
     def _cells(self, p: Predicate):
-        L = self._moduli_lcm(p)
-        if L > MAX_DIV_LCM:
-            raise AlgebraError(f"lcm {L} of div moduli exceeds {MAX_DIV_LCM}")
+        """p's non-empty cells (res, L, ivs), after checking p."""
+        L = self._period(p)
         for res in range(L):
             ivs = self._restrict(p, res, L)
             if ivs:
@@ -353,7 +351,6 @@ class Algebra:
         One pass over the cells, stopping once cap is reached, so
         infinite denotations are fine.
         """
-        self.check(p)
         return _count(self._cells(p), cap)
 
     def witness(self, p: Predicate, excluded: Iterable[int] = ()) -> Optional[int]:
@@ -362,7 +359,6 @@ class Algebra:
         Exclusions are folded into the predicate itself so the cell
         decomposition accounts for them exactly.
         """
-        self.check(p)
         parts = [p] + [Not(Atom(e)) for e in sorted(set(excluded)) if self._in_domain(e)]
         return self._least(conj(parts))
 
@@ -394,12 +390,8 @@ class Algebra:
         inside and outside parts, keeping the parts that hold a member
         of the class.  Bit vectors are listed in descending order.
         """
-        for q in predicates:
-            self.check(q)
         src = tuple(dict.fromkeys(predicates))
-        L = self._moduli_lcm(conj(src))
-        if L > MAX_DIV_LCM:
-            raise AlgebraError(f"lcm {L} of div moduli exceeds {MAX_DIV_LCM}")
+        L = self._period(conj(src))
         dom = self._domain_ivs
         live = set()
         for res in range(L):

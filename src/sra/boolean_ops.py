@@ -10,6 +10,8 @@ sink) and a syntactic completeness audit live here too.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .algebra import And, Not, TRUE, disj
 from .core import Label, Sra, SraError
 from .normal import is_deterministic
@@ -86,31 +88,19 @@ def union(S1: Sra, S2: Sra) -> Sra:
     """
     _require_same_algebra(S1, S2)
     registers, v0 = _merged_registers(S1, S2)
-    off = len(S1.registers)
-    base1 = 1
-    base2 = 1 + len(S1.states)
-    states = (
-        ("^",)
-        + tuple("1:" + s for s in S1.states)
-        + tuple("2:" + s for s in S2.states)
-    )
+    states = ("^",) + tuple("1:" + s for s in S1.states) + tuple("2:" + s for s in S2.states)
     transitions = []
-    for p, lab, q in S1.transitions:
-        transitions.append((base1 + p, lab, base1 + q))
-        if p == S1.initial:
-            transitions.append((0, lab, base1 + q))
-    for p, lab, q in S2.transitions:
-        shifted = _shift_label(lab, off)
-        transitions.append((base2 + p, shifted, base2 + q))
-        if p == S2.initial:
-            transitions.append((0, shifted, base2 + q))
     finals = set()
-    for f in S1.finals:
-        finals.add(base1 + f)
-    for f in S2.finals:
-        finals.add(base2 + f)
-    if S1.initial in S1.finals or S2.initial in S2.finals:
-        finals.add(0)
+    for S, base, shift in ((S1, 1, 0), (S2, 1 + len(S1.states), len(S1.registers))):
+        for p, lab, q in S.transitions:
+            if shift:
+                lab = _shift_label(lab, shift)
+            transitions.append((base + p, lab, base + q))
+            if p == S.initial:
+                transitions.append((0, lab, base + q))
+        finals.update(base + f for f in S.finals)
+        if S.initial in S.finals:
+            finals.add(0)
     return Sra(
         algebra=S1.algebra,
         registers=registers,
@@ -167,15 +157,7 @@ def complete(S: Sra) -> Sra:
     transitions += [(p, lab, sink) for p in range(len(S.states)) for lab in _gaps(S, p)]
     transitions += [(sink, sv_label(nregs, TRUE, "read", r), sink) for r in range(nregs)]
     transitions.append((sink, sv_label(nregs, TRUE, "fresh", -1), sink))
-    return Sra(
-        algebra=S.algebra,
-        registers=S.registers,
-        states=S.states + (sink_name,),
-        initial=S.initial,
-        initial_valuation=S.initial_valuation,
-        finals=S.finals,
-        transitions=tuple(transitions),
-    )
+    return replace(S, states=S.states + (sink_name,), transitions=tuple(transitions))
 
 
 def complement(S: Sra) -> Sra:
@@ -189,12 +171,4 @@ def complement(S: Sra) -> Sra:
         raise SraError("complement requires a complete automaton")
     if not is_deterministic(S):
         raise SraError("complement requires a deterministic automaton")
-    return Sra(
-        algebra=S.algebra,
-        registers=S.registers,
-        states=S.states,
-        initial=S.initial,
-        initial_valuation=S.initial_valuation,
-        finals=frozenset(range(len(S.states))) - S.finals,
-        transitions=S.transitions,
-    )
+    return replace(S, finals=frozenset(range(len(S.states))) - S.finals)

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: compile, member, empty, deterministic, subset, equiv, complement,
-intersect, union, expand, bench.  Automata come from JSON files
-(``--sra``/``--lhs``/``--rhs``; a non-.json path is read as a regex
-pattern file) or inline patterns (``--pattern``).
+intersect, union, expand, bench.  Automata come from files
+(``--sra``/``--lhs``/``--rhs``), each read here as UTF-8 text: a .json
+path holds a JSON automaton and any other path a regex pattern; or from
+inline patterns (``--pattern``).
 
 Exit codes: 0 = success / predicate holds, 1 = predicate fails (with a
 counterexample on stdout where one exists), 2 = usage or input error.
@@ -22,7 +23,7 @@ from .boolean_ops import complement, complete, intersect, union
 from .core import Sra, SraError, membership
 from .equiv import includes, separating_word
 from .equiv import equivalent  # noqa: F401 - perfbench's tracer pins it here
-from .expand import csv_report, expand_to_sfa, size_report
+from .expand import DEFAULT_MAX_STATES, csv_report, expand_to_sfa, size_report
 from .normal import is_deterministic, is_empty, normalize
 from .single_valued import to_single_valued
 from . import regex as rx
@@ -56,11 +57,10 @@ def _write_text(text: str, out: str | None):
 def _load(path: str | None, pattern: str | None = None) -> Sra:
     if (path is None) == (pattern is None):
         raise UsageError("provide exactly one of --sra or --pattern")
-    if path is not None:
-        if path.endswith(".json"):
-            return core.load(path)
-        pattern = _read_text(path)
-    return rx.compile(pattern).sra
+    text = pattern if path is None else _read_text(path)
+    if path is not None and path.endswith(".json"):
+        return core.loads(text)
+    return rx.compile(text).sra
 
 
 def _word(S: Sra, args) -> list:
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand to a plain finite automaton")
     automaton_flags(p)
     p.add_argument("--domain", required=True)
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.add_argument("--out")
     p.add_argument("--name", default="sra")
 
@@ -242,12 +242,8 @@ def run(args) -> int:
         return 0
 
     if args.verb == "expand":
-        if args.max_states is not None and args.max_states < 1:
-            raise UsageError("--max-states must be at least 1")
         S = _load(args.sra_path, args.pattern)
-        domain = _parse_domain(args.domain)
-        kwargs = {} if args.max_states is None else {"max_states": args.max_states}
-        ex = expand_to_sfa(S, domain, **kwargs)
+        ex = expand_to_sfa(S, _parse_domain(args.domain), args.max_states)
         _write_text(csv_report([size_report(args.name, S, ex)]), args.out)
         return 0
 

@@ -28,7 +28,6 @@ from .algebra import (
     Not,
     Or,
     Predicate,
-    TRUE,
     TruePred,
     algebra_by_name,
 )
@@ -138,11 +137,8 @@ def validate(S: Sra) -> list:
     if len(S.initial_valuation) != nregs:
         problems.append("initial valuation does not cover the register set exactly")
     for r, v in enumerate(S.initial_valuation):
-        if v is not None:
-            try:
-                S.algebra.denotes(TRUE, v)
-            except AlgebraError:
-                problems.append(f"initial value {v!r} of register {r} outside the domain")
+        if v is not None and not S.algebra._in_domain(v):
+            problems.append(f"initial value {v!r} of register {r} outside the domain")
     guard_problems = {}  # guard -> what is wrong with it, or None; each is checked once
     for t, (src, lab, dst) in enumerate(S.transitions):
         where = f"transition #{t}"
@@ -171,7 +167,7 @@ def validate(S: Sra) -> list:
 # semantics
 
 
-def compile_guard(algebra: Algebra, p: Predicate):
+def compile_guard(p: Predicate):
     """Turn a predicate into a fast closure over domain elements."""
     if isinstance(p, TruePred):
         return lambda a: True
@@ -193,16 +189,16 @@ def compile_guard(algebra: Algebra, p: Predicate):
         k = p.k
         return lambda a: a % k == 0
     if isinstance(p, Not):
-        f = compile_guard(algebra, p.arg)
+        f = compile_guard(p.arg)
         return lambda a: not f(a)
     if isinstance(p, And):
-        fs = tuple(compile_guard(algebra, q) for q in p.args)
+        fs = tuple(compile_guard(q) for q in p.args)
         if len(fs) == 2:
             f1, f2 = fs
             return lambda a: f1(a) and f2(a)
         return lambda a: all(f(a) for f in fs)
     if isinstance(p, Or):
-        fs = tuple(compile_guard(algebra, q) for q in p.args)
+        fs = tuple(compile_guard(q) for q in p.args)
         if len(fs) == 2:
             f1, f2 = fs
             return lambda a: f1(a) or f2(a)
@@ -236,10 +232,9 @@ class Moves:
         """What reading a in q does, filling its table slot if cacheable."""
         rows = self._rows[q]
         if rows is None:
-            algebra = self.S.algebra
             rows = self._rows[q] = [
                 (
-                    compile_guard(algebra, lab.guard),
+                    compile_guard(lab.guard),
                     tuple(sorted(lab.E)),
                     tuple(sorted(lab.I)),
                     tuple(sorted(lab.U)),
@@ -393,6 +388,7 @@ def dumps(S: Sra) -> str:
 
 
 def loads(text: str) -> Sra:
+    """The automaton a JSON text describes; the CLI reads the files."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as e:
@@ -400,9 +396,3 @@ def loads(text: str) -> Sra:
     except RecursionError:
         raise SraError("JSON nested too deeply") from None
     return from_json_dict(d)
-
-
-def load(path) -> Sra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-

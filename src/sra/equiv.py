@@ -237,8 +237,6 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     for S, side in operands:
         if not is_deterministic(S):
             raise SraError(f"{side} operand must be deterministic")
-    if S1.algebra is not S2.algebra:
-        raise SraError("operands must share an algebra")
     basis = minterm_basis(S1, S2)
     sizes = capped_sizes(S1.algebra, basis, len(S1.registers) + len(S2.registers) + 1)
     views = {}

@@ -21,8 +21,8 @@ single predicate.  Each value has one `Atom`, each merged predicate one
 
 The construction stops with an overflow report instead of an automaton
 as soon as it discovers one configuration more than the state limit;
-overflow is a result, not an error.  Domain values outside the
-algebra's domain are refused before anything is built.
+overflow is a result, not an error.  A state limit below 1 and domain
+values outside the algebra's domain are refused up front.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraError, Atom, Not, conj, disj
-from .core import Label, Sra, compile_guard
+from .core import Label, Sra, SraError, compile_guard
 
 DEFAULT_MAX_STATES = 2_000_000
 
@@ -50,6 +50,8 @@ class Expansion:
 
 
 def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expansion:
+    if max_states < 1:
+        raise SraError("max_states must be at least 1")
     algebra = S.algebra
     values = set(domain)
     for a in values:
@@ -91,7 +93,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                 entry = admitted.get(guard)
                 if entry is None:
                     algebra.check(guard)
-                    admits = compile_guard(algebra, guard)
+                    admits = compile_guard(guard)
                     members = [a for a in dom if admits(a)]
                     entry = admitted[guard] = (members, set(members))
                 data = entry[1] if E else entry[0]
@@ -101,7 +103,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
             entry = counted.get(guard)
             if entry is None:
                 entry = counted[guard] = (
-                    compile_guard(algebra, guard),
+                    compile_guard(guard),
                     algebra.size(guard, len(S.registers) + 1),
                 )
             admits, size = entry

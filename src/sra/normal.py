@@ -51,7 +51,7 @@ def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
     """
     algebra = S.algebra
     if extra is not None and extra.algebra is not algebra:
-        raise SraError("minterm basis requires a shared algebra")
+        raise SraError("operands must share an algebra")
     predicates = []
     for T in (S,) if extra is None else (S, extra):
         for _, lab, _ in T.transitions:

@@ -1,0 +1,84 @@
+"""One sha256 over the library's outputs on the stock benchmarks.
+
+    python tests/output_digest.py [SRC_DIR]   # about 15 s
+
+Run it on two trees (SRC_DIR defaults to this tree's src/) to check that
+a change keeps every output byte-identical.  It hashes `dumps` of the 19
+compiled stock patterns; `complete`, `complement` and `normalize` of the
+smaller ones; `union` and `intersect` of the partner pairs and IP3/IP4,
+both ways; `includes` and `separating_word` answers and words on the
+partner pairs; `is_empty` witnesses and `is_deterministic` answers; the
+benchmark's expansions and its overflow.  An exception's type and text
+are hashed in place of a result.  pytest does not collect this file.
+"""
+
+import hashlib
+import string
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).parents[1] / "src"))
+from sra import regex as rx  # noqa: E402
+from sra.boolean_ops import complement, complete, intersect, union  # noqa: E402
+from sra.core import dumps  # noqa: E402
+from sra.equiv import includes, separating_word  # noqa: E402
+from sra.expand import expand_to_sfa  # noqa: E402
+from sra.normal import is_deterministic, is_empty, normalize  # noqa: E402
+from sra.single_valued import to_single_valued  # noqa: E402
+
+# the rest take minutes or gigabytes to single-value, normalize or intersect
+SMALL = ("IP2", "IP3", "IP4", "Name-F", "Name-L", "Name", "XML",
+         "Pr-C2", "Pr-C3", "Pr-CL2", "Pr-CL3")
+PARTNERS = [(f"Pr-CL{k}", f"Pr-C{k}") for k in (2, 3, 4, 6, 9)] + [
+    ("IP2", "IP3"), ("IP4", "IP6"), ("IP6", "IP9"), ("Name-F", "Name"), ("Name-L", "Name"),
+]
+EXPANSIONS = (
+    ("IP3", string.digits),
+    ("XML", "abcdefghABCDEFGH"),
+    ("Name", string.ascii_lowercase + " ."),
+    ("Name", "abcdefghijklmn ."),
+)
+
+
+def main():
+    digest = hashlib.sha256()
+
+    def put(tag, f):
+        try:
+            out = f()
+        except Exception as e:
+            out = ("error", type(e).__name__, str(e))
+        digest.update(repr((tag, out)).encode() + b"\n")
+
+    stock = {name: rx.compile(p).sra for name, p in rx.BENCHMARK_PATTERNS.items()}
+    for name, S in stock.items():
+        put(("compile", name), lambda: dumps(S))
+    for name in SMALL + ("IP6", "Pr-C4", "Pr-CL4"):
+        sv = to_single_valued(stock[name])
+        put(("complete", name), lambda: dumps(complete(sv)))
+        put(("complement", name), lambda: dumps(complement(complete(sv))))
+        if name in SMALL:
+            put(("normalize", name), lambda: dumps(normalize(sv)))
+    for a, b in PARTNERS + [("IP3", "IP4")]:
+        for x, y in ((a, b), (b, a)):
+            put(("union", x, y), lambda: dumps(union(stock[x], stock[y])))
+            if x in SMALL and y in SMALL:
+                put(("intersect", x, y), lambda: dumps(intersect(stock[x], stock[y])))
+    for a, b in PARTNERS:
+        for x, y in ((a, b), (b, a)):
+            put(("includes", x, y), lambda: includes(stock[x], stock[y]))
+            put(("separating_word", x, y), lambda: separating_word(stock[x], stock[y]))
+    for name, S in stock.items():
+        put(("is_empty", name), lambda: is_empty(S))
+        put(("is_deterministic", name), lambda: is_deterministic(S))
+    for name, letters in EXPANSIONS:
+        ex = expand_to_sfa(stock[name], [ord(c) for c in letters])
+        put(("expand", name, letters), lambda: (
+            ex.overflow, ex.state_count, ex.domain_size, dumps(ex.sfa)))
+    ex = expand_to_sfa(rx.compile(r"(...)\1").sra, range(2 ** 16), max_states=20_000)
+    put(("overflow",), lambda: (ex.overflow, ex.sfa is None, ex.state_count))
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -58,6 +58,17 @@ def test_denotes_rejects_wrong_instance():
         UNICODE.denotes(TRUE, -1)
     with pytest.raises(AlgebraError):
         INTEGERS.denotes(TRUE, "x")
+    # every decision procedure checks its predicate in the walk that finds its period
+    for bad in (Div(3), Atom(-1)):
+        for decide in (
+            lambda q: UNICODE.size(q, 1),
+            UNICODE.is_sat,
+            lambda q: UNICODE.has_min_size(q, 2),
+            UNICODE.witness,
+            lambda q: UNICODE.minterms([TRUE, q]),
+        ):
+            with pytest.raises(AlgebraError):
+                decide(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +106,19 @@ def test_is_sat_matches_bruteforce_on_samples():
 
 def test_div_lcm_above_cap_fails_fast():
     p = And((Div(1000003), Interval(1, 1000002)))
-    for decide in (INTEGERS.is_sat, INTEGERS.witness, lambda q: INTEGERS.has_min_size(q, 1)):
+    for decide in (
+        INTEGERS.is_sat,
+        INTEGERS.witness,
+        lambda q: INTEGERS.has_min_size(q, 1),
+        lambda q: INTEGERS.size(q, 1),
+        lambda q: INTEGERS.minterms([q]),
+    ):
         with pytest.raises(AlgebraError):
             decide(p)
     assert not INTEGERS.is_sat(And((Div(1 << 16), Interval(1, (1 << 16) - 1))))
+    # the period is found in the walk that checks the predicate
+    assert INTEGERS.check(And((Div(4), Not(Div(6))))) == 12
+    assert INTEGERS.check(TRUE) == 1
 
 
 # ---------------------------------------------------------------------------

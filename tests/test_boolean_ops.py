@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from sra import regex as rx
 from sra.algebra import Div, Not, TRUE, INTEGERS
 from sra.boolean_ops import complement, complete, intersect, is_complete, union
-from sra.core import SraError, make_sra, membership
+from sra.core import SraError, dumps, make_sra, membership
 from sra.single_valued import to_single_valued
 
 from fixtures import (
@@ -279,3 +280,19 @@ def test_complement_of_empty_language_accepts_everything():
     C = complement(complete(to_single_valued(example3())))
     for w in words_up_to(range(0, 4), 3):
         assert membership(C, w)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda P: union(P("IP3"), P("IP4")),
+     "de292a31994b89d0d250620ad8d46eb1b0ec2e064901c113ed3c90e46810871c"),
+    # no registers on the left, so the right operand's are not shifted
+    (lambda P: union(rx.compile("[a-z]+ ").sra, P("Name")),
+     "0ad84a1e487f6cfc985e3a13e165fd31e59cd214c737d649f9ddecdfe9ecb41b"),
+    (lambda P: complete(to_single_valued(P("IP4"))),
+     "93c6374b5767193a99c76e67ddf2470524398fc921440942bcb48976570a0be6"),
+    (lambda P: complement(complete(to_single_valued(P("Name")))),
+     "d640b8cabb30efe9622c8559bc6626144109c677936bc6f655da3913da879f47"),
+], ids=["union_ip3_ip4", "union_register_free_name", "complete_ip4", "complement_name"])
+def test_boolean_operations_are_byte_identical_to_the_pinned_text(build, digest):
+    S = build(lambda name: rx.compile(rx.BENCHMARK_PATTERNS[name]).sra)
+    assert hashlib.sha256(dumps(S).encode()).hexdigest() == digest

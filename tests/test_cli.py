@@ -268,6 +268,17 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_json_files_are_read_as_utf8_text(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_bytes(b'{"algebra": "\xff"}')
+    assert main(["empty", "--sra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    # the final line terminator is optional
+    path.write_text(dumps(remark1()).removesuffix("\n"), encoding="utf-8")
+    assert main(["deterministic", "--sra", str(path)]) == 0
+
+
 def nested(guard, depth):
     return "!(" * depth + guard + ")" * depth
 

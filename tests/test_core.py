@@ -195,12 +195,12 @@ def test_membership_compiles_only_the_states_it_reaches(monkeypatch):
     depth = [0]
     real = core.compile_guard
 
-    def counting(algebra, p):  # counts guards, not their sub-predicates
+    def counting(p):  # counts guards, not their sub-predicates
         if not depth[0]:
             calls.append(p)
         depth[0] += 1
         try:
-            return real(algebra, p)
+            return real(p)
         finally:
             depth[0] -= 1
 

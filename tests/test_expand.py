@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS
-from sra.core import compile_guard, dumps, make_sra, membership
+from sra.core import SraError, compile_guard, dumps, make_sra, membership
 from sra.expand import CSV_HEADER, csv_report, expand_to_sfa, size_report
 from sra import expand, regex as rx
 
@@ -112,6 +112,12 @@ def test_overflow_on_a_wide_store_stops_at_the_cap(monkeypatch):
     assert len(atoms) < ex.state_count  # one per target found, not per candidate
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_state_limit_below_one_is_refused(cap):
+    with pytest.raises(SraError, match="max_states must be at least 1"):
+        expand_to_sfa(rx.compile("").sra, [97], max_states=cap)
+
+
 def test_domain_values_outside_the_algebra_are_refused():
     register_free = rx.compile("a").sra
     with pytest.raises(AlgebraError, match="-5 is not a unicode domain element"):
@@ -135,7 +141,7 @@ def test_member_tables_from_compiled_guards_match_denotation():
     for name, domain in (("IP3", digits), ("XML", letters)):
         S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
         for guard in {lab.guard for _, lab, _ in S.transitions}:
-            admits = compile_guard(S.algebra, guard)
+            admits = compile_guard(guard)
             compiled = [a for a in domain if admits(a)]
             assert compiled == [a for a in domain if S.algebra.denotes(guard, a)], (name, guard)
 
