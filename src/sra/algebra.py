@@ -532,7 +532,10 @@ def _parse_int(s: str, i: int):
         k += 1
     if k == j:
         raise AlgebraError(f"expected integer at position {i}")
-    return int(s[i:k]), k
+    try:
+        return int(s[i:k]), k
+    except ValueError:  # longer than int() converts
+        raise AlgebraError(f"integer too long at position {i}") from None
 
 
 class IntegerAlgebra(Algebra):

@@ -251,7 +251,7 @@ class Moves:
         return e
 
 
-def membership(S: Sra, word: Sequence[int]) -> bool:
+def membership(S: Sra, word: Iterable[int]) -> bool:
     """Word acceptance via breadth-first closure over configuration sets.
 
     Reachable valuations only mention initial values and word symbols, so
@@ -391,7 +391,7 @@ def loads(text: str) -> Sra:
     """The automaton a JSON text describes; the CLI reads the files."""
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long for int()
         raise SraError(f"not valid JSON: {e}") from e
     except RecursionError:
         raise SraError("JSON nested too deeply") from None

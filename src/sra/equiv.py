@@ -31,12 +31,13 @@ back with `normal.path`, the matched steps are turned into the word by
 operands.
 
 Each direction is searched first on the coarse view of
-`normal.LazyNorm`, where a slot holds the set of minterms its value may
-lie in.  The simulation reads every slot entry as that set, a singleton
-on the exact view, so the coarse search takes every answer a minterm
-question could have: a read fires on any minterm in its slot's set, an
-input may equal any uncorrelated right value whose set holds its
-minterm, and a value fresh to both sides is always assumed to exist.
+`normal.LazyNorm`.  Both views give each slot the set of minterms its
+value may lie in, a singleton or empty on the exact view, and the
+simulation reads that set alike on both.  So the coarse search takes
+every answer a minterm question could have: a read fires on any minterm
+in its slot's set, an input may equal any uncorrelated right value
+whose set holds its minterm, and a value fresh to both sides is always
+assumed to exist.
 The correspondence stays exact, and a right move on an input class
 exists on the coarse view whenever it exists on the exact one, and only
 then, since both views fire a read on the same rows when the slot's
@@ -131,9 +132,9 @@ class _Simulation:
     Where a projected minterm has a value fresh to both sides, a left
     move that does not read has the doubly-fresh class only, and a
     coincidental read none; elsewhere both keep every class.  Both sides
-    are exact or both coarse; on the coarse view "holding its minterm"
-    means a slot whose set holds it, and the doubly-fresh class is
-    always there unless the canonical input is taken.
+    are exact or both coarse, and on both views "holding its minterm"
+    means a slot whose set holds it; on the coarse view the doubly-fresh
+    class is always there unless the canonical input is taken.
     """
 
     def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, projected: frozenset):
@@ -172,16 +173,14 @@ class _Simulation:
             ]
         projected = self.projected
         reads2, fresh2 = self.ln2.successor_index(key2)
-        held1 = self.ln1.holders(key1[1])
-        held2 = self.ln2.holders(key2[1])
         out = []
         for m, op, r, coincidental, key1b in self.ln1.successors(key1):
             classes = None
             if op != "read" or coincidental and m in projected:
-                right_only = [s for s in held2.get(m, ()) if s not in sigma]
+                right_only = [s for s, held in enumerate(key2[1]) if m in held and s not in sigma]
                 # distinct values of m held on either side, or on the
                 # coarse view a bound on them
-                fresh = len(held1.get(m, ())) + len(right_only) < self.sizes[m]
+                fresh = sum(m in held for held in key1[1]) + len(right_only) < self.sizes[m]
                 if fresh and m in projected:
                     if op == "read":
                         continue  # the move's fresh variant stands for it

@@ -3,14 +3,15 @@
 Any SRA is normalized through its single-valued view, applied on the
 fly: a base state (q, f) pairs a state with the map f from registers to
 slots, and `sra.single_valued.slot_moves` lists its moves.  A slot
-abstraction assigns to every slot either the minterm its current value
-lies in, named by its index in the minterm basis, or -1 for an empty
-slot.  Re-guarding every move by minterms and tracking abstractions per
-base state turns the questions "can this move fire?" and "is some final
+abstraction assigns to every slot the frozenset of minterms its value
+may lie in, each named by its index in the minterm basis: the
+singleton of the one it lies in, or the empty set for an empty slot.
+Re-guarding every move by minterms and tracking abstractions per base
+state turns the questions "can this move fire?" and "is some final
 state reachable?" into finite-graph searches:
 
-* a read of slot r can fire exactly when the minterm the slot's value
-  lies in is inside its guard;
+* a read of slot r can fire on each minterm inside its guard that the
+  slot's set holds;
 * a fresh input satisfying a minterm exists exactly when the minterm
   denotes more elements than the number of slots currently holding
   one of them.
@@ -26,9 +27,9 @@ A path `reach` finds is walked back from its parent map once (`path`)
 and turned into a concrete word once (`replay`).  The simulation in
 `sra.equiv` is a graph that `reach` walks too, and it reuses `path` and
 `replay` for its failure traces and separating words.  It runs first on
-a coarse view of `LazyNorm`, where each slot holds the set of minterms
-its value may lie in; only a path that walks with exact slot minterms is
-replayed, and a step that finds no member left is an internal error.
+a coarse view of `LazyNorm`, where a slot's set may hold more than one
+minterm; only a path that walks with exact slot minterms is replayed,
+and a step that finds no member left is an internal error.
 """
 
 from __future__ import annotations
@@ -79,14 +80,16 @@ class LazyNorm:
     the initial slot valuation.  `sizes`, when given, is the basis's
     `capped_sizes` table at any cap above the number of registers.
 
-    With `coarse` set, a slot forgets its minterm and holds instead the
-    frozenset of minterms its value may lie in: its initial value's
-    minterm, or all that the guard of the fresh move storing it admits.
-    Such a fresh move is always enabled and leads to one successor for
-    all of them, and a read of a slot fires on every minterm that lies
-    both in its guard and in the slot's set.  Every path of the exact
-    view is then a path of the coarse one, with the same moves and
-    minterms; `sra.equiv` searches the coarse view first.
+    A slot holds the frozenset of minterms its value may lie in, and a
+    read of it fires on every minterm that lies both in its guard and
+    in that set.  Both views start from the same abstraction: the
+    singleton of each initial value's minterm, or the empty set.  On
+    the exact view a fresh move into minterm i stores the singleton of
+    i.  With `coarse` set it stores every minterm that its guard
+    admits, and it is always enabled and leads to one successor for
+    all of them.  Every path of the exact view is then a path of the
+    coarse one, with the same moves and minterms; `sra.equiv` searches
+    the coarse view first.
     """
 
     def __init__(
@@ -109,21 +112,21 @@ class LazyNorm:
             for j, q in enumerate(self.basis.sources)
         }
         self.valuation, f0 = initial_slots(S)
+        # a slot holds the frozenset of minterms its value may lie in: one
+        # shared set per guard, one shared singleton per minterm, and the
+        # empty set for an empty slot; each hash is computed once
+        self._sets = {t: frozenset(t) for t in self.inside.values()}
+        self._one = [frozenset({i}) for i in range(len(self.basis))]
         minterms = self.basis.minterms
         theta0 = tuple(
-            -1 if v is None else minterms.index(self.algebra.minterm_of(self.basis, v))
+            frozenset() if v is None
+            else self._one[minterms.index(self.algebra.minterm_of(self.basis, v))]
             for v in self.valuation
         )
-        if coarse:
-            # a coarse slot holds the set of minterms its value may lie in,
-            # one shared frozenset per guard, whose hash is computed once
-            self._sets = {t: frozenset(t) for t in self.inside.values()}
-            theta0 = tuple(frozenset() if i < 0 else frozenset({i}) for i in theta0)
         self.initial = ((S.initial, f0), theta0)
         self._rows = {}
         self._succ = {}
         self._succ_idx = {}
-        self._holders = {}
 
     def is_final(self, key) -> bool:
         return key[0][0] in self.S.finals
@@ -141,25 +144,22 @@ class LazyNorm:
             ]
         out = []
         for inside, op, r, coincidental, base2 in rows:
-            if self.coarse:
-                if op == "read":
-                    held = theta[r]
-                    key2 = (base2, theta)
-                    for i in inside:
-                        if i in held:
-                            out.append((i, "read", r, coincidental, key2))
-                else:
-                    theta2 = theta if r < 0 else theta[:r] + (self._sets[inside],) + theta[r + 1:]
-                    key2 = (base2, theta2)
-                    for i in inside:
-                        out.append((i, "fresh", r, False, key2))
-            elif op == "read":
-                if theta[r] in inside:
-                    out.append((theta[r], "read", r, coincidental, (base2, theta)))
+            if op == "read":
+                held = theta[r]
+                key2 = (base2, theta)
+                for i in inside:
+                    if i in held:
+                        out.append((i, "read", r, coincidental, key2))
+            elif self.coarse:
+                theta2 = theta if r < 0 else theta[:r] + (self._sets[inside],) + theta[r + 1:]
+                key2 = (base2, theta2)
+                for i in inside:
+                    out.append((i, "fresh", r, False, key2))
             else:  # fresh, stored into r or, when r < 0, nowhere
                 for i in inside:
-                    if theta.count(i) < self.sizes[i]:
-                        theta2 = theta if r < 0 else theta[:r] + (i,) + theta[r + 1:]
+                    one = self._one[i]
+                    if theta.count(one) < self.sizes[i]:
+                        theta2 = theta if r < 0 else theta[:r] + (one,) + theta[r + 1:]
                         out.append((i, "fresh", r, False, (base2, theta2)))
         self._succ[key] = out
         return out
@@ -180,28 +180,13 @@ class LazyNorm:
             self._succ_idx[key] = cached
         return cached
 
-    def holders(self, theta) -> dict:
-        """Per minterm, the slots of abstraction theta that may hold one
-        of its values."""
-        cached = self._holders.get(theta)
-        if cached is None:
-            cached = {}
-            for s, held in enumerate(theta):
-                if not self.coarse:
-                    held = (held,) if held >= 0 else ()
-                for i in held:
-                    cached.setdefault(i, []).append(s)
-            self._holders[theta] = cached
-        return cached
 
-
-def _abstraction_name(ln: LazyNorm, key, show_slots: bool) -> str:
+def _abstraction_name(ln: LazyNorm, key, show_slots: bool, names: dict) -> str:
     (q, f), theta = key
-    parts = ["_" if i < 0 else repr(ln.basis.minterms[i]) for i in theta]
-    if not parts:
+    if not theta:
         return ln.S.states[q]
     slots = ",".join(str(s) for s in f) + "|" if show_slots else ""
-    return ln.S.states[q] + "|" + slots + ",".join(parts)
+    return ln.S.states[q] + "|" + slots + ",".join([names[held] for held in theta])
 
 
 def final_distances(S: Sra) -> List[Optional[int]]:
@@ -338,6 +323,9 @@ def normalize(S: Sra) -> Sra:
     """
     ln = LazyNorm(S)
     minterms = ln.basis.minterms
+    # a slot's part of a state name: its minterm, or "_" when it is empty
+    names = {ln._one[i]: repr(m) for i, m in enumerate(minterms)}
+    names[frozenset()] = "_"
     order = list(reach(ln)[0])
     index = {key: i for i, key in enumerate(order)}
     transitions = tuple(
@@ -349,7 +337,7 @@ def normalize(S: Sra) -> Sra:
     return Sra(
         algebra=S.algebra,
         registers=S.registers,
-        states=tuple(_abstraction_name(ln, key, show_slots) for key in order),
+        states=tuple(_abstraction_name(ln, key, show_slots, names) for key in order),
         initial=0,
         initial_valuation=ln.valuation,
         finals=frozenset(i for i, key in enumerate(order) if ln.is_final(key)),

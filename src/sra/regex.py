@@ -236,10 +236,11 @@ class _Parser:
             digits += self.take()
         if not digits:
             raise self.error("expected a number")
-        n = int(digits)
-        if n > MAX_REPEAT:
+        # a count too long for int() is refused before it is converted
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_REPEAT)) or int(digits) > MAX_REPEAT:
             raise RegexError(f"repeat count above {MAX_REPEAT}", start)
-        return n
+        return int(digits)
 
     def atom(self):
         c = self.peek()

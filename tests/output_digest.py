@@ -1,15 +1,18 @@
 """One sha256 over the library's outputs on the stock benchmarks.
 
-    python tests/output_digest.py [SRC_DIR]   # about 15 s
+    python tests/output_digest.py [SRC_DIR]   # about 15-20 s
 
 Run it on two trees (SRC_DIR defaults to this tree's src/) to check that
 a change keeps every output byte-identical.  It hashes `dumps` of the 19
 compiled stock patterns; `complete`, `complement` and `normalize` of the
-smaller ones; `union` and `intersect` of the partner pairs and IP3/IP4,
-both ways; `includes` and `separating_word` answers and words on the
-partner pairs; `is_empty` witnesses and `is_deterministic` answers; the
-benchmark's expansions and its overflow.  An exception's type and text
-are hashed in place of a result.  pytest does not collect this file.
+single-valued smaller ones, and `normalize` of them as compiled, whose
+state names show each slot's minterm; `union` and `intersect` of the
+partner pairs and IP3/IP4, both ways; `includes`, `equivalent` and
+`separating_word` answers and words on the partner pairs, and
+`equivalent` of each smaller pattern with itself; `is_empty` witnesses
+and `is_deterministic` answers; the benchmark's expansions and its
+overflow.  An exception's type and text are hashed in place of a
+result.  pytest does not collect this file.
 """
 
 import hashlib
@@ -21,7 +24,7 @@ sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).pare
 from sra import regex as rx  # noqa: E402
 from sra.boolean_ops import complement, complete, intersect, union  # noqa: E402
 from sra.core import dumps  # noqa: E402
-from sra.equiv import includes, separating_word  # noqa: E402
+from sra.equiv import equivalent, includes, separating_word  # noqa: E402
 from sra.expand import expand_to_sfa  # noqa: E402
 from sra.normal import is_deterministic, is_empty, normalize  # noqa: E402
 from sra.single_valued import to_single_valued  # noqa: E402
@@ -59,6 +62,8 @@ def main():
         put(("complement", name), lambda: dumps(complement(complete(sv))))
         if name in SMALL:
             put(("normalize", name), lambda: dumps(normalize(sv)))
+            put(("normalize raw", name), lambda: dumps(normalize(stock[name])))
+            put(("equivalent", name, name), lambda: equivalent(stock[name], stock[name]))
     for a, b in PARTNERS + [("IP3", "IP4")]:
         for x, y in ((a, b), (b, a)):
             put(("union", x, y), lambda: dumps(union(stock[x], stock[y])))
@@ -67,6 +72,7 @@ def main():
     for a, b in PARTNERS:
         for x, y in ((a, b), (b, a)):
             put(("includes", x, y), lambda: includes(stock[x], stock[y]))
+            put(("equivalent", x, y), lambda: equivalent(stock[x], stock[y]))
             put(("separating_word", x, y), lambda: separating_word(stock[x], stock[y]))
     for name, S in stock.items():
         put(("is_empty", name), lambda: is_empty(S))

@@ -453,6 +453,13 @@ def test_parse_errors_report_position():
         INTEGERS.parse("(div 2 & div 3 | atom 0)")
     with pytest.raises(AlgebraError):
         INTEGERS.parse("(div 2 | div 3 & atom 0)")
+    # an integer longer than int() converts is an error at its position
+    long = "1" * 5000
+    for text, position in [
+        ("atom " + long, 5), ("div " + long, 4), ("[0-" + long + "]", 3), ("[-" + long + "-0]", 1),
+    ]:
+        with pytest.raises(AlgebraError, match=f"at position {position}$"):
+            INTEGERS.parse(text)
 
 
 def test_deep_nesting_is_an_algebra_error():

@@ -134,6 +134,8 @@ def test_membership_remark1_examples():
     assert membership(S, [2, 4, 2])
     assert not membership(S, [2, 4, 6])
     assert not membership(S, [3])
+    # any iterable word is read once, in order
+    assert membership(S, (a for a in [2, 4, 2]))
 
 
 def test_membership_remark1_exhaustive_small_words():
@@ -339,6 +341,9 @@ def test_json_canonical_file_bit_exact():
 def test_json_rejects_malformed_documents():
     with pytest.raises(SraError):
         loads("{nope")
+    # json.loads raises a plain ValueError for an integer too long for int()
+    with pytest.raises(SraError, match="not valid JSON"):
+        loads(dumps(simple_sra()).replace('"r": 5', '"r": ' + "5" * 5000))
     with pytest.raises(SraError):
         from_json_dict({"algebra": "int"})
     d = to_json_dict(simple_sra())

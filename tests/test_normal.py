@@ -126,21 +126,22 @@ def test_basis_rejects_mixed_algebras():
 
 
 def enabled(ln, theta, kind, i) -> bool:
-    """Can a read/fresh transition guarded by minterm i fire under theta?"""
+    """Can a read/fresh transition guarded by minterm i fire under theta,
+    whose slots hold sets of minterm indices?"""
     op, r = kind
     if op == "read":
-        return theta[r] == i
+        return i in theta[r]
     if op == "fresh":
         guard = ln.basis.minterms[i].conjunction
-        return ln.algebra.has_min_size(guard, theta.count(i) + 1)
+        return ln.algebra.has_min_size(guard, sum(i in held for held in theta) + 1)
     raise SraError(f"not a read/fresh label kind: {kind!r}")
 
 
 def test_enabled_read_requires_matching_abstraction():
     ln = LazyNorm(empty_language_with_loop())
-    assert enabled(ln, (0,), ("read", 0), 0)
-    assert not enabled(ln, (1,), ("read", 0), 0)
-    assert not enabled(ln, (-1,), ("read", 0), 0)
+    assert enabled(ln, (frozenset({0}),), ("read", 0), 0)
+    assert not enabled(ln, (frozenset({1}),), ("read", 0), 0)
+    assert not enabled(ln, (frozenset(),), ("read", 0), 0)
 
 
 def test_enabled_fresh_counts_occupied_values():
@@ -156,9 +157,9 @@ def test_enabled_fresh_counts_occupied_values():
     ln = LazyNorm(S)
     j = ln.basis.sources.index(Atom(7))
     point = next(i for i, m in enumerate(ln.basis) if m.bits[j])
-    assert enabled(ln, (-1,), ("fresh", 0), point)
+    assert enabled(ln, (frozenset(),), ("fresh", 0), point)
     # the only element of the guard is already held by a register
-    assert not enabled(ln, (point,), ("fresh", 0), point)
+    assert not enabled(ln, (frozenset({point}),), ("fresh", 0), point)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,13 @@ def test_single_valued_input_keeps_identity_slot_map():
 def test_every_constructed_transition_is_enabled_at_source():
     for S in sv_fixtures():
         ln = LazyNorm(S)
+        assert LazyNorm(S, coarse=True).initial == ln.initial
         seen = {ln.initial}
         stack = [ln.initial]
         while stack:
             key = stack.pop()
+            # the exact view knows each slot's minterm, or that it is empty
+            assert all(len(held) <= 1 for held in key[1])
             for i, op, r, _, key2 in ln.successors(key):
                 assert enabled(ln, key[1], (op, r), i)
                 if key2 not in seen:

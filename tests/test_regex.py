@@ -169,6 +169,12 @@ def test_repeat_counts_and_builds_are_bounded():
     with pytest.raises(rx.RegexError) as exc:
         rx.compile("a{1001}")
     assert exc.value.position == 2
+    # a count longer than int() converts is refused the same way
+    for pattern in ("a{" + "1" * 5000 + "}", "a{2," + "1" * 5000 + "}"):
+        with pytest.raises(rx.RegexError, match="repeat count above 1000") as exc:
+            rx.compile(pattern)
+        assert exc.value.position == pattern.index("1" * 5000)
+    assert rx.match(rx.compile("a{0001}"), "a")
     with pytest.raises(rx.RegexError):
         rx.compile("(a{1000}){1000}")
     cp = rx.compile("a{1000}")
