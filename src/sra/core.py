@@ -251,19 +251,12 @@ class Moves:
         return e
 
 
-def membership(S: Sra, word: Iterable[int]) -> bool:
-    """Word acceptance via breadth-first closure over configuration sets.
+MAX_HELD = 4096  # configurations, over all its sets, a membership set table holds
 
-    Reachable valuations only mention initial values and word symbols, so
-    the per-step configuration set is finite.  A deterministic SRA keeps
-    the set at size one and this degenerates to a linear scan.  Each call
-    reads moves through a fresh `Moves` table, so only the states the
-    word reaches are compiled and nothing is kept on S.
-    """
-    moves = Moves(S)
-    table, entry = moves.table, moves.entry
-    finals = S.finals
-    cur = [(S.initial, S.initial_valuation)]
+
+def _run(cur, word, table, entry) -> tuple:
+    """The configurations that those of cur reach by reading word, in
+    the order they are first reached, each once; empty once none is."""
     for a in word:
         cached = 0 <= a < ASCII
         nxt = []
@@ -291,10 +284,60 @@ def membership(S: Sra, word: Iterable[int]) -> bool:
                         else:
                             nxt.append((dst, v))
         if not nxt:
-            return False
+            return ()
         if len(nxt) > 1:
             nxt = list(dict.fromkeys(nxt))
         cur = nxt
+    return tuple(cur)
+
+
+def membership(S: Sra, word: Iterable[int]) -> bool:
+    """Word acceptance via breadth-first closure over configuration sets.
+
+    Reachable valuations only mention initial values and word symbols, so
+    the per-step configuration set is finite.  Each call reads moves
+    through a fresh `Moves` table, so only the states the word reaches
+    are compiled and nothing is kept on S.
+
+    The call also keeps a set table, a lazily built subset construction
+    over configuration sets: each set gets an id when it first appears,
+    `sets[k]` holds its configurations (a tuple of (state, valuation)
+    pairs) and `rows[k]` maps a symbol to the id of the set it steps to.
+    What a set steps to on a symbol depends only on its configurations
+    and S, so following a row gives exactly the set that `_run` gives on
+    a miss, and the answer is the one of a run without the table.  Once
+    a new set would take the table past MAX_HELD configurations, the
+    word reads its rest with `_run` alone, at about the cost of a run
+    that never had a table: a word that makes a new valuation on nearly
+    every symbol gains nothing from rows.  The bound counts
+    configurations, not sets, so sets that grow with the word (a
+    capture after `.*`) cannot make the table grow with its square.
+    """
+    moves = Moves(S)
+    table, entry = moves.table, moves.entry
+    cur = ((S.initial, S.initial_valuation),)
+    sets, rows, ids = [cur], [{}], {cur: 0}
+    k, held = 0, 1
+    word = iter(word)
+    for a in word:
+        n = rows[k].get(a)
+        if n is None:
+            cur = _run(sets[k], (a,), table, entry)
+            if not cur:
+                return False
+            n = ids.setdefault(cur, len(sets))
+            if n == len(sets):
+                held += len(cur)
+                if held > MAX_HELD:
+                    cur = _run(cur, word, table, entry)
+                    break
+                sets.append(cur)
+                rows.append({})
+            rows[k][a] = n
+        k = n
+    else:
+        cur = sets[k]
+    finals = S.finals
     return any(q in finals for q, _ in cur)
 
 

@@ -266,6 +266,25 @@ def small_backref_pattern(rng: random.Random):
     return "".join(items)
 
 
+# nondeterministic patterns whose long texts are decided by their last
+# character, so what the head stored must be carried through the text
+LONG_NONDET_PATTERNS = (r"(..).*\1", r"(.)(.).*\2\1", r"(?:a|b)*(.)(.)\1\2")
+
+
+def long_nondet_text(rng: random.Random, pattern: str, n: int, accept: bool) -> str:
+    """A text of n characters that the pattern, one of
+    LONG_NONDET_PATTERNS, matches; unless accept, its last character is
+    swapped (a and b, c and d) so that only that character rejects it."""
+    if pattern == LONG_NONDET_PATTERNS[2]:
+        x, y = rng.sample("cd", 2)
+        text = "".join(rng.choices("ab", k=n - 4)) + x + y + x + y
+    else:
+        head = "".join(rng.choices("ab", k=2))
+        tail = head if pattern == LONG_NONDET_PATTERNS[0] else head[::-1]
+        text = head + "".join(rng.choices("abcd xy", k=n - 4)) + tail
+    return text if accept else text[:-1] + text[-1].translate(str.maketrans("abcd", "badc"))
+
+
 # ---------------------------------------------------------------------------
 # embeddings: register automata and symbolic finite automata as SRAs
 

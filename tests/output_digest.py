@@ -11,11 +11,14 @@ partner pairs and IP3/IP4, both ways; `includes`, `equivalent` and
 `separating_word` answers and words on the partner pairs, and
 `equivalent` of each smaller pattern with itself; `is_empty` witnesses
 and `is_deterministic` answers; the benchmark's expansions and its
-overflow.  An exception's type and text are hashed in place of a
+overflow; `regex.match` verdicts of the nondeterministic
+LONG_NONDET_PATTERNS on seeded texts of 5,000 and 12,500 characters and
+on copies with one character changed.  An exception's type and text are hashed in place of a
 result.  pytest does not collect this file.
 """
 
 import hashlib
+import random
 import string
 import sys
 from pathlib import Path
@@ -28,6 +31,8 @@ from sra.equiv import equivalent, includes, separating_word  # noqa: E402
 from sra.expand import expand_to_sfa  # noqa: E402
 from sra.normal import is_deterministic, is_empty, normalize  # noqa: E402
 from sra.single_valued import to_single_valued  # noqa: E402
+
+from fixtures import LONG_NONDET_PATTERNS, long_nondet_text  # noqa: E402
 
 # the rest take minutes or gigabytes to single-value, normalize or intersect
 SMALL = ("IP2", "IP3", "IP4", "Name-F", "Name-L", "Name", "XML",
@@ -83,6 +88,15 @@ def main():
             ex.overflow, ex.state_count, ex.domain_size, dumps(ex.sfa)))
     ex = expand_to_sfa(rx.compile(r"(...)\1").sra, range(2 ** 16), max_states=20_000)
     put(("overflow",), lambda: (ex.overflow, ex.sfa is None, ex.state_count))
+    for pattern in LONG_NONDET_PATTERNS:
+        cp, rng = rx.compile(pattern), random.Random(pattern)
+        for n in (5_000, 12_500):
+            for accept in (True, False):
+                text = long_nondet_text(rng, pattern, n, accept)
+                for _ in range(4):
+                    put(("match", pattern, n, accept), lambda: rx.match(cp, text))
+                    i = rng.randrange(n)
+                    text = text[:i] + rng.choice("abcd") + text[i + 1:]
     print(digest.hexdigest())
 
 

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -183,6 +185,72 @@ def test_membership_matches_bruteforce_on_symbols_outside_the_cached_range(seed)
         S = random_chain(rng) if rng.random() < 0.5 else random_sra(rng)
         w = [rng.choice(WIDE_SYMBOLS) for _ in range(rng.randint(0, 10))]
         assert membership(S, w) == brute_membership(S, w), (S, w)
+
+
+def long_words(seed):
+    """Random automata, each with a word of 20-60 symbols over two or
+    three values and one over WIDE_SYMBOLS: long enough that a
+    membership run reads its set table's rows back."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        S = random_chain(rng) if rng.random() < 0.3 else random_sra(rng)
+        values = rng.sample(range(4), rng.randint(2, 3))
+        yield S, [rng.choice(values) for _ in range(rng.randint(20, 60))]
+        yield S, [rng.choice(WIDE_SYMBOLS) for _ in range(rng.randint(20, 60))]
+
+
+@pytest.mark.parametrize("seed", [42, 47])
+def test_membership_reading_cached_rows_matches_bruteforce(seed):
+    for S, w in long_words(seed):
+        assert membership(S, w) == brute_membership(S, w), (S, w)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_membership_past_the_table_cap_matches_bruteforce(monkeypatch, cap):
+    monkeypatch.setattr(core, "MAX_HELD", cap)
+    for S, w in long_words(42):
+        assert membership(S, w) == brute_membership(S, w), (S, w)
+
+
+def test_membership_past_the_table_cap_agrees_with_re(monkeypatch):
+    # each group of six makes three new valuations, so the table fills
+    pattern = r"(?:(.)(.)(.)\3\2\1)*"
+    rng = random.Random(6)
+    letters = [chr(c) for c in range(33, 127)]
+    text = "".join(a + b + c + c + b + a for a, b, c in (rng.sample(letters, 3) for _ in range(1000)))
+    S = rx.compile(pattern).sra
+    calls = []
+    real = core._run
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_run", counting)
+    for t in (text, text[:-1] + text[-2]):
+        calls.clear()
+        assert membership(S, [ord(c) for c in t]) == (re.fullmatch(pattern, t, re.ASCII) is not None)
+        assert core.MAX_HELD <= len(calls) < len(t)  # the rest read past the cap
+    assert re.fullmatch(pattern, text, re.ASCII)
+
+
+def test_membership_set_table_memory_is_bounded_when_sets_grow():
+    # after `.*` every position may start the capture, so the sets grow
+    # with the triples read: keeping every set met would take about 5 MB
+    pattern = r".*(...).*\1"
+    rng = random.Random(3)
+    text = "".join(rng.choices([chr(c) for c in range(33, 127)], k=400))
+    S = rx.compile(pattern).sra
+    for t in (text, text + text[100:103]):
+        word = [ord(c) for c in t]
+        tracemalloc.start()
+        try:
+            got = membership(S, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (re.fullmatch(pattern, t, re.ASCII) is not None)
+        assert peak < 2_000_000, peak
 
 
 def test_membership_compiles_only_the_states_it_reaches(monkeypatch):

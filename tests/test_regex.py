@@ -9,7 +9,7 @@ from sra.core import SraError, membership
 from sra.normal import is_deterministic
 from sra import regex as rx
 
-from fixtures import random_pattern
+from fixtures import LONG_NONDET_PATTERNS, long_nondet_text, random_pattern
 from oracles import backtrack_match, words_up_to
 
 
@@ -513,3 +513,15 @@ def test_nondeterministic_match_agrees_with_re_beyond_ascii():
     assert not is_deterministic(cp.sra)
     for t in texts:
         assert rx.match(cp, t) == (re.fullmatch(pattern, t, re.ASCII) is not None), t
+
+
+@pytest.mark.parametrize("pattern", LONG_NONDET_PATTERNS)
+def test_long_nondeterministic_texts_agree_with_re(pattern):
+    rng = random.Random(pattern)
+    cp = rx.compile(pattern)
+    assert not is_deterministic(cp.sra)
+    for n in (5_000, 12_500):
+        for accept in (True, False):
+            text = long_nondet_text(rng, pattern, n, accept)
+            assert (re.fullmatch(pattern, text, re.ASCII) is not None) == accept
+            assert rx.match(cp, text) == accept, (n, accept)
