@@ -103,7 +103,8 @@ def _print_word(label: str, word: list):
 
 
 def _parse_domain(spec: str) -> list:
-    """Comma-separated values or ranges; "a-z" uses codepoints, "0-9" ints.
+    """Comma-separated values or ranges; "a-z" uses codepoints, "0-9" and
+    "-5--1" ints.
 
     A domain of more than MAX_DOMAIN values is refused before any is listed.
     """
@@ -112,8 +113,9 @@ def _parse_domain(spec: str) -> list:
         part = part.strip()
         if not part:
             continue
-        lo, dash, hi = part.partition("-") if not part.startswith("-") else (part, "", "")
-        if not (dash and lo and hi):
+        dash = part.find("-", 1)  # a first value may be negative
+        lo, hi = part[:dash], part[dash + 1:]
+        if dash < 0 or not hi:
             lo = hi = part
         try:
             spans.append(range(int(lo), int(hi) + 1))
@@ -251,7 +253,7 @@ def run(args) -> int:
         cp = rx.compile(args.pattern)
         sizes = [int(s) for s in args.sizes.split(",")]
         unit = args.unit
-        rx.match(cp, unit)  # determinism check and first table fills, untimed
+        rx.match(cp, unit)  # first compiled moves and set-table fills, untimed
         lines = ["length,seconds"]
         for size in sizes:
             # whole records only, so each probe runs the full scan

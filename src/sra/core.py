@@ -211,7 +211,8 @@ _COLD = (None,) * ASCII  # shared, read-only row of a state not yet read from
 
 
 class Moves:
-    """The moves of S, compiled only for the states a scan reaches.
+    """The moves of S, compiled only for the states a run reaches, and
+    the set table of the configuration sets read so far.
 
     A state's (guard closure, E, I, U, dst) rows are compiled the first
     time it is read from.  `table[q][a]` caches, for 0 <= a < ASCII, what
@@ -221,12 +222,27 @@ class Moves:
     slot is None until `entry` fills it.  Other symbols (negative ones
     too, which Python would read from the end of the row) are never
     cached: `entry` filters the rows afresh each time.
+
+    The set table is a lazily built subset construction over
+    configuration sets.  `sets` maps a set (a tuple of (state,
+    valuation) pairs) to its node, the pair of that tuple and a row dict
+    from symbol to the node it steps to; `start` is the initial set's
+    node.  Rows point at nodes, not at numbers, so two threads reading
+    one table cannot misnumber sets.  The table lasts as long as the
+    Moves.  `held` counts the configurations of its sets, plus one for
+    each row that leads to a set held before it (a row that leads to a
+    new set comes with that set), and `_accepts` keeps it at most
+    MAX_HELD.
     """
 
     def __init__(self, S: Sra):
         self.S = S
         self._rows = [None] * len(S.states)
         self.table = [_COLD] * len(S.states)
+        start = ((S.initial, S.initial_valuation),)
+        self.start = (start, {})
+        self.sets = {start: self.start}
+        self.held = 1
 
     def entry(self, q: int, a: int):
         """What reading a in q does, filling its table slot if cacheable."""
@@ -251,7 +267,7 @@ class Moves:
         return e
 
 
-MAX_HELD = 4096  # configurations, over all its sets, a membership set table holds
+MAX_HELD = 4096  # configurations and rows to held sets a set table holds
 
 
 def _run(cur, word, table, entry) -> tuple:
@@ -291,54 +307,57 @@ def _run(cur, word, table, entry) -> tuple:
     return tuple(cur)
 
 
+def _accepts(moves: Moves, word: Iterable[int]) -> bool:
+    """Does the automaton of moves accept word?  Reads the set table of
+    moves, and fills it on a miss.
+
+    A miss steps the set's configurations with `_run`.  What a set steps
+    to on a symbol depends only on its configurations and the automaton,
+    so following a row gives exactly the set that `_run` gives on a
+    miss, and the answer is the one of a run without the table.  Once a
+    miss would take `held` past MAX_HELD, the word reads its rest with
+    `_run` alone, at about the cost of a run that never had a table: a
+    word that makes a new valuation on nearly every symbol gains nothing
+    from rows.  The bound counts configurations, not sets, so sets that
+    grow with the word (a capture after `.*`) cannot make the table grow
+    with its square; and it counts rows to sets already held, so a table
+    kept across many words cannot grow with the symbols they read.
+    """
+    table, entry, sets = moves.table, moves.entry, moves.sets
+    cur, row = moves.start
+    word = iter(word)
+    for a in word:
+        node = row.get(a)
+        if node is None:
+            nxt = _run(cur, (a,), table, entry)
+            if not nxt:
+                return False
+            node = sets.get(nxt)
+            size = len(nxt) if node is None else 1
+            if moves.held + size > MAX_HELD:
+                cur = _run(nxt, word, table, entry)
+                break
+            moves.held += size
+            if node is None:  # setdefault: another thread may have added it
+                node = sets.setdefault(nxt, (nxt, {}))
+            row[a] = node
+        cur, row = node
+    finals = moves.S.finals
+    return any(q in finals for q, _ in cur)
+
+
 def membership(S: Sra, word: Iterable[int]) -> bool:
     """Word acceptance via breadth-first closure over configuration sets.
 
     Reachable valuations only mention initial values and word symbols, so
-    the per-step configuration set is finite.  Each call reads moves
-    through a fresh `Moves` table, so only the states the word reaches
-    are compiled and nothing is kept on S.
-
-    The call also keeps a set table, a lazily built subset construction
-    over configuration sets: each set gets an id when it first appears,
-    `sets[k]` holds its configurations (a tuple of (state, valuation)
-    pairs) and `rows[k]` maps a symbol to the id of the set it steps to.
-    What a set steps to on a symbol depends only on its configurations
-    and S, so following a row gives exactly the set that `_run` gives on
-    a miss, and the answer is the one of a run without the table.  Once
-    a new set would take the table past MAX_HELD configurations, the
-    word reads its rest with `_run` alone, at about the cost of a run
-    that never had a table: a word that makes a new valuation on nearly
-    every symbol gains nothing from rows.  The bound counts
-    configurations, not sets, so sets that grow with the word (a
-    capture after `.*`) cannot make the table grow with its square.
+    the per-step configuration set is finite.  Each call reads moves and
+    sets through a fresh `Moves`, so only the states the word reaches
+    are compiled, nothing is kept on S, and the set table lasts for the
+    call.  `regex.match` runs the same loop on the `Moves` that a
+    compiled pattern keeps, so there the table lasts as long as the
+    pattern.
     """
-    moves = Moves(S)
-    table, entry = moves.table, moves.entry
-    cur = ((S.initial, S.initial_valuation),)
-    sets, rows, ids = [cur], [{}], {cur: 0}
-    k, held = 0, 1
-    word = iter(word)
-    for a in word:
-        n = rows[k].get(a)
-        if n is None:
-            cur = _run(sets[k], (a,), table, entry)
-            if not cur:
-                return False
-            n = ids.setdefault(cur, len(sets))
-            if n == len(sets):
-                held += len(cur)
-                if held > MAX_HELD:
-                    cur = _run(cur, word, table, entry)
-                    break
-                sets.append(cur)
-                rows.append({})
-            rows[k][a] = n
-        k = n
-    else:
-        cur = sets[k]
-    finals = S.finals
-    return any(q in finals for q, _ in cur)
+    return _accepts(Moves(S), word)
 
 
 # ---------------------------------------------------------------------------

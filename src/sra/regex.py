@@ -36,8 +36,9 @@ from .algebra import (
     UNICODE,
     disj,
 )
-from .core import ASCII, Label, Moves, Sra, SraError, membership, validate
-from .normal import is_deterministic
+from .core import Label, Moves, Sra, SraError, _accepts, validate
+from .core import membership  # noqa: F401
+from .normal import is_deterministic  # noqa: F401
 
 
 # RE2's limit on a repeat count, and a bound on the nodes of one build
@@ -414,17 +415,16 @@ def fixed_length(node, group_lengths: dict) -> Optional[int]:
 
 
 class CompiledPattern:
-    """A compiled automaton, plus what `match` caches for it on first use:
-    whether it is deterministic, and, when it is, a `core.Moves` table
-    that compiles a state's moves when the scan first reaches it and
-    fills a state's entry for an ASCII character when the scan first
-    reads that character there.  The table lasts as long as the pattern,
-    so later matches reuse what earlier ones filled."""
+    """A compiled automaton and its `core.Moves`, which `match` reads:
+    a state's moves are compiled when a match first reaches it, and the
+    set table of configuration sets fills as texts are read.  Both last
+    as long as the pattern, so later matches reuse what earlier ones
+    filled, and `core.MAX_HELD` bounds the set table over that
+    lifetime."""
 
     def __init__(self, sra: Sra):
         self.sra = sra
-        self._moves = None
-        self._deterministic = None
+        self.moves = Moves(sra)
 
     def __repr__(self):
         return (
@@ -663,41 +663,10 @@ def _compile(ast_or_pattern) -> CompiledPattern:
 
 
 def match(compiled: CompiledPattern, text: str) -> bool:
-    """Does the whole text match?  Single linear scan when deterministic,
-    updating the one valuation in place."""
-    if compiled._deterministic is None:
-        compiled._deterministic = is_deterministic(compiled.sra)
-    S = compiled.sra
-    if not compiled._deterministic:
-        return membership(S, [ord(c) for c in text])
-    if compiled._moves is None:
-        compiled._moves = Moves(S)
-    table, entry = compiled._moves.table, compiled._moves.entry
-    v = list(S.initial_valuation)
-    q = S.initial
-    for c in map(ord, text):
-        e = table[q][c] if c < ASCII else None  # ord is never negative
-        if e is None:
-            e = entry(q, c)
-        if e.__class__ is int:
-            q = e
-            continue
-        for E, I, U, dst in e:
-            for r in E:
-                if v[r] != c:
-                    break
-            else:
-                for r in I:
-                    if v[r] == c:
-                        break
-                else:
-                    for r in U:
-                        v[r] = c
-                    q = dst
-                    break
-        else:
-            return False
-    return q in S.finals
+    """Does the whole text match?  One pass over the text through the
+    pattern's set table (`core.membership`'s engine), so each step from
+    a configuration set already met on that symbol is one dict lookup."""
+    return _accepts(compiled.moves, map(ord, text))
 
 
 # ---------------------------------------------------------------------------

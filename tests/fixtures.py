@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 from typing import Iterable, Optional, Sequence
 
 from sra.algebra import Algebra, And, Atom, Div, Interval, Not, TRUE, INTEGERS, UNICODE
@@ -283,6 +284,59 @@ def long_nondet_text(rng: random.Random, pattern: str, n: int, accept: bool) -> 
         tail = head if pattern == LONG_NONDET_PATTERNS[0] else head[::-1]
         text = head + "".join(rng.choices("abcd xy", k=n - 4)) + tail
     return text if accept else text[:-1] + text[-1].translate(str.maketrans("abcd", "badc"))
+
+
+# e acute, no-break space and line separator: none is \s under re.ASCII,
+# so each one is part of a [^\s]+ run, and . matches each one
+NON_ASCII = "\u00e9\u00a0\u2028"
+
+
+def random_word(rng: random.Random, alphabet: str, lo: int, hi: int) -> str:
+    """lo to hi characters drawn from alphabet."""
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+
+def stock_text(name: str, rng: random.Random) -> str:
+    """A text the stock pattern accepts, with non-ASCII characters in
+    product codes and descriptions."""
+    if name.startswith("IP"):
+        head = random_word(rng, string.digits, int(name[2:]), int(name[2:]))
+
+        def endpoint():
+            digits = head + random_word(rng, string.digits, 12 - len(head), 12 - len(head))
+            address = ".".join(digits[i:i + 3] for i in range(0, 12, 3))
+            return f"IP: {address}:{random_word(rng, string.digits, 1, 4)}"
+
+        return " ".join(endpoint() for _ in range(rng.randint(2, 3)))
+    if name.startswith("Name"):
+        first, last = (random_word(rng, string.ascii_lowercase, 1, 6) for _ in range(2))
+        suffix = {"Name-F": first[0] + ".", "Name-L": last[0] + ".", "Name": first[0] + last[0]}
+        return f"{first} {last} {suffix[name]}"
+    if name == "XML":
+        tag = random_word(rng, string.ascii_letters, 3, 3)
+        return f"<{tag}>{random_word(rng, string.ascii_letters + string.digits + ' ', 0, 8)}</{tag}>"
+    lot_referenced = name.startswith("Pr-CL")
+    width = int(name[5:]) - 1 if lot_referenced else int(name[4:])
+    visible = string.ascii_letters + string.digits + NON_ASCII
+    code = random_word(rng, visible, width, width)
+    if rng.random() < 0.5:  # a non-ASCII character right after C:
+        code = rng.choice(NON_ASCII) + code[1:]
+    lot = rng.choice(visible)
+    return " ".join(
+        f"C:{code} L:{lot if lot_referenced else rng.choice(visible)} D:{random_word(rng, visible, 1, 5)}"
+        for _ in range(rng.randint(2, 3))
+    )
+
+
+def mutants(text: str, rng: random.Random, n: int) -> list:
+    """Copies of text with one character replaced, inserted or deleted."""
+    out = []
+    for _ in range(n):
+        i = rng.randrange(len(text))
+        c = rng.choice(string.ascii_letters + string.digits + " .:" + NON_ASCII)
+        out.append(rng.choice([text[:i] + c + text[i + 1:], text[:i] + c + text[i:],
+                               text[:i] + text[i + 1:]]))
+    return out
 
 
 # ---------------------------------------------------------------------------

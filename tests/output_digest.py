@@ -13,8 +13,11 @@ partner pairs and IP3/IP4, both ways; `includes`, `equivalent` and
 and `is_deterministic` answers; the benchmark's expansions and its
 overflow; `regex.match` verdicts of the nondeterministic
 LONG_NONDET_PATTERNS on seeded texts of 5,000 and 12,500 characters and
-on copies with one character changed.  An exception's type and text are hashed in place of a
-result.  pytest does not collect this file.
+on copies with one character changed, of every stock pattern on seeded
+texts with non-ASCII characters and their mutants, and of
+`(?:(.)(.)(.)\3\2\1)*` on a seeded 6,000-character text and a mutant.
+An exception's type and text are hashed in place of a result.  pytest
+does not collect this file.
 """
 
 import hashlib
@@ -32,7 +35,7 @@ from sra.expand import expand_to_sfa  # noqa: E402
 from sra.normal import is_deterministic, is_empty, normalize  # noqa: E402
 from sra.single_valued import to_single_valued  # noqa: E402
 
-from fixtures import LONG_NONDET_PATTERNS, long_nondet_text  # noqa: E402
+from fixtures import LONG_NONDET_PATTERNS, long_nondet_text, mutants, stock_text  # noqa: E402
 
 # the rest take minutes or gigabytes to single-value, normalize or intersect
 SMALL = ("IP2", "IP3", "IP4", "Name-F", "Name-L", "Name", "XML",
@@ -97,6 +100,18 @@ def main():
                     put(("match", pattern, n, accept), lambda: rx.match(cp, text))
                     i = rng.randrange(n)
                     text = text[:i] + rng.choice("abcd") + text[i + 1:]
+    for name, pattern in rx.BENCHMARK_PATTERNS.items():
+        cp, rng = rx.compile(pattern), random.Random(name)
+        for _ in range(4):
+            text = stock_text(name, rng)
+            for t in [text] + mutants(text, rng, 4):
+                put(("match", name, t), lambda: rx.match(cp, t))
+    pattern = r"(?:(.)(.)(.)\3\2\1)*"
+    cp, rng = rx.compile(pattern), random.Random(pattern)
+    letters = [chr(c) for c in range(33, 127)]
+    text = "".join(a + b + c + c + b + a for a, b, c in (rng.sample(letters, 3) for _ in range(1000)))
+    for t in [text] + mutants(text, rng, 1):
+        put(("match", pattern, t), lambda: rx.match(cp, t))
     print(digest.hexdigest())
 
 

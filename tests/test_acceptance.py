@@ -122,7 +122,7 @@ def test_6_membership_scales_linearly():
     cp = rx.compile(rx.BENCHMARK_PATTERNS["Pr-C2"])
     assert is_deterministic(cp.sra)
     unit = "C:ab L:x D:yz"
-    rx.match(cp, unit)  # warm the compiled scanner before timing
+    rx.match(cp, unit)  # compile the moves it reaches and fill the set table, untimed
     points = []
     for size in (10 ** k for k in range(2, 8)):
         reps = max(2, round(size / (len(unit) + 1)))

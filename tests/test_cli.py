@@ -215,6 +215,23 @@ def test_expand_overflow_report(tmp_path, capsys):
     assert "---" in capsys.readouterr().out
 
 
+def test_expand_domain_ranges_may_have_negative_ends(tmp_path, capsys):
+    path = write_sra(tmp_path, "r1.json", remark1())
+
+    def report(domain):
+        code = main(["expand", "--sra", path, f"--domain={domain}"])
+        return code, capsys.readouterr()
+
+    listed = report("-3,-2,-1,0,1,2,3")[1].out
+    code, out = report("-3-3")
+    assert code == 0 and out.out == listed
+    assert out.out.split("\n")[1].split(",")[4] == "7"  # reg_domain
+    code, out = report("-5--1")
+    assert code == 0 and out.out.split("\n")[1].split(",")[4] == "5"
+    code, out = report("5--1")
+    assert code == 2 and "empty domain" in out.err
+
+
 @pytest.mark.parametrize("args", [
     ["compile", "--pattern", r"(\d)\1"],
     ["expand", "--pattern", r"(\d)\1", "--domain", "48-57", "--name", "paar-\u00fc"],
@@ -392,6 +409,7 @@ def test_domain_parsing():
     assert _parse_domain("1-3,7") == [1, 2, 3, 7]
     assert _parse_domain("x") == [ord("x")]
     assert _parse_domain("-5") == [-5]
+    assert _parse_domain("-2-1,-5--4") == [-2, -1, 0, 1, -5, -4]
     with pytest.raises(UsageError):
         _parse_domain("")
     with pytest.raises(UsageError):

@@ -1,15 +1,17 @@
 import random
 import re
-import string
 
 import pytest
 
 from sra.algebra import UNICODE
 from sra.core import SraError, membership
 from sra.normal import is_deterministic
-from sra import regex as rx
+from sra import core, regex as rx
 
-from fixtures import LONG_NONDET_PATTERNS, long_nondet_text, random_pattern
+from fixtures import (
+    LONG_NONDET_PATTERNS, NON_ASCII, long_nondet_text, mutants, random_pattern, random_word,
+    stock_text,
+)
 from oracles import backtrack_match, words_up_to
 
 
@@ -432,58 +434,6 @@ def test_benchmark_samples():
     assert not rx.match(bm["Pr-CL2"], "C:a L:1 D:x C:a L:2 D:y")
 
 
-# e acute, no-break space and line separator: none is \s under re.ASCII,
-# so each one is part of a [^\s]+ run, and . matches each one
-NON_ASCII = "\u00e9\u00a0\u2028"
-
-
-def _word(rng, alphabet, lo, hi):
-    return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
-
-
-def stock_text(name, rng):
-    """A text the stock pattern accepts, with non-ASCII characters in
-    product codes and descriptions."""
-    if name.startswith("IP"):
-        head = _word(rng, string.digits, int(name[2:]), int(name[2:]))
-
-        def endpoint():
-            digits = head + _word(rng, string.digits, 12 - len(head), 12 - len(head))
-            address = ".".join(digits[i:i + 3] for i in range(0, 12, 3))
-            return f"IP: {address}:{_word(rng, string.digits, 1, 4)}"
-
-        return " ".join(endpoint() for _ in range(rng.randint(2, 3)))
-    if name.startswith("Name"):
-        first, last = (_word(rng, string.ascii_lowercase, 1, 6) for _ in range(2))
-        suffix = {"Name-F": first[0] + ".", "Name-L": last[0] + ".", "Name": first[0] + last[0]}
-        return f"{first} {last} {suffix[name]}"
-    if name == "XML":
-        tag = _word(rng, string.ascii_letters, 3, 3)
-        return f"<{tag}>{_word(rng, string.ascii_letters + string.digits + ' ', 0, 8)}</{tag}>"
-    lot_referenced = name.startswith("Pr-CL")
-    width = int(name[5:]) - 1 if lot_referenced else int(name[4:])
-    visible = string.ascii_letters + string.digits + NON_ASCII
-    code = _word(rng, visible, width, width)
-    if rng.random() < 0.5:  # a non-ASCII character right after C:
-        code = rng.choice(NON_ASCII) + code[1:]
-    lot = rng.choice(visible)
-    return " ".join(
-        f"C:{code} L:{lot if lot_referenced else rng.choice(visible)} D:{_word(rng, visible, 1, 5)}"
-        for _ in range(rng.randint(2, 3))
-    )
-
-
-def mutants(text, rng, n):
-    """Copies of text with one character replaced, inserted or deleted."""
-    out = []
-    for _ in range(n):
-        i = rng.randrange(len(text))
-        c = rng.choice(string.ascii_letters + string.digits + " .:" + NON_ASCII)
-        out.append(rng.choice([text[:i] + c + text[i + 1:], text[:i] + c + text[i:],
-                               text[:i] + text[i + 1:]]))
-    return out
-
-
 def seeded_texts(name, rng):
     texts = []
     for _ in range(4):
@@ -508,11 +458,63 @@ def test_cold_and_warm_match_agree_with_re(name):
 def test_nondeterministic_match_agrees_with_re_beyond_ascii():
     pattern = r"(..).*\1"
     rng = random.Random(7)
-    texts = [_word(rng, "ab" + NON_ASCII, 0, 7) for _ in range(300)]
+    texts = [random_word(rng, "ab" + NON_ASCII, 0, 7) for _ in range(300)]
     cp = rx.compile(pattern)
     assert not is_deterministic(cp.sra)
     for t in texts:
         assert rx.match(cp, t) == (re.fullmatch(pattern, t, re.ASCII) is not None), t
+
+
+@pytest.mark.parametrize("cap", [1, 64])
+def test_one_pattern_keeps_its_set_table_within_the_cap(monkeypatch, cap):
+    # few letters, so valuations recur and rows are read as well as filled
+    monkeypatch.setattr(core, "MAX_HELD", cap)
+    pattern = r"(?:(.)(.)(.)\3\2\1)*"
+    letters = "abcde" + NON_ASCII
+    rng = random.Random(cap)
+    cp = rx.compile(pattern)
+    for i in range(60):
+        text = "".join(a + b + c + c + b + a for a, b, c in (
+            rng.sample(letters, 3) for _ in range(rng.randint(1, 40))))
+        if i % 2:  # its mirror position no longer agrees with it
+            j = rng.randrange(len(text))
+            text = text[:j] + rng.choice(letters.replace(text[j], "")) + text[j + 1:]
+        assert (re.fullmatch(pattern, text, re.ASCII) is not None) == (i % 2 == 0)
+        assert rx.match(cp, text) == (i % 2 == 0), text
+    assert sum(len(configs) for configs in cp.moves.sets) <= cp.moves.held <= cap
+
+
+def test_rows_of_a_kept_table_stay_within_the_cap(monkeypatch):
+    # each text captures a new pair, and its `.*` reads hundreds of
+    # symbols: rows to sets already held must count against the cap
+    monkeypatch.setattr(core, "MAX_HELD", 256)
+    pattern = r"(..).*\1"
+    alphabet = [chr(c) for c in range(0x400, 0x400 + 5000)]
+    rng = random.Random(5)
+    cp = rx.compile(pattern)
+    for i in range(40):
+        head = "".join(rng.choices(alphabet, k=2))
+        text = head + "".join(rng.choices(alphabet, k=500)) + (head if i % 2 else head[::-1])
+        assert rx.match(cp, text) == (re.fullmatch(pattern, text, re.ASCII) is not None)
+    rows = sum(len(row) for _, row in cp.moves.sets.values())
+    assert rows < cp.moves.held <= 256
+
+
+def test_a_pattern_compiles_its_moves_once(monkeypatch):
+    cp = rx.compile(r"(..).*\1")
+    assert not is_deterministic(cp.sra)
+    calls = []
+    real = core.compile_guard
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(core, "compile_guard", counting)
+    assert rx.match(cp, "abxyab") and calls
+    compiled = len(calls)
+    assert rx.match(cp, "abxyab")
+    assert len(calls) == compiled
 
 
 @pytest.mark.parametrize("pattern", LONG_NONDET_PATTERNS)
