@@ -117,6 +117,8 @@ def _parse_domain(spec: str) -> list:
         lo, hi = part[:dash], part[dash + 1:]
         if dash < 0 or not hi:
             lo = hi = part
+        elif lo == "-":  # a sign with no digits: "--5" is no range
+            raise UsageError(f"bad domain value or range {part!r}")
         try:
             spans.append(range(int(lo), int(hi) + 1))
         except ValueError:

@@ -229,20 +229,26 @@ class Moves:
     from symbol to the node it steps to; `start` is the initial set's
     node.  Rows point at nodes, not at numbers, so two threads reading
     one table cannot misnumber sets.  The table lasts as long as the
-    Moves.  `held` counts the configurations of its sets, plus one for
-    each row that leads to a set held before it (a row that leads to a
-    new set comes with that set), and `_accepts` keeps it at most
-    MAX_HELD.
+    Moves, but `clear` may empty it.  `held` counts the configurations
+    of its sets, plus one for each row that leads to a set held before
+    it (a row that leads to a new set comes with that set), and
+    `_accepts` keeps it at most MAX_HELD.  `words` counts the words read
+    since the table was last emptied.
     """
 
     def __init__(self, S: Sra):
         self.S = S
         self._rows = [None] * len(S.states)
         self.table = [_COLD] * len(S.states)
-        start = ((S.initial, S.initial_valuation),)
+        self.clear()
+
+    def clear(self):
+        """Empty the set table, down to the initial set's node."""
+        start = ((self.S.initial, self.S.initial_valuation),)
         self.start = (start, {})
         self.sets = {start: self.start}
         self.held = 1
+        self.words = 0
 
     def entry(self, q: int, a: int):
         """What reading a in q does, filling its table slot if cacheable."""
@@ -322,9 +328,14 @@ def _accepts(moves: Moves, word: Iterable[int]) -> bool:
     grow with the word (a capture after `.*`) cannot make the table grow
     with its square; and it counts rows to sets already held, so a table
     kept across many words cannot grow with the symbols they read.
+
+    A full table is emptied on a miss once it has read MAX_HELD words
+    since it was last emptied: words after a change in traffic fill it
+    again, and a refill costs at most one miss per word waited for.
     """
     table, entry, sets = moves.table, moves.entry, moves.sets
     cur, row = moves.start
+    moves.words += 1
     word = iter(word)
     for a in word:
         node = row.get(a)
@@ -335,6 +346,8 @@ def _accepts(moves: Moves, word: Iterable[int]) -> bool:
             node = sets.get(nxt)
             size = len(nxt) if node is None else 1
             if moves.held + size > MAX_HELD:
+                if moves.words >= MAX_HELD:
+                    moves.clear()
                 cur = _run(nxt, word, table, entry)
                 break
             moves.held += size
@@ -355,7 +368,7 @@ def membership(S: Sra, word: Iterable[int]) -> bool:
     are compiled, nothing is kept on S, and the set table lasts for the
     call.  `regex.match` runs the same loop on the `Moves` that a
     compiled pattern keeps, so there the table lasts as long as the
-    pattern.
+    pattern, emptied when full.
     """
     return _accepts(Moves(S), word)
 

@@ -419,8 +419,8 @@ class CompiledPattern:
     a state's moves are compiled when a match first reaches it, and the
     set table of configuration sets fills as texts are read.  Both last
     as long as the pattern, so later matches reuse what earlier ones
-    filled, and `core.MAX_HELD` bounds the set table over that
-    lifetime."""
+    filled; `core.MAX_HELD` bounds the set table, which `core._accepts`
+    empties when it is full and has read that many texts."""
 
     def __init__(self, sra: Sra):
         self.sra = sra

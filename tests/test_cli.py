@@ -414,6 +414,10 @@ def test_domain_parsing():
         _parse_domain("")
     with pytest.raises(UsageError):
         _parse_domain("foo-bar")
+    for spec in ("--5", "---"):  # a lone "-" is no low end of a range
+        with pytest.raises(UsageError):
+            _parse_domain(spec)
+    assert _parse_domain("-") == [ord("-")]
     assert len(_parse_domain("0-1114111")) == 0x110000
     # refused from the range sizes, before 10^8 values are listed
     with pytest.raises(UsageError):

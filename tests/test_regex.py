@@ -500,6 +500,34 @@ def test_rows_of_a_kept_table_stay_within_the_cap(monkeypatch):
     assert rows < cp.moves.held <= 256
 
 
+def test_a_full_table_is_emptied_once_it_has_read_max_held_words(monkeypatch):
+    # one text of new valuations fills the table; a miss after MAX_HELD
+    # words empties it, so a short text repeated since then is read off
+    # rows alone, with no `_run` call
+    monkeypatch.setattr(core, "MAX_HELD", 64)
+    cp = rx.compile(r"(?:(.)(.)(.)\3\2\1)*")
+    rng = random.Random(3)
+    letters = [chr(c) for c in range(0x400, 0x600)]
+    assert rx.match(cp, "".join(a + b + c + c + b + a for a, b, c in (
+        rng.sample(letters, 3) for _ in range(100))))
+    runs = []
+    real = core._run
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_run", counting)
+    held = cp.moves.held
+    for i in range(64):
+        assert rx.match(cp, "abccba")
+        assert i or cp.moves.held == held  # the next word does not empty it
+    runs.clear()
+    assert rx.match(cp, "abccba") and not rx.match(cp, "abccbb")
+    assert len(runs) == 1  # the one miss of the rejected text
+    assert cp.moves.held <= 64
+
+
 def test_a_pattern_compiles_its_moves_once(monkeypatch):
     cp = rx.compile(r"(..).*\1")
     assert not is_deterministic(cp.sra)
