@@ -78,7 +78,8 @@ def make_sra(
     """Name-based constructor.
 
     transitions are (src, guard, E, I, U, dst) with state/register names
-    and a Predicate guard.
+    and a Predicate guard.  Transitions with the same guard object and
+    the same E, I and U name sequences share one Label.
     """
     registers = tuple(registers)
     states = tuple(states)
@@ -105,10 +106,14 @@ def make_sra(
     v0 = tuple(initial_valuation.get(r) for r in registers)
     for extra in set(initial_valuation) - set(registers):
         raise SraError(f"initial valuation mentions unknown register {extra!r}")
-    trans = tuple(
-        (state(src), Label(guard, regs(E), regs(I), regs(U)), state(dst))
-        for src, guard, E, I, U, dst in transitions
-    )
+    labels = {}  # (id(guard), E, I, U) -> its Label, which keeps guard alive
+    trans = []
+    for src, guard, E, I, U, dst in transitions:
+        q = state(src)
+        key = (id(guard), tuple(E), tuple(I), tuple(U))
+        if key not in labels:
+            labels[key] = Label(guard, regs(key[1]), regs(key[2]), regs(key[3]))
+        trans.append((q, labels[key], state(dst)))
     return Sra(
         algebra=algebra,
         registers=registers,
@@ -116,7 +121,7 @@ def make_sra(
         initial=state(initial),
         initial_valuation=v0,
         finals=frozenset(state(f) for f in finals),
-        transitions=trans,
+        transitions=tuple(trans),
     )
 
 
@@ -125,7 +130,9 @@ def make_sra(
 
 
 def validate(S: Sra) -> list:
-    """Invariant audit; returns human-readable violations (empty = valid)."""
+    """Invariant audit; returns human-readable violations (empty = valid).
+    Each label and guard object is checked once, keyed by identity, and
+    what is wrong with it is named on every transition that carries it."""
     problems = []
     nstates = len(S.states)
     nregs = len(S.registers)
@@ -139,27 +146,32 @@ def validate(S: Sra) -> list:
     for r, v in enumerate(S.initial_valuation):
         if v is not None and not S.algebra._in_domain(v):
             problems.append(f"initial value {v!r} of register {r} outside the domain")
-    guard_problems = {}  # guard -> what is wrong with it, or None; each is checked once
+    labels, guards = {}, {}  # id -> what is wrong with it; each is checked once
     for t, (src, lab, dst) in enumerate(S.transitions):
-        where = f"transition #{t}"
-        if not (0 <= src < nstates):
-            problems.append(f"{where}: source index {src} out of range")
-        if not (0 <= dst < nstates):
-            problems.append(f"{where}: target index {dst} out of range")
-        for setname, rs in (("E", lab.E), ("I", lab.I), ("U", lab.U)):
-            for r in rs:
-                if not (0 <= r < nregs):
-                    problems.append(f"{where}: register index {r} in {setname} not in R")
-        if lab.E & lab.I:
-            problems.append(f"{where}: E and I overlap ({sorted(lab.E & lab.I)})")
-        if lab.guard not in guard_problems:
-            try:
-                S.algebra.check(lab.guard)
-                guard_problems[lab.guard] = None
-            except AlgebraError as e:
-                guard_problems[lab.guard] = f"bad guard: {e}"
-        if guard_problems[lab.guard]:
-            problems.append(f"{where}: {guard_problems[lab.guard]}")
+        wrong = labels.get(id(lab))
+        if wrong is None:
+            wrong = labels[id(lab)] = []
+            for setname, rs in (("E", lab.E), ("I", lab.I), ("U", lab.U)):
+                for r in rs:
+                    if not (0 <= r < nregs):
+                        wrong.append(f"register index {r} in {setname} not in R")
+            if lab.E & lab.I:
+                wrong.append(f"E and I overlap ({sorted(lab.E & lab.I)})")
+            if id(lab.guard) not in guards:
+                try:
+                    S.algebra.check(lab.guard)
+                    guards[id(lab.guard)] = None
+                except AlgebraError as e:
+                    guards[id(lab.guard)] = f"bad guard: {e}"
+            if guards[id(lab.guard)]:
+                wrong.append(guards[id(lab.guard)])
+        if wrong or not (0 <= src < nstates and 0 <= dst < nstates):
+            where = f"transition #{t}"
+            if not (0 <= src < nstates):
+                problems.append(f"{where}: source index {src} out of range")
+            if not (0 <= dst < nstates):
+                problems.append(f"{where}: target index {dst} out of range")
+            problems += [f"{where}: {p}" for p in wrong]
     return problems
 
 
@@ -377,35 +389,6 @@ def membership(S: Sra, word: Iterable[int]) -> bool:
 # JSON interchange format
 
 
-def to_json_dict(S: Sra) -> dict:
-    regs = S.registers
-    shown = {}  # guard -> its text, each shown once
-    for _, lab, _ in S.transitions:
-        if lab.guard not in shown:
-            shown[lab.guard] = S.algebra.show(lab.guard)
-    return {
-        "algebra": S.algebra.name,
-        "registers": list(regs),
-        "states": list(S.states),
-        "initial": S.states[S.initial],
-        "initial_valuation": {
-            regs[r]: v for r, v in enumerate(S.initial_valuation)
-        },
-        "finals": [S.states[q] for q in sorted(S.finals)],
-        "transitions": [
-            {
-                "from": S.states[src],
-                "guard": shown[lab.guard],
-                "E": [regs[r] for r in sorted(lab.E)],
-                "I": [regs[r] for r in sorted(lab.I)],
-                "U": [regs[r] for r in sorted(lab.U)],
-                "to": S.states[dst],
-            }
-            for src, lab, dst in S.transitions
-        ],
-    }
-
-
 def _field(d: dict, key: str, kind: type):
     if not isinstance(d[key], kind):
         raise TypeError(f"{key!r} is not a {kind.__name__}")
@@ -458,8 +441,52 @@ def from_json_dict(d: dict) -> Sra:
     return S
 
 
+def _block(texts: list, indent: int, brackets: str = "[]") -> str:
+    """texts as the items of an array (or object) that closes at indent,
+    laid out as json.dumps(..., indent=2) lays it out."""
+    if not texts:
+        return brackets
+    inner = "\n" + " " * (indent + 2)
+    return brackets[0] + inner + ("," + inner).join(texts) + inner[:-2] + brackets[1]
+
+
 def dumps(S: Sra) -> str:
-    return json.dumps(to_json_dict(S), indent=2) + "\n"
+    """The text json.dumps(document, indent=2) writes for S, and a final
+    newline, written straight from S.  CPython runs indent=2 in its
+    pure-Python encoder, so only names and guard texts go through
+    json.dumps (the C encoder), each name once.  Each guard object is
+    shown once, and each distinct label (guard text, E, I, U) is laid
+    out once, as the lines between a transition's source and target.
+    Names must be JSON scalars, the only ones `loads` reads."""
+    enc = json.dumps
+    regs, states = [enc(r) for r in S.registers], [enc(q) for q in S.states]
+    shown = {}  # id(guard) -> its text; S keeps each guard alive
+    middles = {}  # (guard text, E, I, U) -> the lines between "from" and "to"
+    transitions = []
+    for src, lab, dst in S.transitions:
+        guard = shown.get(id(lab.guard))
+        if guard is None:
+            guard = shown[id(lab.guard)] = S.algebra.show(lab.guard)
+        key = (guard, lab.E, lab.I, lab.U)
+        middle = middles.get(key)
+        if middle is None:
+            E, I, U = (_block([regs[r] for r in sorted(rs)], 6) for rs in key[1:])
+            middle = middles[key] = (
+                f',\n      "guard": {enc(guard)},\n      "E": {E},'
+                f'\n      "I": {I},\n      "U": {U},\n      "to": '
+            )
+        transitions.append('{\n      "from": ' + states[src] + middle + states[dst] + "\n    }")
+    # the C encoder writes a key as the pure-Python one does ("7", "null", "true")
+    valuation = [enc({S.registers[r]: v})[1:-1] for r, v in enumerate(S.initial_valuation)]
+    return "".join([
+        '{\n  "algebra": ', enc(S.algebra.name),
+        ',\n  "registers": ', _block(regs, 2),
+        ',\n  "states": ', _block(states, 2),
+        ',\n  "initial": ', states[S.initial],
+        ',\n  "initial_valuation": ', _block(valuation, 2, "{}"),
+        ',\n  "finals": ', _block([states[q] for q in sorted(S.finals)], 2),
+        ',\n  "transitions": ', _block(transitions, 2), "\n}\n",
+    ])
 
 
 def loads(text: str) -> Sra:

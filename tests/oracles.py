@@ -66,6 +66,31 @@ def brute_membership(sra, word):
     return any(state in sra.finals for state, _ in configs)
 
 
+def json_document(S):
+    """The document `core.dumps` writes for S, built as plain dicts and
+    lists: json.dumps(json_document(S), indent=2) + "\\n" is its text."""
+    regs = S.registers
+    return {
+        "algebra": S.algebra.name,
+        "registers": list(regs),
+        "states": list(S.states),
+        "initial": S.states[S.initial],
+        "initial_valuation": {regs[r]: v for r, v in enumerate(S.initial_valuation)},
+        "finals": [S.states[q] for q in sorted(S.finals)],
+        "transitions": [
+            {
+                "from": S.states[src],
+                "guard": S.algebra.show(lab.guard),
+                "E": [regs[r] for r in sorted(lab.E)],
+                "I": [regs[r] for r in sorted(lab.I)],
+                "U": [regs[r] for r in sorted(lab.U)],
+                "to": S.states[dst],
+            }
+            for src, lab, dst in S.transitions
+        ],
+    }
+
+
 def breadth_first_reach(graph, stop=None, priority=None):
     """A plain breadth-first `normal.reach`: (parent, goal), where parent
     maps every discovered node, in discovery order, to (predecessor,

@@ -16,11 +16,14 @@ LONG_NONDET_PATTERNS on seeded texts of 5,000 and 12,500 characters and
 on copies with one character changed, of every stock pattern on seeded
 texts with non-ASCII characters and their mutants, and of
 `(?:(.)(.)(.)\3\2\1)*` on a seeded 6,000-character text and a mutant.
-An exception's type and text are hashed in place of a result.  pytest
-does not collect this file.
+An exception's type and text are hashed in place of a result.  Every
+text `dumps` writes is also checked to be json.dumps(..., indent=2) of
+its own document, so the script fails if the writer strays from the
+standard library's layout.  pytest does not collect this file.
 """
 
 import hashlib
+import json
 import random
 import string
 import sys
@@ -29,7 +32,7 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).parents[1] / "src"))
 from sra import regex as rx  # noqa: E402
 from sra.boolean_ops import complement, complete, intersect, union  # noqa: E402
-from sra.core import dumps  # noqa: E402
+from sra import core  # noqa: E402
 from sra.equiv import equivalent, includes, separating_word  # noqa: E402
 from sra.expand import expand_to_sfa  # noqa: E402
 from sra.normal import is_deterministic, is_empty, normalize  # noqa: E402
@@ -49,6 +52,18 @@ EXPANSIONS = (
     ("Name", string.ascii_lowercase + " ."),
     ("Name", "abcdefghijklmn ."),
 )
+
+
+STRAYED = []  # texts of dumps that json.dumps(..., indent=2) lays out otherwise
+
+
+def dumps(S):
+    """core.dumps(S), noting in STRAYED a text that is not the standard
+    library's indent=2 layout of its own document."""
+    text = core.dumps(S)
+    if json.dumps(json.loads(text), indent=2) + "\n" != text:
+        STRAYED.append(text)
+    return text
 
 
 def main():
@@ -113,6 +128,8 @@ def main():
     for t in [text] + mutants(text, rng, 1):
         put(("match", pattern, t), lambda: rx.match(cp, t))
     print(digest.hexdigest())
+    if STRAYED:
+        sys.exit(f"{len(STRAYED)} texts of dumps are not json.dumps(..., indent=2) of their document")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import pytest
 
 from sra.algebra import INTEGERS, MAX_NESTING, TRUE, And, Div, Interval
 from sra.cli import UsageError, _parse_domain, main
-from sra.core import dumps, loads, make_sra, membership, to_json_dict
+from sra.core import dumps, loads, make_sra, membership
 from sra.normal import LazyNorm
 from sra import regex as rx
 
@@ -301,7 +301,7 @@ def nested(guard, depth):
 
 
 def json_text(**changes):
-    d = to_json_dict(remark1())
+    d = json.loads(dumps(remark1()))
     d.update(changes)
     return json.dumps(d)
 
@@ -347,6 +347,35 @@ def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, t
     assert "Traceback" not in capsys.readouterr().err
 
 
+def hostile_document(*path, value):
+    """remark1's document with the entry at path replaced by value."""
+    d = json.loads(dumps(remark1()))
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        hostile_document("transitions", 0, "U", value=[["r"]]),
+        hostile_document("transitions", 0, "E", value=[["r"]]),
+        hostile_document("transitions", 0, "from", value=["q0"]),
+        hostile_document("registers", value=[["r"]]),
+        hostile_document("finals", value=[["qf"]]),
+        hostile_document("initial_valuation", value={"r": True}),
+    ],
+    ids=["U_list", "E_list", "from_list", "registers_list", "finals_list", "valuation_bool"],
+)
+def test_hostile_documents_are_refused_with_an_error_line(tmp_path, capsys, text):
+    path = write_text(tmp_path, "hostile.json", text)
+    assert main(["empty", "--sra", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 VERB_ARGS = [
     ("compile", ["--sra", "{}", "--complete", "--emit-normalized"]),
     ("member", ["--sra", "{}", "--input", "2 4 2"]),
@@ -364,7 +393,7 @@ VERB_ARGS = [
 @pytest.mark.parametrize("verb, args", VERB_ARGS, ids=[v for v, _ in VERB_ARGS])
 def test_guards_nested_at_the_cap_go_through_every_verb(tmp_path, capsys, verb, args):
     # remark1 with every guard `div 2` under an even number of negations
-    d = to_json_dict(remark1())
+    d = json.loads(dumps(remark1()))
     for t in d["transitions"]:
         t["guard"] = nested("div 2", MAX_NESTING)
     path = write_text(tmp_path, "deep.json", json.dumps(d))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import re
 import tracemalloc
@@ -15,7 +17,6 @@ from sra.core import (
     loads,
     make_sra,
     membership,
-    to_json_dict,
     validate,
 )
 from sra import core
@@ -34,7 +35,7 @@ from fixtures import (
     remark1_oracle,
     successors,
 )
-from oracles import brute_membership, words_up_to
+from oracles import brute_membership, json_document, words_up_to
 
 
 def simple_sra():
@@ -89,6 +90,53 @@ def test_validate_flags_unknown_register_index():
     )
     problems = validate(S2)
     assert any("not in R" in p for p in problems)
+
+
+def test_validate_checks_each_label_once_and_names_every_transition():
+    overlap = Label(TRUE, frozenset({0}), frozenset({0}), frozenset())
+    out_of_range = dataclasses.replace(overlap, I=frozenset(), U=frozenset({3}))
+    S = dataclasses.replace(simple_sra(), transitions=(
+        (0, overlap, 1), (1, out_of_range, 1), (1, overlap, 0), (0, out_of_range, 0),
+    ))
+    assert validate(S) == [
+        "transition #0: E and I overlap ([0])",
+        "transition #1: register index 3 in U not in R",
+        "transition #2: E and I overlap ([0])",
+        "transition #3: register index 3 in U not in R",
+    ]
+
+
+def test_validate_checks_equal_but_distinct_guards_each(monkeypatch):
+    outside = [Atom(0x110000), Atom(0x110000)]  # equal, not the same object
+    S = make_sra(UNICODE, [], ["p", "q"], "p", {}, ["q"], [
+        ("p", outside[0], (), (), (), "q"),
+        ("p", outside[1], (), (), (), "q"),
+        ("q", outside[0], (), (), (), "q"),
+    ])
+    checked = []
+    check = type(UNICODE).check
+    monkeypatch.setattr(type(UNICODE), "check", lambda alg, p: checked.append(p) or check(alg, p))
+    problems = validate(S)
+    assert [p.split(":")[0] for p in problems] == ["transition #0", "transition #1", "transition #2"]
+    assert [id(p) for p in checked] == [id(g) for g in outside]
+
+
+def test_make_sra_builds_one_label_per_distinct_guard_and_register_sets():
+    digits = [Interval(0, 9), Interval(0, 9)]  # equal, not the same object
+    S = make_sra(INTEGERS, ["r", "s"], ["p", "q"], "p", {}, ["q"], [
+        ("p", digits[0], ("r",), (), ("s",), "q"),
+        ("q", digits[0], ("r",), (), ("s",), "p"),
+        ("p", digits[0], (), ("r",), ("s",), "q"),
+        ("p", digits[1], ("r",), (), ("s",), "q"),
+        ("q", digits[1], ("r",), (), ("s",), "q"),
+    ])
+    labels = [lab for _, lab, _ in S.transitions]
+    assert labels[0] is labels[1] and labels[3] is labels[4]
+    assert len({id(lab) for lab in labels}) == 3
+    assert labels[0] == labels[3]
+    # loads parses the one guard text once, so both digit guards become one
+    loaded = [lab for _, lab, _ in loads(dumps(S)).transitions]
+    assert loaded[0] is loaded[1] is loaded[3] is loaded[4] is not loaded[2]
 
 
 def test_make_sra_rejects_unknown_names():
@@ -414,7 +462,7 @@ def test_json_rejects_malformed_documents():
         loads(dumps(simple_sra()).replace('"r": 5', '"r": ' + "5" * 5000))
     with pytest.raises(SraError):
         from_json_dict({"algebra": "int"})
-    d = to_json_dict(simple_sra())
+    d = json.loads(dumps(simple_sra()))
     d["transitions"][0]["E"] = ["ghost"]
     with pytest.raises(SraError):
         from_json_dict(d)
@@ -426,14 +474,49 @@ def test_json_rejects_malformed_documents():
         ("finals", "q"),
         ("transitions", {}),
     ]:
-        d = to_json_dict(simple_sra())
+        d = json.loads(dumps(simple_sra()))
         d[key] = value
         with pytest.raises(SraError):
             from_json_dict(d)
-    d = to_json_dict(simple_sra())
+    d = json.loads(dumps(simple_sra()))
     d["transitions"][0]["E"] = "r"
     with pytest.raises(SraError):
         from_json_dict(d)
+
+
+def writer_cases():
+    """Automata whose text dumps must write byte for byte as the stdlib
+    writes their document: edge cases of the layout and of names, and
+    the compiled, completed and normalized small stock patterns."""
+    yield make_sra(INTEGERS, [], ["p"], "p", {}, [], [])
+    yield simple_sra()
+    yield example3()
+    yield remark1()
+    yield digits_sfa()
+    odd = ['q"uote', "back\\slash", "new\nline", "caf\u00e9", "clef \U0001d11e"]
+    yield make_sra(UNICODE, odd, odd, odd[2], {odd[0]: 0x1D11E, odd[4]: ord('"')}, odd[3:], [
+        (odd[0], Atom(0x1D11E), (odd[0],), (odd[1],), (odd[4],), odd[2]),
+        (odd[2], Interval(ord("\\"), 0xE9), (), (), (), odd[3]),
+        (odd[3], Or((Atom(ord('"')), Atom(10))), (odd[4],), (), (odd[0], odd[1]), odd[4]),
+    ])
+    # int state names; registers named by an int, None, True and a float,
+    # which the stdlib writes as the keys "7", "null", "true" and "2.5"
+    registers = [7, None, True, 2.5, "r"]
+    yield make_sra(INTEGERS, registers, [0, 1, -2], 0, {7: -3, None: None, True: 0, 2.5: -10**30},
+                   [1, -2], [
+        (0, TRUE, (7,), ("r",), (None, True), 1),
+        (1, Interval(-5, None), (), (), (2.5,), -2),
+        (-2, FALSE, (), (), (), 0),
+    ])
+    for name in ("IP2", "Name-F", "Name-L", "Name", "XML", "Pr-C2", "Pr-CL2"):
+        S = rx.compile(rx.BENCHMARK_PATTERNS[name]).sra
+        sv = to_single_valued(S)
+        yield from (S, complete(sv), normalize(sv), normalize(S))
+
+
+def test_dumps_writes_the_stdlib_layout_of_the_document():
+    for S in writer_cases():
+        assert dumps(S) == json.dumps(json_document(S), indent=2) + "\n"
 
 
 def test_json_unicode_values_and_guards():
