@@ -19,7 +19,7 @@ moduli, which fixes the residue classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
@@ -181,19 +181,34 @@ def _count(cells, cap: int) -> int:
 
 @dataclass(frozen=True)
 class Minterm:
-    """A minimal satisfiable sign-assignment over a source predicate set."""
+    """A minimal satisfiable sign-assignment over a source predicate set.
+
+    `cells` are its non-empty cells (res, L, ivs), split off by
+    `Algebra.minterms`, so its size and members are read without
+    decomposing the conjunction again.  They are neither compared nor
+    shown.
+    """
 
     conjunction: Predicate
     bits: tuple
+    cells: tuple = field(compare=False, repr=False)
 
     def __repr__(self):  # compact, for debugging normalized automata
         return "m" + "".join(str(b) for b in self.bits)
 
+    def size(self, cap: int) -> int:
+        """How many elements the minterm holds, up to cap."""
+        return _count(self.cells, cap)
+
 
 @dataclass(frozen=True)
 class MintermSet:
+    """The minterms of `sources`, in descending bit order.  `inside` maps
+    each source to the indices of the minterms inside it."""
+
     sources: tuple
     minterms: tuple
+    inside: dict = field(compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.minterms)
@@ -356,17 +371,17 @@ class Algebra:
     def witness(self, p: Predicate, excluded: Iterable[int] = ()) -> Optional[int]:
         """Deterministic pick from [[p]] minus the excluded set, or None.
 
-        Exclusions are folded into the predicate itself so the cell
-        decomposition accounts for them exactly.
+        p is a predicate, or a basis `Minterm`, whose kept cells are read
+        in place of decomposing its conjunction again.  Each cell drops
+        the excluded elements of its residue class, and offers its least
+        non-negative and greatest negative element.
         """
-        parts = [p] + [Not(Atom(e)) for e in sorted(set(excluded)) if self._in_domain(e)]
-        return self._least(conj(parts))
-
-    def _least(self, p: Predicate) -> Optional[int]:
-        # each cell offers its least non-negative and greatest negative element
+        cells = p.cells if isinstance(p, Minterm) else self._cells(p)
+        holes = sorted({e for e in excluded if self._in_domain(e)})
         found = []
-        for res, L, ivs in self._cells(p):
-            for lo, hi in ivs:
+        for res, L, ivs in cells:
+            kept = iv_complement(tuple((e, e) for e in holes if e % L == res), self._domain_ivs)
+            for lo, hi in iv_intersect(ivs, kept):
                 x = _first_in_class(max(lo, 0), res, L)
                 if x <= hi:
                     found.append(x)
@@ -388,12 +403,14 @@ class Algebra:
         class at a time, modulo the lcm of all the sources' div moduli,
         each source is decomposed once and splits every cell into its
         inside and outside parts, keeping the parts that hold a member
-        of the class.  Bit vectors are listed in descending order.
+        of the class.  Each minterm keeps its parts as its cells, one
+        per residue class at most, so no minterm is decomposed again.
+        Bit vectors are listed in descending order.
         """
         src = tuple(dict.fromkeys(predicates))
         L = self._period(conj(src))
         dom = self._domain_ivs
-        live = set()
+        live = {}  # bits -> cells
         for res in range(L):
             cells = [((), dom)]  # (bits, intervals)
             for q in src:
@@ -403,17 +420,25 @@ class Algebra:
                     (bits + (b,), iv_intersect(ivs, h)) for bits, ivs in cells for b, h in halves
                 ]
                 cells = [(bits, part) for bits, part in split if _count([(res, L, part)], 1)]
-            live.update(bits for bits, _ in cells)
-        return MintermSet(src, tuple(
-            Minterm(conj([q if b else Not(q) for q, b in zip(src, bits)]), bits)
+            for bits, part in cells:
+                live.setdefault(bits, []).append((res, L, part))
+        minterms = tuple(
+            Minterm(conj([q if b else Not(q) for q, b in zip(src, bits)]), bits, tuple(live[bits]))
             for bits in sorted(live, reverse=True)
-        ))
+        )
+        return MintermSet(src, minterms, {
+            q: tuple(i for i, m in enumerate(minterms) if m.bits[j]) for j, q in enumerate(src)
+        })
 
     def minterm_of(self, mts: MintermSet, a: int) -> Minterm:
-        """The unique minterm containing the element a."""
+        """The unique minterm containing the element a, found by its kept
+        cells; an element outside the domain is refused as `denotes`
+        refuses it."""
+        self.denotes(TRUE, a)
         for m in mts.minterms:
-            if self.denotes(m.conjunction, a):
-                return m
+            for res, L, ivs in m.cells:
+                if a % L == res and any(lo <= a <= hi for lo, hi in ivs):
+                    return m
         raise AlgebraError(f"no minterm contains {a!r}")  # pragma: no cover
 
     # -- concrete syntax -----------------------------------------------------

@@ -20,7 +20,7 @@ import time
 from . import core
 from .algebra import UNICODE
 from .boolean_ops import complement, complete, intersect, union
-from .core import Sra, SraError, membership
+from .core import Sra, membership
 from .equiv import includes, separating_word
 from .equiv import equivalent  # noqa: F401 - perfbench's tracer pins it here
 from .expand import DEFAULT_MAX_STATES, csv_report, expand_to_sfa, size_report
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (UsageError, SraError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,8 +89,7 @@ from typing import Optional, Tuple
 from .boolean_ops import complete, intersect  # noqa: F401 - perfbench's tracer pins them here
 from .core import Sra, SraError, membership
 from .normal import (
-    LazyNorm, capped_sizes, final_distances, is_deterministic, minterm_basis, path, reach,
-    replay,
+    LazyNorm, final_distances, is_deterministic, minterm_basis, path, reach, replay,
 )
 from .normal import is_empty  # noqa: F401 - perfbench's tracer pins it here
 from .single_valued import to_single_valued  # noqa: F401 - perfbench's tracer pins it here
@@ -223,27 +222,27 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     both is set.
 
     Both directions share one basis, one table of minterm sizes capped
-    at one more than the operands' slots together, and one pair of
-    normalized automata per view; the exact view takes each base's rows
-    from the coarse one.  Each direction is searched on the
-    coarse view first: no failure there means none exists.  A coarse
-    failure stands when its path walks with exact slot minterms
-    (`_taken_exactly`); otherwise the exact search decides, and its
-    failure always stands.  Every search takes the same projected
-    minterms, deciding per triple whether a fresh value stands for
-    their unread inputs."""
+    at one more than the operands' slots together, counted on the cells
+    each minterm keeps from the basis, and one pair of normalized
+    automata per view; the exact view takes each base's rows from the
+    coarse one.  Each direction is searched on the coarse view first:
+    no failure there means none exists.  A coarse failure stands when
+    its path walks with exact slot minterms (`_taken_exactly`);
+    otherwise the exact search decides, and its failure always stands.
+    Every search takes the same projected minterms, deciding per triple
+    whether a fresh value stands for their unread inputs."""
     operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
     for S, side in operands:
         if not is_deterministic(S):
             raise SraError(f"{side} operand must be deterministic")
     basis = minterm_basis(S1, S2)
-    sizes = capped_sizes(S1.algebra, basis, len(S1.registers) + len(S2.registers) + 1)
+    sizes = [m.size(len(S1.registers) + len(S2.registers) + 1) for m in basis]
     views = {}
     projected = _projected(S1, S2, sizes)
     for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
         for coarse in (True, False):
             if coarse not in views:
-                views[coarse] = [LazyNorm(S, basis, sizes, coarse) for S in (S1, S2)]
+                views[coarse] = [LazyNorm(S, basis, coarse) for S in (S1, S2)]
                 if not coarse:
                     # a base's rows depend only on the operand and the
                     # basis, so the exact view reads the coarse one's

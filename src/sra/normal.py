@@ -16,6 +16,9 @@ state reachable?" into finite-graph searches:
   denotes more elements than the number of slots currently holding
   one of them.
 
+Both are read off the basis: its `inside` table lists the minterms
+inside each guard, and each minterm's kept cells give its size.
+
 Normalized automata are materialized lazily; decision procedures only
 touch states reachable from the initial abstraction.  Normalization,
 emptiness and the determinism check share one A* search (`reach`).
@@ -37,7 +40,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Tuple
 
-from .algebra import Algebra, And, Atom, MintermSet
+from .algebra import And, Atom, MintermSet
 from .core import Sra, SraError
 from .single_valued import initial_slots, is_single_valued, slot_moves, sv_label
 from .single_valued import to_single_valued  # noqa: F401 - perfbench's tracer pins it here
@@ -63,12 +66,6 @@ def minterm_basis(S: Sra, extra: Optional[Sra] = None) -> MintermSet:
     return algebra.minterms(predicates)
 
 
-def capped_sizes(algebra: Algebra, basis: MintermSet, cap: int) -> List[int]:
-    """Per minterm index, how many elements the minterm has, up to cap:
-    one `Algebra.size` pass over each minterm."""
-    return [algebra.size(m.conjunction, cap) for m in basis]
-
-
 class LazyNorm:
     """Reachable part of the normalized automaton of any SRA, grown on demand.
 
@@ -77,8 +74,11 @@ class LazyNorm:
     once; successors are cached per state as (minterm_index, op, slot,
     coincidental, successor_key) tuples, where coincidental marks a
     read that `slot_moves` lists only as a coincidence.  `valuation` is
-    the initial slot valuation.  `sizes`, when given, is the basis's
-    `capped_sizes` table at any cap above the number of registers.
+    the initial slot valuation.  The basis, `minterm_basis(S)` unless
+    one covering S's guards is given, supplies each minterm's size,
+    counted on its kept cells up to one more than the registers, its
+    `inside` table of the minterms inside each guard, and each initial
+    value's minterm, found by `Algebra.minterm_of` on those cells.
 
     A slot holds the frozenset of minterms its value may lie in, and a
     read of it fires on every minterm that lies both in its guard and
@@ -92,10 +92,7 @@ class LazyNorm:
     the coarse view first.
     """
 
-    def __init__(
-        self, S: Sra, basis: Optional[MintermSet] = None, sizes: Optional[List[int]] = None,
-        coarse: bool = False,
-    ):
+    def __init__(self, S: Sra, basis: Optional[MintermSet] = None, coarse: bool = False):
         self.S = S
         self.coarse = coarse
         self.algebra = S.algebra
@@ -103,24 +100,20 @@ class LazyNorm:
         self.nregs = len(S.registers)
         # a fresh move into minterm i is enabled while fewer than sizes[i]
         # slots hold one of its elements; a slot count never reaches the cap
-        if sizes is None:
-            sizes = capped_sizes(self.algebra, self.basis, self.nregs + 1)
-        self.sizes = sizes
-        # source predicate -> indices of the minterms inside it
-        self.inside = {
-            q: tuple(i for i, m in enumerate(self.basis) if m.bits[j])
-            for j, q in enumerate(self.basis.sources)
-        }
+        self.sizes = [m.size(self.nregs + 1) for m in self.basis]
+        self.inside = self.basis.inside
         self.valuation, f0 = initial_slots(S)
         # a slot holds the frozenset of minterms its value may lie in: one
         # shared set per guard, one shared singleton per minterm, and the
         # empty set for an empty slot; each hash is computed once
         self._sets = {t: frozenset(t) for t in self.inside.values()}
         self._one = [frozenset({i}) for i in range(len(self.basis))]
-        minterms = self.basis.minterms
+        # an initial value's minterm is found by its cells, so no atom of
+        # the value need be a source, and placed in the basis by identity
+        position = {id(m): i for i, m in enumerate(self.basis)}
         theta0 = tuple(
             frozenset() if v is None
-            else self._one[minterms.index(self.algebra.minterm_of(self.basis, v))]
+            else self._one[position[id(self.algebra.minterm_of(self.basis, v))]]
             for v in self.valuation
         )
         self.initial = ((S.initial, f0), theta0)
@@ -300,7 +293,7 @@ def replay(ln: LazyNorm, valuations, steps) -> list:
             members = least.setdefault(m, [])
             a = next((x for x in members if x not in held), None)
             while a is None:
-                a = ln.algebra.witness(ln.basis.minterms[m].conjunction, excluded=members)
+                a = ln.algebra.witness(ln.basis.minterms[m], excluded=members)
                 if a is None:
                     raise SraError("internal error: a replayed minterm has no member left")
                 members.append(a)
@@ -374,7 +367,9 @@ def _syntactically_deterministic(S: Sra) -> bool:
     """
     algebra = S.algebra
     for moves in S.out:
-        guards = [lab.guard for _, lab, _ in set(moves)]
+        # a label's hash walks its guard tree, so moves are told apart by
+        # label object; equal labels that are separate objects both stay
+        guards = list({(id(lab), q2): lab.guard for _, lab, q2 in moves}.values())
         for i in range(len(guards)):
             for j in range(i + 1, len(guards)):
                 if algebra.is_sat(And((guards[i], guards[j]))):

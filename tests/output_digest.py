@@ -10,8 +10,10 @@ state names show each slot's minterm; `union` and `intersect` of the
 partner pairs and IP3/IP4, both ways; `includes`, `equivalent` and
 `separating_word` answers and words on the partner pairs, and
 `equivalent` of each smaller pattern with itself; `is_empty` witnesses
-and `is_deterministic` answers; the benchmark's expansions and its
-overflow; `regex.match` verdicts of the nondeterministic
+and `is_deterministic` answers; `LazyNorm`'s minterm sizes and, in
+source order, its table of the minterms inside each source, for every
+stock pattern's own basis and both ways over each partner pair's shared
+basis; the benchmark's expansions and its overflow; `regex.match` verdicts of the nondeterministic
 LONG_NONDET_PATTERNS on seeded texts of 5,000 and 12,500 characters and
 on copies with one character changed, of every stock pattern on seeded
 texts with non-ASCII characters and their mutants, and of
@@ -35,7 +37,9 @@ from sra.boolean_ops import complement, complete, intersect, union  # noqa: E402
 from sra import core  # noqa: E402
 from sra.equiv import equivalent, includes, separating_word  # noqa: E402
 from sra.expand import expand_to_sfa  # noqa: E402
-from sra.normal import is_deterministic, is_empty, normalize  # noqa: E402
+from sra.normal import (  # noqa: E402
+    LazyNorm, is_deterministic, is_empty, minterm_basis, normalize,
+)
 from sra.single_valued import to_single_valued  # noqa: E402
 
 from fixtures import LONG_NONDET_PATTERNS, long_nondet_text, mutants, stock_text  # noqa: E402
@@ -64,6 +68,12 @@ def dumps(S):
     if json.dumps(json.loads(text), indent=2) + "\n" != text:
         STRAYED.append(text)
     return text
+
+
+def basis_tables(ln):
+    """ln's minterm sizes and, in source order, the minterms inside each
+    source of its basis."""
+    return ln.sizes, [ln.inside[q] for q in ln.basis.sources]
 
 
 def main():
@@ -100,6 +110,12 @@ def main():
     for name, S in stock.items():
         put(("is_empty", name), lambda: is_empty(S))
         put(("is_deterministic", name), lambda: is_deterministic(S))
+    for name, S in stock.items():
+        put(("basis", name), lambda: basis_tables(LazyNorm(S)))
+    for a, b in PARTNERS:
+        for x, y in ((a, b), (b, a)):
+            put(("basis", x, y), lambda: basis_tables(
+                LazyNorm(stock[x], minterm_basis(stock[x], stock[y]))))
     for name, letters in EXPANSIONS:
         ex = expand_to_sfa(stock[name], [ord(c) for c in letters])
         put(("expand", name, letters), lambda: (

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -394,6 +395,65 @@ def test_minterm_basis_is_exact_and_ordered(preds):
     assert [m.bits for m in mts] == expected
     for m in mts:
         assert m.conjunction == conj([q if b else Not(q) for q, b in zip(sources, m.bits)])
+
+
+def random_sources(rng):
+    """Three to five sources drawn from div tests, atoms, bounded,
+    unbounded and negated intervals."""
+    def one():
+        lo, hi = sorted(rng.sample(range(-30, 31), 2))
+        return rng.choice([
+            Div(rng.choice([2, 3, 4, 6, 12])),
+            Atom(rng.randint(-20, 20)),
+            Interval(lo, hi),
+            Interval(lo, None),
+            Interval(None, hi),
+            Not(Interval(lo, hi)),
+            And((Div(rng.choice([2, 5])), Interval(lo, None))),
+        ])
+    return [one() for _ in range(rng.randint(3, 5))]
+
+
+def test_minterms_keep_cells_that_count_and_witness_as_their_conjunctions_do():
+    # `size` and `witness` on the conjunction are the reference; the
+    # kept cells answer the same at every cap and with members excluded
+    for seed in range(40):
+        mts = INTEGERS.minterms(random_sources(random.Random(seed)))
+        for m in mts:
+            for cap in range(5):
+                assert m.size(cap) == INTEGERS.size(m.conjunction, cap), (seed, m, cap)
+            excluded = [10**6]
+            for _ in range(3):
+                w = INTEGERS.witness(m, excluded)
+                assert w == INTEGERS.witness(m.conjunction, excluded), (seed, m, excluded)
+                if w is None:
+                    break
+                excluded.append(w)
+        for a in range(-40, 41):
+            holds = [m for m in mts if INTEGERS.denotes(m.conjunction, a)]
+            assert holds == [INTEGERS.minterm_of(mts, a)], (seed, a)
+
+
+def test_inside_table_lists_the_minterms_whose_bit_is_set():
+    for seed in range(40):
+        mts = INTEGERS.minterms(random_sources(random.Random(seed)))
+        assert list(mts.inside) == list(mts.sources)
+        for j, q in enumerate(mts.sources):
+            assert mts.inside[q] == tuple(i for i, m in enumerate(mts) if m.bits[j])
+
+
+def test_kept_cells_are_neither_compared_nor_shown():
+    a, b = INTEGERS.minterms([Div(2)]), INTEGERS.minterms([Div(2), Div(2)])
+    assert a == b and hash(a.minterms) == hash(b.minterms)
+    m = a.minterms[0]
+    assert m.cells and "cells" not in repr(m) and "inside" not in repr(a)
+
+
+def test_minterm_of_refuses_an_element_outside_the_domain():
+    mts = UNICODE.minterms([Interval(0, 10)])
+    for a in (-1, MAX_CODEPOINT + 1, True, "x"):
+        with pytest.raises(AlgebraError, match="domain element"):
+            UNICODE.minterm_of(mts, a)
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,7 @@ def test_spurious_coarse_failures_fall_back_to_the_exact_search(monkeypatch):
 
     class RecordingLazyNorm(LazyNorm):
         def __init__(self, *args):
-            views.append("coarse" if args[3] else "exact")
+            views.append("coarse" if args[2] else "exact")
             super().__init__(*args)
 
     monkeypatch.setattr("sra.equiv.LazyNorm", RecordingLazyNorm)

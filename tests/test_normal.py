@@ -3,8 +3,8 @@ import random
 import pytest
 
 from sra import regex as rx
-from sra.algebra import And, Atom, Div, Interval, Not, Or, TRUE, INTEGERS
-from sra.core import make_sra, membership
+from sra.algebra import Algebra, And, Atom, Div, Interval, Not, Or, TRUE, INTEGERS
+from sra.core import Label, make_sra, membership
 from sra import normal
 from sra.normal import (
     LazyNorm,
@@ -17,7 +17,7 @@ from sra.normal import (
     reach,
 )
 from sra.core import SraError
-from sra.equiv import includes
+from sra.equiv import equivalent, includes
 from sra.single_valued import to_single_valued
 
 from fixtures import (
@@ -114,6 +114,56 @@ def test_pair_basis_refines_each_single_basis():
             for b in sample:
                 if INTEGERS.denotes(fine.conjunction, b):
                     assert INTEGERS.denotes(coarse.conjunction, b)
+
+
+# the partner pairs of the stock benchmarks
+STOCK_PAIRS = [(f"Pr-CL{k}", f"Pr-C{k}") for k in (2, 3, 4, 6, 9)] + [
+    ("IP2", "IP3"), ("IP4", "IP6"), ("IP6", "IP9"), ("Name-F", "Name"), ("Name-L", "Name"),
+]
+
+
+def test_stock_pair_bases_count_their_minterms_as_their_conjunctions_do():
+    stock = {name: rx.compile(p).sra for name, p in rx.BENCHMARK_PATTERNS.items()}
+    for a, b in STOCK_PAIRS:
+        S1, S2 = stock[a], stock[b]
+        basis = minterm_basis(S1, S2)
+        for m in basis:
+            for cap in range(5):
+                assert m.size(cap) == S1.algebra.size(m.conjunction, cap), (a, b, m, cap)
+        ln = LazyNorm(S1, basis)
+        assert ln.inside is basis.inside
+        assert ln.sizes == [S1.algebra.size(m.conjunction, len(S1.registers) + 1) for m in basis]
+
+
+def test_decisions_decompose_no_minterm_conjunction_again(monkeypatch):
+    # sizes and replayed inputs are read off the cells each minterm keeps
+    # from `Algebra.minterms`
+    conjunctions, decomposed = set(), []
+    minterms, size, cells = Algebra.minterms, Algebra.size, Algebra._cells
+
+    def recording_minterms(self, predicates):
+        basis = minterms(self, predicates)
+        conjunctions.update(m.conjunction for m in basis)
+        return basis
+
+    def recording_size(self, p, cap):
+        if p in conjunctions:
+            decomposed.append(p)
+        return size(self, p, cap)
+
+    def recording_cells(self, p):
+        if p in conjunctions:
+            decomposed.append(p)
+        return cells(self, p)
+
+    monkeypatch.setattr(Algebra, "minterms", recording_minterms)
+    monkeypatch.setattr(Algebra, "size", recording_size)
+    monkeypatch.setattr(Algebra, "_cells", recording_cells)
+    stock = {name: rx.compile(p).sra for name, p in rx.BENCHMARK_PATTERNS.items()}
+    assert equivalent(stock["Pr-C2"], stock["Pr-C2"])
+    assert not is_empty(stock["IP4"])[0]
+    assert not includes(stock["Pr-CL2"], stock["Pr-C2"])[0]
+    assert conjunctions and decomposed == []
 
 
 def test_basis_rejects_mixed_algebras():
@@ -511,6 +561,36 @@ def test_disjoint_guards_stay_deterministic():
             ("p", Not(Div(2)), (), (), ("r",), "q2"),
         ],
     )
+    assert is_deterministic(S)
+
+
+def test_determinism_fast_path_hashes_no_label(monkeypatch):
+    # equal labels that are separate objects are two moves to the fast
+    # path, so the full check decides; a label's hash walks its guard
+    S = make_sra(
+        INTEGERS,
+        ["r"],
+        ["p", "q"],
+        "p",
+        {},
+        ["q"],
+        [
+            ("p", Interval(0, 5), (), (), ("r",), "q"),
+            ("p", Interval(0, 5), (), (), ("r",), "q"),
+            ("p", Interval(6, 9), (), (), ("r",), "q"),
+        ],
+    )
+    labels = [lab for _, lab, _ in S.transitions]
+    assert labels[0] == labels[1] and labels[0] is not labels[1]
+    stock = [rx.compile(p).sra for p in rx.BENCHMARK_PATTERNS.values()]
+    with monkeypatch.context() as patch:
+        def refuse(label):
+            raise AssertionError("a label was hashed")
+
+        patch.setattr(Label, "__hash__", refuse)
+        assert not normal._syntactically_deterministic(S)
+        for T in stock:
+            normal._syntactically_deterministic(T)
     assert is_deterministic(S)
 
 
