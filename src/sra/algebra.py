@@ -18,6 +18,7 @@ moduli, which fixes the residue classes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -393,6 +394,27 @@ class Algebra:
     def sort_key(self, a: int):
         """Key realizing the canonical witness order."""
         return (0, a) if a >= 0 else (1, -a)
+
+    def sorted_domain(self, values) -> list:
+        """The distinct values in the canonical witness order, or
+        AlgebraError naming one that is not a domain element.
+
+        The type check runs in one pass over the value types, and only
+        the least and the greatest value are compared with the domain's
+        interval; the values are walked one by one only to name the
+        offender.  The ascending order, split at 0, gives sort_key's
+        order: 0, 1, 2, ..., then -1, -2, ....
+        """
+        values = set(values)
+        ordered = sorted(values) if set(map(type, values)) <= {int} else None
+        (lo, hi), = self._domain_ivs
+        if ordered is None or ordered and not lo <= ordered[0] <= ordered[-1] <= hi:
+            for a in values:
+                if not self._in_domain(a):
+                    raise AlgebraError(f"{a!r} is not a {self.name} domain element")
+            ordered = sorted(values)  # all ints, some of a subclass
+        cut = bisect.bisect_left(ordered, 0)
+        return ordered[cut:] + ordered[:cut][::-1]
 
     # -- minterms ------------------------------------------------------------
 

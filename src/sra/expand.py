@@ -1,23 +1,28 @@
 """Expansion of register automata into plain finite automata.
 
 Over a finite domain of storable values, every configuration becomes a
-state of an ordinary symbolic finite automaton.  A configuration is the
-flat tuple (state, *register contents), with None for an empty register,
-and configurations are numbered in the order they are discovered.
+state of an ordinary symbolic finite automaton.  Each distinct register
+valuation, with None for an empty register, is interned once and named
+by its index, so a configuration is the integer vid * |Q| + state, and
+configurations are numbered in the order they are discovered.
 
 Each state's moves are compiled into rows the first time a
-configuration of it is expanded: the E, I and U register positions
-within a configuration, the target state, and what the guard admits.
-A move that reads or stores keeps the list and the set of the domain
-values its guard admits, computed once per guard.  A read then fires on
-the one value its registers share when that value is in the set; a
-store fires on each admitted value.  A move that neither reads nor
-stores stays symbolic, constrained by the concrete register contents;
-it fires when its guard admits more values than it admits among the
-contents of the registers it excludes, and the guard's size is counted
-once.  All steps between one configuration pair are merged into a
-single predicate.  Each value has one `Atom`, each merged predicate one
-`Label`, and each register value one string in the state names.
+configuration of it is expanded: the E, I and U registers, the target
+state, and what the guard admits.  A move that reads or stores keeps the
+list or the set of the domain values its guard admits, computed once per
+guard.  A read then fires on the one value its registers share when
+that value is in the set; a store fires on each admitted value, and its
+row keeps, per valuation, the configuration each value leads to.  A
+move that neither reads nor stores stays symbolic, constrained by the
+concrete register contents; it fires when its guard admits more values
+than it admits among the contents of the registers it excludes, and the
+guard's size is counted once.  When no move of a state reads, stores or
+excludes a register, its rows are merged by target once, and each
+configuration of it takes the merged labels as they are.  All steps
+between one configuration pair are merged into a single predicate.  A
+value's `Atom` and `Label` are made once, when a transition on it is
+emitted, each merged predicate has one `Label`, and each valuation one
+suffix in the state names.
 
 The construction stops with an overflow report instead of an automaton
 as soon as it discovers one configuration more than the state limit;
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgebraError, Atom, Not, conj, disj
+from .algebra import TRUE, Atom, Not, conj, disj
 from .core import Label, Sra, SraError, compile_guard
 
 DEFAULT_MAX_STATES = 2_000_000
@@ -53,16 +58,11 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
     if max_states < 1:
         raise SraError("max_states must be at least 1")
     algebra = S.algebra
-    values = set(domain)
-    for a in values:
-        if not algebra._in_domain(a):
-            raise AlgebraError(f"{a!r} is not a {algebra.name} domain element")
     # initial register values join the domain, after its sorted values
     dom = list(dict.fromkeys(
-        sorted(values, key=algebra.sort_key)
-        + [v for v in S.initial_valuation if v is not None]
+        algebra.sorted_domain(domain) + [v for v in S.initial_valuation if v is not None]
     ))
-    admitted = {}  # guard -> (list, set) of the values of dom it admits
+    admitted = {}  # (guard, READ) -> set, (guard, STORE) -> list of the values of dom it admits
     counted = {}  # guard -> (its closure, its size up to one more than the registers)
     labels = {}  # predicate -> its one label
     value_labels = {}  # value -> the label of its atom
@@ -79,26 +79,31 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
             lab = value_labels[a] = Label(Atom(a), NO_REGISTERS, NO_REGISTERS, NO_REGISTERS)
         return lab
 
-    def compile_rows(q) -> list:
-        """q's moves as (kind, E, I, U, dst, data) rows, with register
-        positions shifted past the state and in the label's own order.
-        data is the admitted values' set (READ) or list (STORE); for
-        FREE, the label when no register is excluded, else (closure,
-        size, guard).  Moves that can never fire are left out."""
+    def guard_of(step):
+        return Atom(step) if isinstance(step, int) else step.guard
+
+    def compile_rows(q):
+        """q's moves as (kind, E, I, U, dst, data, memo) rows, with
+        register positions in the label's own order.  data is the
+        admitted values' set (READ) or list (STORE); for FREE, the label
+        when no register is excluded, else (closure, size, guard).  memo
+        maps a valuation id to {value: target configuration}.  Moves
+        that can never fire are left out.  When every row is FREE and
+        excludes no register, the rows merged by target in row order
+        come instead, as a tuple of (dst, label) pairs."""
         rows = []
         for _, lab, q2 in S.out[q]:
-            E, I, U = (tuple(r + 1 for r in rs) for rs in (lab.E, lab.I, lab.U))
+            E, I, U = tuple(lab.E), tuple(lab.I), tuple(lab.U)
             guard = lab.guard
             if E or U:
-                entry = admitted.get(guard)
-                if entry is None:
+                kind = READ if E else STORE
+                data = admitted.get((guard, kind))
+                if data is None:
                     algebra.check(guard)
-                    admits = compile_guard(guard)
-                    members = [a for a in dom if admits(a)]
-                    entry = admitted[guard] = (members, set(members))
-                data = entry[1] if E else entry[0]
+                    data = dom if guard == TRUE else list(filter(compile_guard(guard), dom))
+                    data = admitted[guard, kind] = set(data) if E else data
                 if data:
-                    rows.append((READ if E else STORE, E, I, U, q2, data))
+                    rows.append((kind, E, I, U, q2, data, {}))
                 continue
             entry = counted.get(guard)
             if entry is None:
@@ -108,83 +113,113 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                 )
             admits, size = entry
             if I:
-                rows.append((FREE, E, I, U, q2, (admits, size, guard)))
+                rows.append((FREE, E, I, U, q2, (admits, size, guard), None))
             elif size:
-                rows.append((FREE, E, I, U, q2, label(guard)))
+                rows.append((FREE, E, I, U, q2, label(guard), None))
+        if all(row[0] is FREE and not row[2] for row in rows):
+            merged = {}
+            for row in rows:
+                merged.setdefault(row[4], []).append(row[5].guard)
+            return tuple((q2, label(disj(guards))) for q2, guards in merged.items())
         return rows
 
-    start = (S.initial, *S.initial_valuation)
-    order = [start]
-    index = {start: 0}
+    n = len(S.states)
+    valuations = [S.initial_valuation]  # valuation id -> register contents
+    vids = {S.initial_valuation: 0}
+    order = [S.initial]  # configurations vid * n + q, in discovery order
+    index = {S.initial: 0}
     transitions = []
-    compiled = [None] * len(S.states)
-    for i, config in enumerate(order):
-        rows = compiled[config[0]]
+    compiled = [None] * n
+    for i, c in enumerate(order):
+        vid, q = divmod(c, n)
+        base = c - q
+        rows = compiled[q]
         if rows is None:
-            rows = compiled[config[0]] = compile_rows(config[0])
-        out = {}  # target index -> its label, or the list of merged guards
-        for kind, E, I, U, q2, data in rows:
+            rows = compiled[q] = compile_rows(q)
+        if rows.__class__ is tuple:  # the merged (dst, label) pairs
+            for q2, lab in rows:
+                j = index.get(base + q2)
+                if j is None:
+                    if len(order) >= max_states:
+                        return Expansion(None, True, len(order) + 1, len(dom))
+                    j = index[base + q2] = len(order)
+                    order.append(base + q2)
+                transitions.append((i, lab, j))
+            continue
+        v = valuations[vid]
+        out = {}  # target index -> its value or label, or the list of merged guards
+        for kind, E, I, U, q2, data, memo in rows:
             if kind is READ:
-                a = config[E[0]]
-                if (a not in data or any(config[r] != a for r in E[1:])
-                        or any(config[r] == a for r in I)):
+                a = v[E[0]]
+                if (a not in data or any(v[r] != a for r in E[1:])
+                        or any(v[r] == a for r in I)):
                     continue
                 steps = (a,)
             elif kind is STORE:
                 steps = data
                 if I:
-                    blocked = {config[r] for r in I}
+                    blocked = {v[r] for r in I}
                     steps = [a for a in data if a not in blocked]
             elif I:
                 admits, size, guard = data
                 # an input the guard admits and no excluded register holds
                 # exists when the guard admits more values than the held ones
-                held = {config[r] for r in I} - {None}
+                held = {v[r] for r in I} - {None}
                 if size <= sum(map(admits, held)):
                     continue
                 steps = (label(conj([guard] + [
-                    Not(Atom(config[r])) for r in I if config[r] is not None
+                    Not(Atom(v[r])) for r in I if v[r] is not None
                 ])),)
             else:
                 steps = (data,)
-            target = [q2, *config[1:]]
-            config2 = tuple(target)
+            if U:
+                targets = memo.get(vid)
+                if targets is None:
+                    targets = memo[vid] = {}
             for step in steps:
                 if U:
-                    for r in U:
-                        target[r] = step
-                    config2 = tuple(target)
-                j = index.get(config2)
+                    c2 = targets.get(step)
+                    if c2 is None:
+                        stored = list(v)
+                        for r in U:
+                            stored[r] = step
+                        stored = tuple(stored)
+                        vid2 = vids.get(stored)
+                        if vid2 is None:
+                            vid2 = vids[stored] = len(valuations)
+                            valuations.append(stored)
+                        c2 = targets[step] = vid2 * n + q2
+                else:
+                    c2 = base + q2
+                j = index.get(c2)
                 if j is None:
                     if len(order) >= max_states:
                         return Expansion(None, True, len(order) + 1, len(dom))
-                    j = index[config2] = len(order)
-                    order.append(config2)
-                lab = step if kind is FREE else value_label(step)
+                    j = index[c2] = len(order)
+                    order.append(c2)
                 prev = out.get(j)
                 if prev is None:
-                    out[j] = lab
+                    out[j] = step
                 elif prev.__class__ is list:
-                    prev.append(lab.guard)
+                    prev.append(guard_of(step))
                 else:
-                    out[j] = [prev.guard, lab.guard]
+                    out[j] = [guard_of(prev), guard_of(step)]
         for j, lab in out.items():
-            transitions.append((i, label(disj(lab)) if lab.__class__ is list else lab, j))
+            if lab.__class__ is list:
+                lab = label(disj(lab))
+            elif isinstance(lab, int):
+                lab = value_label(lab)
+            transitions.append((i, lab, j))
 
     text = {None: "_", **{v: str(v) for v in dom}}  # register value -> its text in names
-
-    def name(config) -> str:
-        if len(config) == 1:
-            return S.states[config[0]]
-        return f"{S.states[config[0]]}|{','.join(map(text.__getitem__, config[1:]))}"
-
+    suffix = ["|" + ",".join(map(text.__getitem__, v)) if v else "" for v in valuations]
     sfa = Sra(
         algebra=algebra,
         registers=(),
-        states=tuple(map(name, order)),
+        states=tuple(S.states[c % n] + suffix[c // n] for c in order),
         initial=0,
         initial_valuation=(),
-        finals=frozenset(i for i, config in enumerate(order) if config[0] in S.finals),
+        finals=frozenset(i for i, c in enumerate(order) if c % n in S.finals),
         transitions=tuple(transitions),
     )
     return Expansion(sfa, False, len(order), len(dom))

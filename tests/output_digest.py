@@ -13,7 +13,9 @@ partner pairs and IP3/IP4, both ways; `includes`, `equivalent` and
 and `is_deterministic` answers; `LazyNorm`'s minterm sizes and, in
 source order, its table of the minterms inside each source, for every
 stock pattern's own basis and both ways over each partner pair's shared
-basis; the benchmark's expansions and its overflow; `regex.match` verdicts of the nondeterministic
+basis; the benchmark's expansions and its overflow, and expansions of
+`to_single_valued(example3())` and of seeded random automata, one of
+them capped; `regex.match` verdicts of the nondeterministic
 LONG_NONDET_PATTERNS on seeded texts of 5,000 and 12,500 characters and
 on copies with one character changed, of every stock pattern on seeded
 texts with non-ASCII characters and their mutants, and of
@@ -36,13 +38,15 @@ from sra import regex as rx  # noqa: E402
 from sra.boolean_ops import complement, complete, intersect, union  # noqa: E402
 from sra import core  # noqa: E402
 from sra.equiv import equivalent, includes, separating_word  # noqa: E402
-from sra.expand import expand_to_sfa  # noqa: E402
+from sra.expand import DEFAULT_MAX_STATES, expand_to_sfa  # noqa: E402
 from sra.normal import (  # noqa: E402
     LazyNorm, is_deterministic, is_empty, minterm_basis, normalize,
 )
 from sra.single_valued import to_single_valued  # noqa: E402
 
-from fixtures import LONG_NONDET_PATTERNS, long_nondet_text, mutants, stock_text  # noqa: E402
+from fixtures import (  # noqa: E402
+    LONG_NONDET_PATTERNS, example3, long_nondet_text, mutants, random_sra, stock_text,
+)
 
 # the rest take minutes or gigabytes to single-value, normalize or intersect
 SMALL = ("IP2", "IP3", "IP4", "Name-F", "Name-L", "Name", "XML",
@@ -56,6 +60,9 @@ EXPANSIONS = (
     ("Name", string.ascii_lowercase + " ."),
     ("Name", "abcdefghijklmn ."),
 )
+# seeds of random_sra(max_registers=3) whose expansions over -2..3 have
+# 18-27 states, each with the state limit it is expanded at
+RANDOM_EXPANSIONS = ((5, DEFAULT_MAX_STATES), (21, 10), (49, DEFAULT_MAX_STATES))
 
 
 STRAYED = []  # texts of dumps that json.dumps(..., indent=2) lays out otherwise
@@ -120,6 +127,14 @@ def main():
         ex = expand_to_sfa(stock[name], [ord(c) for c in letters])
         put(("expand", name, letters), lambda: (
             ex.overflow, ex.state_count, ex.domain_size, dumps(ex.sfa)))
+    expansions = [("example3", to_single_valued(example3()), [0, 1, 2, 3], DEFAULT_MAX_STATES)] + [
+        (("random", seed), random_sra(random.Random(seed), max_registers=3), range(-2, 4), cap)
+        for seed, cap in RANDOM_EXPANSIONS
+    ]
+    for tag, S, domain, cap in expansions:
+        ex = expand_to_sfa(S, domain, max_states=cap)
+        put(("expand", tag, cap), lambda: (
+            ex.overflow, ex.state_count, ex.domain_size, ex.sfa and dumps(ex.sfa)))
     ex = expand_to_sfa(rx.compile(r"(...)\1").sra, range(2 ** 16), max_states=20_000)
     put(("overflow",), lambda: (ex.overflow, ex.sfa is None, ex.state_count))
     for pattern in LONG_NONDET_PATTERNS:

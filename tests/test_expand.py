@@ -1,13 +1,14 @@
 import hashlib
+import random
 
 import pytest
 
-from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS
-from sra.core import SraError, compile_guard, dumps, make_sra, membership
+from sra.algebra import AlgebraError, Atom, Div, TRUE, INTEGERS, UNICODE
+from sra.core import Label, SraError, compile_guard, dumps, make_sra, membership
 from sra.expand import CSV_HEADER, csv_report, expand_to_sfa, size_report
 from sra import expand, regex as rx
 
-from fixtures import digits_sfa, example3, first_symbol_repeats, remark1
+from fixtures import digits_sfa, example3, first_symbol_repeats, random_sra, remark1
 from oracles import words_up_to
 from sra.single_valued import to_single_valued
 
@@ -102,14 +103,18 @@ def test_overflow_is_reported_not_raised():
 def test_overflow_on_a_wide_store_stops_at_the_cap(monkeypatch):
     # the first store alone has 65,536 candidate targets; the one past
     # the cap ends the expansion before the rest are built
-    atoms = []
+    atoms, labels = [], []
     monkeypatch.setattr(expand, "Atom", lambda a: atoms.append(a) or Atom(a))
+    monkeypatch.setattr(expand, "Label", lambda *parts: labels.append(parts) or Label(*parts))
     S = rx.compile(r"(...)\1").sra
     ex = expand_to_sfa(S, range(2**16), max_states=20_000)
     assert ex.overflow
     assert ex.sfa is None
     assert ex.state_count == 20_001
     assert len(atoms) < ex.state_count  # one per target found, not per candidate
+    # labels are made for emitted transitions only, and the overflow
+    # comes inside the first configuration: no value label is made
+    assert len(labels) < len({lab.guard for _, lab, _ in S.transitions}) + 1
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -122,6 +127,29 @@ def test_domain_values_outside_the_algebra_are_refused():
     register_free = rx.compile("a").sra
     with pytest.raises(AlgebraError, match="-5 is not a unicode domain element"):
         expand_to_sfa(register_free, [ord("a"), -5])
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "x", -1, 0x110000])
+def test_unicode_refuses_values_outside_its_domain_by_name(value):
+    with pytest.raises(AlgebraError, match=f"^{value!r} is not a unicode domain element$"):
+        expand_to_sfa(rx.compile("a").sra, [ord("a"), value])
+
+
+def test_a_mixed_domain_is_refused_before_it_is_sorted():
+    with pytest.raises(AlgebraError, match="'x' is not a unicode domain element"):
+        expand_to_sfa(rx.compile("a").sra, [97, "x"])
+    with pytest.raises(AlgebraError, match="'x' is not a int domain element"):
+        INTEGERS.sorted_domain([3, "x", -1])
+
+
+def test_domain_values_are_ordered_by_sort_key():
+    S = make_sra(INTEGERS, ["r"], ["p"], "p", {}, [], [("p", TRUE, (), (), ("r",), "p")])
+    domain = [3, -1, 0, -7, 2]
+    ex = expand_to_sfa(S, domain)
+    assert sorted(domain, key=INTEGERS.sort_key) == [0, 2, 3, -1, -7]
+    assert ex.sfa.states == ("p|_", "p|0", "p|2", "p|3", "p|-1", "p|-7")
+    assert INTEGERS.sorted_domain(domain + [2, 0]) == [0, 2, 3, -1, -7]
+    assert UNICODE.sorted_domain([]) == []
 
 
 def test_stock_expansion_sizes():
@@ -182,3 +210,82 @@ def test_stock_expansions_are_byte_identical_to_the_pinned_text(name, domain, di
     # guard and a label per transition; the text must not change
     ex = expand_to_sfa(rx.compile(rx.BENCHMARK_PATTERNS[name]).sra, [ord(c) for c in domain])
     assert hashlib.sha256(dumps(ex.sfa).encode()).hexdigest() == digest
+
+
+# unsorted, with negative values; the initial values 1 and 2 lie outside it
+PANEL_DOMAIN = [3, -1, 0, -2]
+
+
+def random_panel():
+    """24 seeded automata with registers and at least four moves.  Their
+    moves exclude registers and read several registers at once, and they
+    start from values outside PANEL_DOMAIN: rows no stock pattern has."""
+    rng = random.Random(29)
+    panel = []
+    while len(panel) < 24:
+        S = random_sra(rng, max_states=4, max_registers=3)
+        if S.registers and len(S.transitions) >= 4:
+            panel.append(S)
+    return panel
+
+
+PANEL = random_panel()
+
+
+def result_digest(ex) -> str:
+    text = "" if ex.sfa is None else dumps(ex.sfa)
+    summary = (text, ex.overflow, ex.state_count, ex.domain_size)
+    return hashlib.sha256(repr(summary).encode()).hexdigest()[:16]
+
+
+# per panel automaton, result_digest of its expansion over PANEL_DOMAIN
+# uncapped and at max_states=7, taken from the expansion that walked flat
+# (state, *registers) tuples
+PANEL_PINS = [
+    ('db8cabe23d031ada', 'db8cabe23d031ada'),
+    ('7a9d7185db850dea', '7a9d7185db850dea'),
+    ('b7376d8aa56b9c2d', 'add5a3d99284610a'),
+    ('d8a4482e2dc42a4a', 'd8a4482e2dc42a4a'),
+    ('12f05f5e27dc4c87', '12f05f5e27dc4c87'),
+    ('2e8ec4b8828c7e24', '59fcfceec9a4970c'),
+    ('ce84b7422f673ec7', 'ce84b7422f673ec7'),
+    ('0dd130afbb13f965', '0dd130afbb13f965'),
+    ('463e978e7bcef912', '463e978e7bcef912'),
+    ('d3ded0e34cf860ac', 'd3ded0e34cf860ac'),
+    ('479db1758a8e4fb0', '59fcfceec9a4970c'),
+    ('fe1cb113d8963bfd', 'fe1cb113d8963bfd'),
+    ('e26d12178dd4d6cc', 'e26d12178dd4d6cc'),
+    ('19e6271bc17b0c97', '19e6271bc17b0c97'),
+    ('d522b98518d12ad0', 'd522b98518d12ad0'),
+    ('9afb992f913865e0', '9afb992f913865e0'),
+    ('5e85051a2fe0d032', '5e85051a2fe0d032'),
+    ('bc5b475450ef9b74', 'bc5b475450ef9b74'),
+    ('596ccd0830c5e14f', '59fcfceec9a4970c'),
+    ('e6d5e0c66759c5c9', 'e6d5e0c66759c5c9'),
+    ('b55a5f07180f10cc', 'b55a5f07180f10cc'),
+    ('701d842cdb3ab329', '59fcfceec9a4970c'),
+    ('9ec00a460334660b', '59fcfceec9a4970c'),
+    ('26389900d00dcc32', '26389900d00dcc32'),
+]
+
+
+def test_the_panel_reaches_the_rows_the_stock_patterns_never_reach():
+    labels = [lab for S in PANEL for _, lab, _ in S.transitions]
+    assert any(len(lab.E) > 1 for lab in labels)
+    assert any(lab.I for lab in labels)
+    assert any(v is not None and v not in PANEL_DOMAIN for S in PANEL for v in S.initial_valuation)
+    assert sum(expand_to_sfa(S, PANEL_DOMAIN, max_states=7).overflow for S in PANEL) >= 5
+
+
+@pytest.mark.parametrize("i", range(len(PANEL)))
+def test_random_expansions_keep_their_pinned_text_and_their_language(i):
+    S = PANEL[i]
+    ex = expand_to_sfa(S, PANEL_DOMAIN)
+    capped = expand_to_sfa(S, PANEL_DOMAIN, max_states=7)
+    assert (result_digest(ex), result_digest(capped)) == PANEL_PINS[i]
+    assert not ex.overflow
+    # the expansion stores only domain and initial values: a word over
+    # them has the same verdict on both automata
+    stored = [v for v in S.initial_valuation if v is not None and v not in PANEL_DOMAIN]
+    for w in words_up_to(PANEL_DOMAIN + sorted(set(stored)), 3):
+        assert membership(ex.sfa, w) == membership(S, w), w
