@@ -6,21 +6,20 @@ valuation, with None for an empty register, is interned once and named
 by its index, so a configuration is the integer vid * |Q| + state, and
 configurations are numbered in the order they are discovered.
 
-Each state's moves are compiled into rows the first time a
-configuration of it is expanded: the E, I and U registers, the target
-state, and what the guard admits.  A move that reads or stores keeps the
-list or the set of the domain values its guard admits, computed once per
-guard.  A read then fires on the one value its registers share when
-that value is in the set; a store fires on each admitted value, and its
-row keeps, per valuation, the configuration each value leads to.  A
-move that neither reads nor stores stays symbolic, constrained by the
-concrete register contents; it fires when its guard admits more values
-than it admits among the contents of the registers it excludes, and the
-guard's size is counted once.  When no move of a state reads, stores or
-excludes a register, its rows are merged by target once, and each
-configuration of it takes the merged labels as they are.  All steps
-between one configuration pair are merged into a single predicate.  A
-value's `Atom` and `Label` are made once, when a transition on it is
+Each state's moves are compiled into rows the first time a configuration
+of it is expanded: the E, I and U registers, the target state, and what
+the guard admits.  A move that reads or stores keeps the domain values
+its guard admits, in domain order, computed once per guard.  A read then
+fires on the one value its registers share when that value is admitted;
+a store fires on each admitted value.  A move that neither reads nor
+stores stays symbolic, constrained by the concrete register contents; it
+fires when its guard admits more values than it admits among the
+contents of the registers it excludes, and the guard's size is counted
+once.  When no move of a state reads, stores or excludes a register, its
+rows are merged by target once, and each configuration of it takes the
+merged labels as they are.  All steps between one configuration pair are
+merged into a single predicate.  A transition on a single value takes
+that value's one shared `Label`, made when such a transition is first
 emitted, each merged predicate has one `Label`, and each valuation one
 suffix in the state names.
 
@@ -59,10 +58,10 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
         raise SraError("max_states must be at least 1")
     algebra = S.algebra
     # initial register values join the domain, after its sorted values
-    dom = list(dict.fromkeys(
+    dom = dict.fromkeys(
         algebra.sorted_domain(domain) + [v for v in S.initial_valuation if v is not None]
-    ))
-    admitted = {}  # (guard, READ) -> set, (guard, STORE) -> list of the values of dom it admits
+    )
+    admitted = {}  # guard -> the values of dom it admits, as an ordered dict
     counted = {}  # guard -> (its closure, its size up to one more than the registers)
     labels = {}  # predicate -> its one label
     value_labels = {}  # value -> the label of its atom
@@ -83,27 +82,26 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
         return Atom(step) if isinstance(step, int) else step.guard
 
     def compile_rows(q):
-        """q's moves as (kind, E, I, U, dst, data, memo) rows, with
-        register positions in the label's own order.  data is the
-        admitted values' set (READ) or list (STORE); for FREE, the label
-        when no register is excluded, else (closure, size, guard).  memo
-        maps a valuation id to {value: target configuration}.  Moves
-        that can never fire are left out.  When every row is FREE and
-        excludes no register, the rows merged by target in row order
-        come instead, as a tuple of (dst, label) pairs."""
+        """q's moves as (kind, E, I, U, dst, data) rows, with register
+        positions in the label's own order.  data is the admitted values
+        (READ, STORE); for FREE, the label when no register is excluded,
+        else (closure, size, guard).  Moves that can never fire are left
+        out.  When every row is FREE and excludes no register, the rows
+        merged by target in row order come instead, as a tuple of
+        (dst, label) pairs."""
         rows = []
         for _, lab, q2 in S.out[q]:
             E, I, U = tuple(lab.E), tuple(lab.I), tuple(lab.U)
             guard = lab.guard
             if E or U:
-                kind = READ if E else STORE
-                data = admitted.get((guard, kind))
+                data = admitted.get(guard)
                 if data is None:
                     algebra.check(guard)
-                    data = dom if guard == TRUE else list(filter(compile_guard(guard), dom))
-                    data = admitted[guard, kind] = set(data) if E else data
+                    data = admitted[guard] = (
+                        dom if guard == TRUE else dict.fromkeys(filter(compile_guard(guard), dom))
+                    )
                 if data:
-                    rows.append((kind, E, I, U, q2, data, {}))
+                    rows.append((READ if E else STORE, E, I, U, q2, data))
                 continue
             entry = counted.get(guard)
             if entry is None:
@@ -113,9 +111,9 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                 )
             admits, size = entry
             if I:
-                rows.append((FREE, E, I, U, q2, (admits, size, guard), None))
+                rows.append((FREE, E, I, U, q2, (admits, size, guard)))
             elif size:
-                rows.append((FREE, E, I, U, q2, label(guard), None))
+                rows.append((FREE, E, I, U, q2, label(guard)))
         if all(row[0] is FREE and not row[2] for row in rows):
             merged = {}
             for row in rows:
@@ -148,7 +146,7 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
             continue
         v = valuations[vid]
         out = {}  # target index -> its value or label, or the list of merged guards
-        for kind, E, I, U, q2, data, memo in rows:
+        for kind, E, I, U, q2, data in rows:
             if kind is READ:
                 a = v[E[0]]
                 if (a not in data or any(v[r] != a for r in E[1:])
@@ -172,23 +170,17 @@ def expand_to_sfa(S: Sra, domain, max_states: int = DEFAULT_MAX_STATES) -> Expan
                 ])),)
             else:
                 steps = (data,)
-            if U:
-                targets = memo.get(vid)
-                if targets is None:
-                    targets = memo[vid] = {}
             for step in steps:
                 if U:
-                    c2 = targets.get(step)
-                    if c2 is None:
-                        stored = list(v)
-                        for r in U:
-                            stored[r] = step
-                        stored = tuple(stored)
-                        vid2 = vids.get(stored)
-                        if vid2 is None:
-                            vid2 = vids[stored] = len(valuations)
-                            valuations.append(stored)
-                        c2 = targets[step] = vid2 * n + q2
+                    stored = list(v)
+                    for r in U:
+                        stored[r] = step
+                    stored = tuple(stored)
+                    vid2 = vids.get(stored)
+                    if vid2 is None:
+                        vid2 = vids[stored] = len(valuations)
+                        valuations.append(stored)
+                    c2 = vid2 * n + q2
                 else:
                     c2 = base + q2
                 j = index.get(c2)
