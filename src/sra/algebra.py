@@ -276,7 +276,7 @@ class Algebra:
     def denotes(self, p: Predicate, a: int) -> bool:
         """True iff a is in the denotation of p."""
         if not self._in_domain(a):
-            raise AlgebraError(f"{a!r} is not a {self.name} domain element")
+            raise AlgebraError(f"{a!r} is not an element of the {self.name} domain")
         self.check(p)
         return self._eval(p, a)
 
@@ -411,7 +411,7 @@ class Algebra:
         if ordered is None or ordered and not lo <= ordered[0] <= ordered[-1] <= hi:
             for a in values:
                 if not self._in_domain(a):
-                    raise AlgebraError(f"{a!r} is not a {self.name} domain element")
+                    raise AlgebraError(f"{a!r} is not an element of the {self.name} domain")
             ordered = sorted(values)  # all ints, some of a subclass
         cut = bisect.bisect_left(ordered, 0)
         return ordered[cut:] + ordered[:cut][::-1]

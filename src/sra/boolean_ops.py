@@ -15,7 +15,7 @@ from dataclasses import replace
 from .algebra import And, Not, TRUE, disj
 from .core import Label, Sra, SraError
 from .normal import is_deterministic
-from .single_valued import is_single_valued, sv_label, sv_label_kind
+from .single_valued import is_single_valued, sv_label_kind, sv_labels
 
 
 def _require_same_algebra(S1: Sra, S2: Sra):
@@ -112,18 +112,29 @@ def union(S1: Sra, S2: Sra) -> Sra:
     )
 
 
-def _gaps(S: Sra, state: int):
-    """The sink label of each input channel, fresh first and then one read
-    per register, whose guards at the state leave a satisfiable gap."""
+def _gaps(S: Sra):
+    """Per state, the (gap guard, op, slot) of each input channel, fresh
+    first and then one read per register, whose guards leave a
+    satisfiable gap.  A gap depends only on the channel's guard
+    objects, so it is built and decided once per distinct sequence of
+    them, across all channels and states."""
     nregs = len(S.registers)
-    channels = {("fresh", -1): [], **{("read", r): [] for r in range(nregs)}}
-    for _, lab, _ in S.out[state]:
-        op, r = sv_label_kind(nregs, lab)
-        channels[("read", r) if op == "read" else ("fresh", -1)].append(lab.guard)
-    for (op, r), guards in channels.items():
-        gap = Not(disj(guards))
-        if S.algebra.is_sat(gap):
-            yield sv_label(nregs, gap, op, r)
+    decided = {}  # guard ids -> their gap guard, or None when they cover all
+
+    def gap(guards):
+        # S keeps every guard alive, so no id is reused during the call
+        key = tuple(map(id, guards))
+        if key not in decided:
+            g = Not(disj(guards))
+            decided[key] = g if S.algebra.is_sat(g) else None
+        return decided[key]
+
+    for moves in S.out:
+        channels = {("fresh", -1): [], **{("read", r): [] for r in range(nregs)}}
+        for _, lab, _ in moves:
+            op, r = sv_label_kind(nregs, lab)
+            channels[("read", r) if op == "read" else ("fresh", -1)].append(lab.guard)
+        yield [(g, op, r) for (op, r), gs in channels.items() if (g := gap(gs)) is not None]
 
 
 def is_complete(S: Sra) -> bool:
@@ -133,9 +144,7 @@ def is_complete(S: Sra) -> bool:
     guards must each cover the whole domain; then every configuration
     can consume every domain element.
     """
-    return is_single_valued(S) and all(
-        next(_gaps(S, p), None) is None for p in range(len(S.states))
-    )
+    return is_single_valued(S) and not any(_gaps(S))
 
 
 def complete(S: Sra) -> Sra:
@@ -144,19 +153,23 @@ def complete(S: Sra) -> Sra:
     Uncovered inputs are routed to a fresh non-accepting sink that
     absorbs everything, so the language is unchanged, deterministic or
     not.  Fresh moves into the sink store nowhere, so the registers
-    stay those of S, even when S has none.
+    stay those of S, even when S has none.  States whose channels leave
+    the same gap share its label.
     """
     if not is_single_valued(S):
         raise SraError("completion requires a single-valued automaton")
     nregs = len(S.registers)
+    label = sv_labels(nregs)
     sink = len(S.states)
     sink_name = "sink"
     while sink_name in S.states:
         sink_name += "'"
     transitions = list(S.transitions)
-    transitions += [(p, lab, sink) for p in range(len(S.states)) for lab in _gaps(S, p)]
-    transitions += [(sink, sv_label(nregs, TRUE, "read", r), sink) for r in range(nregs)]
-    transitions.append((sink, sv_label(nregs, TRUE, "fresh", -1), sink))
+    transitions += [
+        (p, label(gap, op, r), sink) for p, gaps in enumerate(_gaps(S)) for gap, op, r in gaps
+    ]
+    transitions += [(sink, label(TRUE, "read", r), sink) for r in range(nregs)]
+    transitions.append((sink, label(TRUE, "fresh", -1), sink))
     return replace(S, states=S.states + (sink_name,), transitions=tuple(transitions))
 
 

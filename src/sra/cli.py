@@ -83,7 +83,7 @@ def _word(S: Sra, args) -> list:
     for a in word:
         if not S.algebra._in_domain(a):
             raise UsageError(
-                f"input symbol {a!r} is not a {S.algebra.name} domain element"
+                f"input symbol {a!r} is not an element of the {S.algebra.name} domain"
             )
     return word
 

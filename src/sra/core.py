@@ -91,9 +91,10 @@ def make_sra(
     ridx = {r: i for i, r in enumerate(registers)}
 
     def state(name):
-        if name not in sidx:
-            raise SraError(f"unknown state {name!r}")
-        return sidx[name]
+        try:
+            return sidx[name]
+        except KeyError:
+            raise SraError(f"unknown state {name!r}") from None
 
     def regs(names):
         out = set()
@@ -111,9 +112,10 @@ def make_sra(
     for src, guard, E, I, U, dst in transitions:
         q = state(src)
         key = (id(guard), tuple(E), tuple(I), tuple(U))
-        if key not in labels:
-            labels[key] = Label(guard, regs(key[1]), regs(key[2]), regs(key[3]))
-        trans.append((q, labels[key], state(dst)))
+        lab = labels.get(key)
+        if lab is None:
+            lab = labels[key] = Label(guard, regs(key[1]), regs(key[2]), regs(key[3]))
+        trans.append((q, lab, state(dst)))
     return Sra(
         algebra=algebra,
         registers=registers,
@@ -397,33 +399,35 @@ def _field(d: dict, key: str, kind: type):
 
 def from_json_dict(d: dict) -> Sra:
     """The automaton a JSON document describes.  Each distinct guard
-    text is parsed once; a text that fails to parse is reported on
-    every transition that carries it."""
+    text is parsed once, and `make_sra` builds each distinct label
+    once; per transition the fields are read, and the label and two
+    states looked up.  A text that fails to parse is reported on every
+    transition that carries it."""
     try:
         algebra = algebra_by_name(d["algebra"])
         parsed = {}  # guard text -> its predicate, or what is wrong with it
         transitions = []
         for t in _field(d, "transitions", list):
             text = t["guard"]
-            if text not in parsed:
+            guard = parsed.get(text)
+            if guard is None:
                 try:
-                    parsed[text] = algebra.parse(text)
+                    guard = parsed[text] = algebra.parse(text)
                 except AlgebraError as e:
-                    parsed[text] = f"bad guard: {e}"
+                    guard = parsed[text] = f"bad guard: {e}"
             transitions.append((
                 t["from"],
-                parsed[text],
+                guard,
                 _field(t, "E", list),
                 _field(t, "I", list),
                 _field(t, "U", list),
                 t["to"],
             ))
-        problems = [
-            f"transition #{n}: {guard}"
-            for n, (_, guard, *_) in enumerate(transitions) if isinstance(guard, str)
-        ]
-        if problems:
-            raise SraError("; ".join(problems))
+        if any(isinstance(guard, str) for guard in parsed.values()):
+            raise SraError("; ".join(
+                f"transition #{n}: {guard}"
+                for n, (_, guard, *_) in enumerate(transitions) if isinstance(guard, str)
+            ))
         S = make_sra(
             algebra,
             _field(d, "registers", list),

@@ -42,7 +42,7 @@ from typing import List, Optional, Tuple
 
 from .algebra import And, Atom, MintermSet
 from .core import Sra, SraError
-from .single_valued import initial_slots, is_single_valued, slot_moves, sv_label
+from .single_valued import initial_slots, is_single_valued, slot_moves, sv_labels
 from .single_valued import to_single_valued  # noqa: F401 - perfbench's tracer pins it here
 
 
@@ -321,8 +321,9 @@ def normalize(S: Sra) -> Sra:
     names[frozenset()] = "_"
     order = list(reach(ln)[0])
     index = {key: i for i, key in enumerate(order)}
+    label = sv_labels(ln.nregs)
     transitions = tuple(
-        (i, sv_label(ln.nregs, minterms[m].conjunction, op, r), index[key2])
+        (i, label(minterms[m].conjunction, op, r), index[key2])
         for i, key in enumerate(order)
         for m, op, r, _, key2 in ln.successors(key)
     )

@@ -21,7 +21,6 @@ one.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from .core import Label, Sra
@@ -37,18 +36,23 @@ def sv_label_kind(nregisters: int, label: Label) -> Optional[Tuple[str, int]]:
     return None
 
 
-@lru_cache(maxsize=None)
-def _sv_sets(nregisters: int, op: str, s: int) -> tuple:
-    if op == "read":
-        return frozenset({s}), frozenset(), frozenset()
-    stored = frozenset({s}) if s >= 0 else frozenset()
-    return frozenset(), frozenset(range(nregisters)), stored
+def sv_labels(nregisters: int):
+    """A label table for one construction: label(guard, op, s) is the
+    single-valued label of a read of, or fresh move into, slot s.  Each
+    (guard object, op, slot) gets one Label, which every transition
+    asking for it shares.  Keys are by identity, since a label's hash
+    walks its guard tree; a kept Label keeps its guard, and so its id,
+    alive while the table lasts."""
+    none, every, table = frozenset(), frozenset(range(nregisters)), {}
 
+    def label(guard, op: str, s: int) -> Label:
+        key = (id(guard), op, s)
+        if key not in table:
+            one = frozenset({s}) if s >= 0 else none
+            table[key] = Label(guard, *((one, none, none) if op == "read" else (none, every, one)))
+        return table[key]
 
-def sv_label(nregisters: int, guard, op: str, s: int) -> Label:
-    """The single-valued label of a read of, or fresh move into, slot s;
-    labels of one kind share their constraint sets."""
-    return Label(guard, *_sv_sets(nregisters, op, s))
+    return label
 
 
 def is_single_valued(S: Sra) -> bool:
@@ -125,7 +129,6 @@ def to_single_valued(S: Sra) -> Sra:
     """
     if is_single_valued(S):
         return S
-    nregs = len(S.registers)
     valuation, f0 = initial_slots(S)
     start = (S.initial, f0)
     # filled[(q, f)] over-approximates, across all paths into (q, f),
@@ -149,8 +152,9 @@ def to_single_valued(S: Sra) -> Sra:
                 queue.append(base2)
 
     index = {base: i for i, base in enumerate(filled)}
+    label = sv_labels(len(S.registers))
     transitions = tuple(
-        (index[base], sv_label(nregs, guard, op, s), index[base2])
+        (index[base], label(guard, op, s), index[base2])
         for base in filled
         for guard, op, s, base2 in moves[base]
         if op == "fresh" or s in filled[base]

@@ -8,6 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from sra.algebra import Algebra, And, Atom, Div, Interval, Not, TRUE, INTEGERS, UNICODE
 from sra.core import Sra, SraError, make_sra
+from sra.single_valued import sv_label_kind
 
 
 def example3(final_guard=None):
@@ -108,6 +109,17 @@ def successors(S, config, a):
         if lab.E <= holding and not lab.I & holding:
             out.add((dst, tuple(a if r in lab.U else x for r, x in enumerate(v))))
     return out
+
+
+def shared_labels(S) -> int:
+    """The number of label objects on S's transitions, asserting that
+    transitions with the same guard object, kind and slot carry one."""
+    labels = {}
+    for _, lab, _ in S.transitions:
+        key = (id(lab.guard), sv_label_kind(len(S.registers), lab))
+        assert labels.setdefault(key, lab) is lab, key
+    assert len({id(lab) for _, lab, _ in S.transitions}) == len(labels)
+    return len(labels)
 
 
 GUARD_POOL = (

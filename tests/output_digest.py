@@ -20,7 +20,9 @@ LONG_NONDET_PATTERNS on seeded texts of 5,000 and 12,500 characters and
 on copies with one character changed, of every stock pattern on seeded
 texts with non-ASCII characters and their mutants, and of
 `(?:(.)(.)(.)\3\2\1)*` on a seeded 6,000-character text and a mutant.
-An exception's type and text are hashed in place of a result.  Every
+Each text `dumps` writes is hashed with the text it writes of `loads`
+of it and with the number of label objects that `loads` builds.  An
+exception's type and text are hashed in place of a result.  Every
 text `dumps` writes is also checked to be json.dumps(..., indent=2) of
 its own document, so the script fails if the writer strays from the
 standard library's layout.  pytest does not collect this file.
@@ -69,12 +71,14 @@ STRAYED = []  # texts of dumps that json.dumps(..., indent=2) lays out otherwise
 
 
 def dumps(S):
-    """core.dumps(S), noting in STRAYED a text that is not the standard
-    library's indent=2 layout of its own document."""
+    """core.dumps(S), then the text dumps writes of loads of it and the
+    number of label objects loads builds, noting in STRAYED a text that
+    is not the standard library's indent=2 layout of its own document."""
     text = core.dumps(S)
     if json.dumps(json.loads(text), indent=2) + "\n" != text:
         STRAYED.append(text)
-    return text
+    T = core.loads(text)
+    return text, core.dumps(T), len({id(lab) for _, lab, _ in T.transitions})
 
 
 def basis_tables(ln):

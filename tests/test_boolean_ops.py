@@ -4,10 +4,10 @@ import random
 import pytest
 
 from sra import regex as rx
-from sra.algebra import Div, Not, TRUE, INTEGERS
+from sra.algebra import Algebra, Div, Not, TRUE, INTEGERS
 from sra.boolean_ops import complement, complete, intersect, is_complete, union
 from sra.core import SraError, dumps, make_sra, membership
-from sra.single_valued import to_single_valued
+from sra.single_valued import sv_label_kind, to_single_valued
 
 from fixtures import (
     digits_sfa, example3, first_symbol_repeats, remark1, remark1_oracle, successors,
@@ -242,6 +242,30 @@ def test_complete_keeps_nondeterministic_language_and_complement_refuses():
         assert membership(T, w) == brute_membership(S, w), w
     with pytest.raises(SraError):
         complement(T)
+
+
+def test_completion_decides_each_channel_gap_once(monkeypatch):
+    # a channel is a state's fresh moves or its reads of one register;
+    # its gap depends on its guard objects alone, so equal channels of
+    # different states need one satisfiability call between them
+    S = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["IP4"]).sra)
+    n = len(S.registers)
+    keys = set()
+    for moves in S.out:
+        channels = {("fresh", -1): [], **{("read", r): [] for r in range(n)}}
+        for _, lab, _ in moves:
+            op, r = sv_label_kind(n, lab)
+            channels[("read", r) if op == "read" else ("fresh", -1)].append(id(lab.guard))
+        keys |= {(channel, tuple(guards)) for channel, guards in channels.items()}
+    assert len(keys) == 82
+    calls = []
+    is_sat = Algebra.is_sat
+    monkeypatch.setattr(Algebra, "is_sat", lambda alg, p: calls.append(p) or is_sat(alg, p))
+    C = complete(S)
+    assert 0 < len(calls) <= len(keys)
+    calls.clear()
+    assert is_complete(C)
+    assert 0 < len(calls) <= len(keys)
 
 
 def test_complete_rejects_mixed_labels():

@@ -40,6 +40,12 @@ def test_member_integer_automaton(tmp_path):
     assert main(["member", "--sra", path, "--input", "[2, 4, 6]"]) == 1
 
 
+def test_member_names_an_input_symbol_outside_the_domain(tmp_path, capsys):
+    path = write_sra(tmp_path, "r1.json", remark1())
+    assert main(["member", "--sra", path, "--input", '[2, "x"]']) == 2
+    assert "input symbol 'x' is not an element of the int domain\n" in capsys.readouterr().err
+
+
 def test_empty_verb(tmp_path, capsys):
     path = write_sra(tmp_path, "e3.json", example3())
     assert main(["empty", "--sra", path]) == 0

@@ -482,6 +482,25 @@ def test_json_rejects_malformed_documents():
     d["transitions"][0]["E"] = "r"
     with pytest.raises(SraError):
         from_json_dict(d)
+    # the exact messages, on two transitions that share one label; the
+    # loader builds that label once but still reads each transition
+    bad = "expected integer at position 3"
+    for index, key, value, message in [
+        (None, "guard", "[1-", f"transition #0: bad guard: {bad}; transition #1: bad guard: {bad}"),
+        (1, "from", "ghost", "unknown state 'ghost'"),
+        (1, "to", "ghost", "unknown state 'ghost'"),
+        (1, "U", ["ghost"], "unknown register 'ghost'"),
+        (1, "I", "r", "malformed automaton document: 'I' is not a list"),
+    ]:
+        d = json.loads(dumps(make_sra(INTEGERS, ["r"], ["p", "q"], "p", {"r": 5}, ["q"], [
+            ("p", TRUE, ("r",), (), (), "q"),
+            ("q", TRUE, ("r",), (), (), "q"),
+        ])))
+        for t in d["transitions"] if index is None else [d["transitions"][index]]:
+            t[key] = value
+        with pytest.raises(SraError) as refused:
+            from_json_dict(d)
+        assert str(refused.value) == message
 
 
 def writer_cases():

@@ -125,20 +125,20 @@ def test_a_state_limit_below_one_is_refused(cap):
 
 def test_domain_values_outside_the_algebra_are_refused():
     register_free = rx.compile("a").sra
-    with pytest.raises(AlgebraError, match="-5 is not a unicode domain element"):
+    with pytest.raises(AlgebraError, match="^-5 is not an element of the unicode domain$"):
         expand_to_sfa(register_free, [ord("a"), -5])
 
 
 @pytest.mark.parametrize("value", [True, 1.5, "x", -1, 0x110000])
 def test_unicode_refuses_values_outside_its_domain_by_name(value):
-    with pytest.raises(AlgebraError, match=f"^{value!r} is not a unicode domain element$"):
+    with pytest.raises(AlgebraError, match=f"^{value!r} is not an element of the unicode domain$"):
         expand_to_sfa(rx.compile("a").sra, [ord("a"), value])
 
 
 def test_a_mixed_domain_is_refused_before_it_is_sorted():
-    with pytest.raises(AlgebraError, match="'x' is not a unicode domain element"):
+    with pytest.raises(AlgebraError, match="^'x' is not an element of the unicode domain$"):
         expand_to_sfa(rx.compile("a").sra, [97, "x"])
-    with pytest.raises(AlgebraError, match="'x' is not a"):
+    with pytest.raises(AlgebraError, match="^'x' is not an element of the int domain$"):
         INTEGERS.sorted_domain([3, "x", -1])
 
 

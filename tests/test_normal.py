@@ -28,6 +28,7 @@ from fixtures import (
     random_sra,
     remark1,
     remark1_oracle,
+    shared_labels,
 )
 from oracles import breadth_first_reach, brute_membership, words_up_to
 
@@ -272,6 +273,12 @@ def test_normalized_state_counts_of_stock_patterns(name, states):
 def test_translation_sizes_of_stock_patterns(name, states, transitions):
     T = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS[name]).sra)
     assert (len(T.states), len(T.transitions)) == (states, transitions)
+
+
+def test_normalization_builds_one_label_per_minterm_kind_and_slot():
+    N = normalize(to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["Pr-CL3"]).sra))
+    assert len(N.transitions) == 15232
+    assert shared_labels(N) == 48
 
 
 def test_single_valued_input_keeps_identity_slot_map():

@@ -1,5 +1,6 @@
 import random
 
+from sra import regex as rx
 from sra.algebra import TRUE, INTEGERS
 from sra.core import Label, make_sra, membership, validate
 from sra.normal import is_empty, normalize
@@ -10,7 +11,9 @@ from sra.single_valued import (
     to_single_valued,
 )
 
-from fixtures import example3, first_symbol_repeats, random_sra, remark1, remark1_oracle
+from fixtures import (
+    example3, first_symbol_repeats, random_sra, remark1, remark1_oracle, shared_labels,
+)
 from oracles import brute_membership, words_up_to
 
 
@@ -138,6 +141,12 @@ def test_translation_skip_store_read_chain():
     assert membership(T, [5, 5, 5])
     for w in words_up_to(range(0, 3), 3):
         assert membership(S, w) == membership(T, w), w
+
+
+def test_translation_builds_one_label_per_guard_kind_and_slot():
+    T = to_single_valued(rx.compile(rx.BENCHMARK_PATTERNS["IP4"]).sra)
+    assert len(T.transitions) == 1818
+    assert shared_labels(T) == 81
 
 
 def test_translation_is_reproducible():
