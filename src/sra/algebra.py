@@ -271,34 +271,6 @@ class Algebra:
                     return True
         return False
 
-    # -- denotation --------------------------------------------------------
-
-    def denotes(self, p: Predicate, a: int) -> bool:
-        """True iff a is in the denotation of p."""
-        if not self._in_domain(a):
-            raise AlgebraError(f"{a!r} is not an element of the {self.name} domain")
-        self.check(p)
-        return self._eval(p, a)
-
-    def _eval(self, p: Predicate, a: int) -> bool:
-        if isinstance(p, TruePred):
-            return True
-        if isinstance(p, FalsePred):
-            return False
-        if isinstance(p, Interval):
-            return (p.lo is None or a >= p.lo) and (p.hi is None or a <= p.hi)
-        if isinstance(p, Div):
-            return a % p.k == 0
-        if isinstance(p, Atom):
-            return a == p.value
-        if isinstance(p, Not):
-            return not self._eval(p.arg, a)
-        if isinstance(p, And):
-            return all(self._eval(q, a) for q in p.args)
-        if isinstance(p, Or):
-            return any(self._eval(q, a) for q in p.args)
-        raise AlgebraError(f"unknown predicate node {p!r}")
-
     # -- cell decomposition ------------------------------------------------
 
     def _period(self, p: Predicate) -> int:
@@ -451,17 +423,6 @@ class Algebra:
         return MintermSet(src, minterms, {
             q: tuple(i for i, m in enumerate(minterms) if m.bits[j]) for j, q in enumerate(src)
         })
-
-    def minterm_of(self, mts: MintermSet, a: int) -> Minterm:
-        """The unique minterm containing the element a, found by its kept
-        cells; an element outside the domain is refused as `denotes`
-        refuses it."""
-        self.denotes(TRUE, a)
-        for m in mts.minterms:
-            for res, L, ivs in m.cells:
-                if a % L == res and any(lo <= a <= hi for lo, hi in ivs):
-                    return m
-        raise AlgebraError(f"no minterm contains {a!r}")  # pragma: no cover
 
     # -- concrete syntax -----------------------------------------------------
 

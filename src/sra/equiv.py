@@ -37,49 +37,58 @@ simulation reads that set alike on both.  So the coarse search takes
 every answer a minterm question could have: a read fires on any minterm
 in its slot's set, an input may equal any uncorrelated right value
 whose set holds its minterm, and a value fresh to both sides is always
-assumed to exist.
-The correspondence stays exact, and a right move on an input class
-exists on the coarse view whenever it exists on the exact one, and only
-then, since both views fire a read on the same rows when the slot's
-set holds the input's minterm.  So every exact path, dead ends
-included, is a coarse path, and a coarse search without failure proves
-the direction.  A coarse failure may be spurious, and all three verbs
-confirm it by one rule: it stands when its path walks with exact slot
-minterms (`_taken_exactly`).  The coarse search is shortest over more
-paths, so a confirmed failure's word is as short as the exact
-search's.  An unconfirmed failure goes to the exact search, which is
-unchanged, so negative answers stay exact and shortest.
+assumed to exist.  The correspondence stays exact.  A coarse search
+without failure proves the direction (see below).  A coarse failure may
+be spurious, and all three verbs confirm it by one rule: it stands when
+its path walks with exact slot minterms (`_taken_exactly`).  An
+unconfirmed failure goes to the exact search, so negative answers stay
+exact and shortest.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
-regex-compiled automaton, take canonical fresh inputs.  At a triple
-where a minterm with more than one element has a value fresh to both
-sides, an input of it that the left move does not read is taken to be
-such a value: the left side's coincidental reads of it are dropped, and
-so are the classes of the right side's uncorrelated values.  The right
-side keeps its coincidental reads, since they fire on values that the
-left side reads from a correlated slot.  Where the minterm has no such
-value, that one move keeps every class.  One-element minterms, dead
-ends and operands with a disequality keep every coincidence.
+regex-compiled automaton, take canonical fresh inputs.  An input that
+the left move does not read is taken to be fresh to both sides: the
+left side's coincidental reads of it are dropped, the move's fresh
+variant standing for each, and so are the classes of the right side's
+uncorrelated values.  The right side keeps its coincidental reads,
+since they fire on values that the left side reads from a correlated
+slot.  The coarse view always assumes such a fresh value.  The exact
+view takes it at a triple where the input's minterm has one, and
+elsewhere keeps every class of that move.  Dead ends and operands with
+a disequality keep every coincidence.
 
-This stays exact and shortest.  The search takes only steps of the
+Why a coarse search without failure proves the direction: for a pair
+with a disequality every exact path, dead ends included, is a coarse
+path.  For two equality-only operands every failing exact path has a
+failing coarse path with the same left moves.  The coarse view only
+forgets equalities, and each one it keeps comes
+from a joint read or store.  An equality-only right move tests no
+disequality, so with fewer known equalities the right side fires a
+subset of the moves it fires on the real values.  It is deterministic,
+so along the real joint run, the coarse run with the same left moves
+has its right side either in the real right state or at a dead end.
+Every real left move stays available: a left move that does not read
+its input fires on any value of its guard, and so on a fresh one.  So
+the real failure's left side accepts alone on the coarse path too, at
+the same length.  This is counterexample-guided abstraction refinement
+with one refinement step (Clarke, Grumberg, Jha, Lu & Veith, CAV 2000),
+and the coarse search is shortest over more paths, so a confirmed
+failure's word is as short as the exact search's.
+
+The exact search stays exact and shortest.  It takes only steps of the
 full simulation, so its failures are real.  Conversely, let w be a
 shortest separating word and i the first position where the search
-skips w's step: the left move does not read w[i], and w[i] is not
-fresh to both sides though its minterm has such a value b there.
-Renaming w[i] to b, with the later inputs that read that copy back,
-keeps the left run, as an equality-only move tests no disequality, and
-lets the deterministic right side take no move it would not take on w.
-The renamed word separates, has w's length, asks for a fresh value at
+skips w's step: the left move does not read w[i], and w[i] is not fresh
+to both sides though its minterm has such a value b there.  Renaming
+w[i] to b, with the later inputs that read that copy back, keeps the
+left run, as an equality-only move tests no disequality, and lets the
+deterministic right side take no move it would not take on w.  The
+renamed word separates, has w's length, asks for a fresh value at
 triple i only and keeps every triple up to i.  So renaming left to
 right ends, within len(w) steps, in a word whose whole joint run the
 search takes: a minterm that runs out at one triple, and has a fresh
 value again once a store overwrites the slots holding it, is decided at
-each triple on its own.  On the coarse view the left slots plus the
-uncorrelated right slots whose sets hold a minterm bound the values of
-it held.  Below the minterm's size every exact triple that the coarse
-one stands for has a fresh value; elsewhere the move keeps every class,
-the fresh one included, so every exact path is still a coarse path.
+each triple on its own.
 """
 
 from __future__ import annotations
@@ -128,24 +137,24 @@ class _Simulation:
     end (left key, None, ()), where only the left side moves on.  The
     step into a dead end keeps the class as its right move, so that the
     replayed input lies in it; the steps out of one have None there.
-    Where a projected minterm has a value fresh to both sides, a left
-    move that does not read has the doubly-fresh class only, and a
-    coincidental read none; elsewhere both keep every class.  Both sides
-    are exact or both coarse, and on both views "holding its minterm"
-    means a slot whose set holds it; on the coarse view the doubly-fresh
-    class is always there unless the canonical input is taken.
+    For two equality-only operands, where the input's minterm has a
+    value fresh to both sides, a left move that does not read has the
+    doubly-fresh class only, and a coincidental read none; elsewhere
+    both keep every class.  Both sides are exact or both coarse, and on
+    both views "holding its minterm" means a slot whose set holds it;
+    the coarse view assumes a value fresh to both sides everywhere.
     """
 
-    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, projected: frozenset):
+    def __init__(self, ln1: LazyNorm, ln2: LazyNorm, sizes, canonical: bool):
         self.ln1 = ln1
         self.ln2 = ln2
         # sizes[i] counts minterm i's elements up to one more than both
         # sides' registers together, which decides whether a value fresh
         # on both sides exists
         self.sizes = sizes
-        # minterms in which an input the left side does not read is taken
-        # fresh to both sides where one exists (see `_projected`)
-        self.projected = projected
+        # both operands are equality-only, so an input the left side does
+        # not read is taken fresh to both sides where one exists
+        self.canonical = canonical
         self.initial = (
             ln1.initial,
             ln2.initial,
@@ -170,23 +179,24 @@ class _Simulation:
                 (m, ((op, r), None), (key1b, None, ()))
                 for m, op, r, _, key1b in self.ln1.successors(key1)
             ]
-        projected = self.projected
+        canonical, coarse = self.canonical, self.ln1.coarse
         reads2, fresh2 = self.ln2.successor_index(key2)
         out = []
         for m, op, r, coincidental, key1b in self.ln1.successors(key1):
             classes = None
-            if op != "read" or coincidental and m in projected:
+            if op != "read" or coincidental and canonical:
                 right_only = [s for s, held in enumerate(key2[1]) if m in held and s not in sigma]
-                # distinct values of m held on either side, or on the
-                # coarse view a bound on them
-                fresh = sum(m in held for held in key1[1]) + len(right_only) < self.sizes[m]
-                if fresh and m in projected:
+                # the coarse view assumes a value of m fresh to both sides;
+                # the exact one counts the distinct values of m held
+                nheld = sum(m in held for held in key1[1]) + len(right_only)
+                fresh = coarse or nheld < self.sizes[m]
+                if fresh and canonical:
                     if op == "read":
                         continue  # the move's fresh variant stands for it
                     classes = [("fresh", -1)]
                 elif op != "read":
                     classes = [("read", s) for s in right_only]
-                    if fresh or self.ln1.coarse:
+                    if fresh:
                         classes.append(("fresh", -1))
             if classes is None:  # a read, coincidental too where m has none fresh
                 s = sigma[r]
@@ -205,16 +215,6 @@ class _Simulation:
         return out
 
 
-def _projected(A: Sra, B: Sra, sizes) -> frozenset:
-    """The minterms in which inclusion and equivalence take an input the
-    left side does not read as fresh to both sides, where such a value
-    exists: every minterm with more than one element, when both operands
-    are equality-only, and none otherwise."""
-    if not (_equality_only(A) and _equality_only(B)):
-        return frozenset()
-    return frozenset(m for m, k in enumerate(sizes) if k > 1)
-
-
 def _first_failure(S1: Sra, S2: Sra, both: bool):
     """None when S2 simulates S1 and, when both is set, S1 simulates S2;
     else the first failing direction's search, (sim, parent, goal).
@@ -229,8 +229,9 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     no failure there means none exists.  A coarse failure stands when
     its path walks with exact slot minterms (`_taken_exactly`);
     otherwise the exact search decides, and its failure always stands.
-    Every search takes the same projected minterms, deciding per triple
-    whether a fresh value stands for their unread inputs."""
+    For two equality-only operands every search takes an unread input
+    fresh to both sides: the coarse one always, the exact one where the
+    input's minterm has such a value."""
     operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
     for S, side in operands:
         if not is_deterministic(S):
@@ -238,7 +239,7 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
     basis = minterm_basis(S1, S2)
     sizes = [m.size(len(S1.registers) + len(S2.registers) + 1) for m in basis]
     views = {}
-    projected = _projected(S1, S2, sizes)
+    canonical = _equality_only(S1) and _equality_only(S2)
     for i, j in ((0, 1), (1, 0)) if both else ((0, 1),):
         for coarse in (True, False):
             if coarse not in views:
@@ -248,7 +249,7 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
                     # basis, so the exact view reads the coarse one's
                     for exact, rough in zip(views[False], views[True]):
                         exact._rows = rough._rows
-            sim = _Simulation(views[coarse][i], views[coarse][j], sizes, projected)
+            sim = _Simulation(views[coarse][i], views[coarse][j], sizes, canonical)
             parent, goal = sim.reach_accepts_alone()
             if goal is None:
                 break

@@ -75,10 +75,10 @@ class LazyNorm:
     coincidental, successor_key) tuples, where coincidental marks a
     read that `slot_moves` lists only as a coincidence.  `valuation` is
     the initial slot valuation.  The basis, `minterm_basis(S)` unless
-    one covering S's guards is given, supplies each minterm's size,
+    one covering S's guards and initial values is given, supplies each minterm's size,
     counted on its kept cells up to one more than the registers, its
     `inside` table of the minterms inside each guard, and each initial
-    value's minterm, found by `Algebra.minterm_of` on those cells.
+    value's minterm, the one inside the value's atom.
 
     A slot holds the frozenset of minterms its value may lie in, and a
     read of it fires on every minterm that lies both in its guard and
@@ -108,12 +108,9 @@ class LazyNorm:
         # empty set for an empty slot; each hash is computed once
         self._sets = {t: frozenset(t) for t in self.inside.values()}
         self._one = [frozenset({i}) for i in range(len(self.basis))]
-        # an initial value's minterm is found by its cells, so no atom of
-        # the value need be a source, and placed in the basis by identity
-        position = {id(m): i for i, m in enumerate(self.basis)}
+        # each initial value's atom is a source, inside exactly one minterm
         theta0 = tuple(
-            frozenset() if v is None
-            else self._one[position[id(self.algebra.minterm_of(self.basis, v))]]
+            frozenset() if v is None else self._one[self.inside[Atom(v)][0]]
             for v in self.valuation
         )
         self.initial = ((S.initial, f0), theta0)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import string
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from sra.algebra import Algebra, And, Atom, Div, Interval, Not, TRUE, INTEGERS, UNICODE
 from sra.core import Sra, SraError, make_sra
 from sra.single_valued import sv_label_kind
+
+from oracles import denotes
 
 
 def example3(final_guard=None):
@@ -103,7 +106,7 @@ def successors(S, config, a):
     q, v = config
     out = set()
     for src, lab, dst in S.transitions:
-        if src != q or not S.algebra.denotes(lab.guard, a):
+        if src != q or not denotes(S.algebra, lab.guard, a):
             continue
         holding = {r for r, x in enumerate(v) if x == a}
         if lab.E <= holding and not lab.I & holding:
@@ -220,6 +223,34 @@ def random_equality_chain(rng: random.Random):
         transitions.append((src, rng.choice(EQUALITY_GUARDS), E, (), tuple(sorted(U)), dst))
     finals = [s for s in states[:-1] if rng.random() < 0.3] + states[-1:]
     return make_sra(INTEGERS, registers, states, states[0], {}, finals, transitions)
+
+
+def family_chain(nregisters: int, moves) -> Sra:
+    """The chain of moves over EQUALITY_GUARDS, accepting at its end only.
+
+    Each move is (kind, register, guard), the last two as indices: a
+    "read" of the register, a "store" into it with no test, or a "fresh"
+    store into it of a value that no register holds.
+    """
+    registers = [f"r{i}" for i in range(nregisters)]
+    states = [str(i) for i in range(len(moves) + 1)]
+    transitions = []
+    for i, (kind, r, g) in enumerate(moves):
+        E = (registers[r],) if kind == "read" else ()
+        I = tuple(registers) if kind == "fresh" else ()
+        U = () if kind == "read" else (registers[r],)
+        transitions.append((states[i], EQUALITY_GUARDS[g], E, I, U, states[i + 1]))
+    return make_sra(INTEGERS, registers, states, states[0], {}, states[-1:], transitions)
+
+
+def chain_family(nregisters: int, lengths, kinds=("read", "store")):
+    """The moves of every `family_chain` of nregisters registers and of
+    each length in lengths whose moves are of the given kinds, in a fixed
+    order.  With the default kinds each chain is equality-only."""
+    moves = list(product(kinds, range(nregisters), range(len(EQUALITY_GUARDS))))
+    for n in lengths:
+        for chain in product(moves, repeat=n):
+            yield chain
 
 
 # ---------------------------------------------------------------------------

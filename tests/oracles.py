@@ -19,51 +19,159 @@ from sra import algebra as alg
 INT_RANGE = range(-100, 101)
 
 
+def denotes(algebra, p, a) -> bool:
+    """Is a in the denotation of p?  The tests' reference evaluator: it
+    refuses an element outside the algebra's domain and a predicate
+    outside the algebra, and then walks the predicate."""
+    if not algebra._in_domain(a):
+        raise alg.AlgebraError(f"{a!r} is not an element of the {algebra.name} domain")
+    algebra.check(p)
+    return evaluate(p, a)
+
+
+def evaluate(p, a) -> bool:
+    """Does the element a satisfy the predicate p, taken as checked?"""
+    if isinstance(p, alg.TruePred):
+        return True
+    if isinstance(p, alg.FalsePred):
+        return False
+    if isinstance(p, alg.Interval):
+        return (p.lo is None or a >= p.lo) and (p.hi is None or a <= p.hi)
+    if isinstance(p, alg.Div):
+        return a % p.k == 0
+    if isinstance(p, alg.Atom):
+        return a == p.value
+    if isinstance(p, alg.Not):
+        return not evaluate(p.arg, a)
+    if isinstance(p, alg.And):
+        return all(evaluate(q, a) for q in p.args)
+    if isinstance(p, alg.Or):
+        return any(evaluate(q, a) for q in p.args)
+    raise alg.AlgebraError(f"unknown predicate node {p!r}")
+
+
+def minterm_of(algebra, mts, a):
+    """The unique minterm of mts containing the element a, found by the
+    cells it keeps; an element outside the domain is refused as
+    `denotes` refuses it."""
+    denotes(algebra, alg.TRUE, a)
+    for m in mts.minterms:
+        for res, L, ivs in m.cells:
+            if a % L == res and any(lo <= a <= hi for lo, hi in ivs):
+                return m
+    raise AssertionError(f"no minterm contains {a!r}")
+
+
 def enum_denotation(algebra, p, rng=INT_RANGE):
-    return [a for a in rng if algebra.denotes(p, a)]
+    return [a for a in rng if denotes(algebra, p, a)]
 
 
 def brute_is_sat(algebra, p, rng=INT_RANGE):
-    return any(algebra.denotes(p, a) for a in rng)
+    return any(denotes(algebra, p, a) for a in rng)
 
 
 def brute_count(algebra, p, rng=INT_RANGE):
-    return sum(1 for a in rng if algebra.denotes(p, a))
+    return sum(1 for a in rng if denotes(algebra, p, a))
 
 
 def brute_minterm_bits(algebra, predicates, rng=INT_RANGE):
     """All sign patterns of the predicate set with an inhabitant in rng."""
     sat_bits = set()
     for a in rng:
-        bits = tuple(1 if algebra.denotes(p, a) else 0 for p in predicates)
+        bits = tuple(1 if denotes(algebra, p, a) else 0 for p in predicates)
         sat_bits.add(bits)
     return sat_bits
 
 
+def moves_on(sra, symbols):
+    """(state, a) -> the (E, I, U, target) of each transition out of
+    state whose guard admits the symbol a, for every a in symbols."""
+    moves = {}
+    for src, label, dst in sra.transitions:
+        for a in symbols:
+            if denotes(sra.algebra, label.guard, a):
+                moves.setdefault((src, a), []).append((label.E, label.I, label.U, dst))
+    return moves
+
+
+def brute_step(moves, configs, a):
+    """The configurations (state, valuation) that configs move to on a."""
+    nxt = set()
+    for state, vals in configs:
+        holding = {r for r, v in enumerate(vals) if v == a}
+        for E, I, U, dst in moves.get((state, a), ()):
+            if E <= holding and not I & holding:
+                nxt.add((dst, tuple(a if r in U else v for r, v in enumerate(vals))))
+    return frozenset(nxt)
+
+
 def brute_membership(sra, word):
     """Configuration-set search written independently of the library."""
+    moves = moves_on(sra, set(word))
     configs = {(sra.initial, sra.initial_valuation)}
     for a in word:
-        nxt = set()
-        for state, vals in configs:
-            for src, label, dst in sra.transitions:
-                if src != state:
-                    continue
-                if not sra.algebra.denotes(label.guard, a):
-                    continue
-                holding = {r for r, v in enumerate(vals) if v == a}
-                if not label.E <= holding:
-                    continue
-                if label.I & holding:
-                    continue
-                newvals = tuple(
-                    a if r in label.U else v for r, v in enumerate(vals)
-                )
-                nxt.add((dst, newvals))
-        configs = nxt
+        configs = brute_step(moves, configs, a)
         if not configs:
             return False
     return any(state in sra.finals for state, _ in configs)
+
+
+def small_domain(S1, S2, rng=INT_RANGE):
+    """The finite domain on which `brute_inclusion` decides S1 against
+    S2: of each minterm of the pair's guards, its first n1 + n2 + 1
+    elements in rng, where n1 and n2 count the operands' registers, and
+    every initial register value.  Minterms are told apart by
+    enumeration, so rng must hold that many elements of each minterm, or
+    all of them."""
+    # the guards were checked when the automata were made
+    guards = list(dict.fromkeys(lab.guard for S in (S1, S2) for _, lab, _ in S.transitions))
+    cap = len(S1.registers) + len(S2.registers) + 1
+    minterms = {}
+    for a in rng:
+        members = minterms.setdefault(tuple(evaluate(g, a) for g in guards), [])
+        if len(members) < cap:
+            members.append(a)
+    initial = {v for S in (S1, S2) for v in S.initial_valuation if v is not None}
+    return sorted(initial.union(*minterms.values()))
+
+
+def brute_inclusion(S1, S2, domain=None):
+    """(True, None) when every word of S1 is a word of S2, else (False,
+    w) with w a shortest word that S1 accepts and S2 rejects.
+
+    A breadth-first search over pairs of configuration sets, stepped as
+    `brute_membership` steps, on every symbol of a finite domain,
+    `small_domain(S1, S2)` unless one is given.  So it has no bound on
+    word length.  With a deterministic S2 the answer is exact: a
+    separating word pairs one run of S1 with the one run of S2, and the
+    two hold at most n1 + n2 values at any point.  An input that neither
+    holds can be renamed to any element of its minterm that neither
+    holds, and one of the n1 + n2 + 1 kept is always free (the renaming
+    argument of Kaminski & Francez, TCS 1994).  The renamed word keeps
+    both runs and the word's length.  Nothing here reads `sra.normal` or
+    `sra.equiv`."""
+    if domain is None:
+        domain = small_domain(S1, S2)
+    moves1, moves2 = moves_on(S1, domain), moves_on(S2, domain)
+    start = tuple(frozenset({(S.initial, S.initial_valuation)}) for S in (S1, S2))
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = left, right = queue.popleft()
+        if any(q in S1.finals for q, _ in left) and not any(q in S2.finals for q, _ in right):
+            word = []
+            while parent[node] is not None:
+                node, a = parent[node]
+                word.append(a)
+            return False, word[::-1]
+        if not left:
+            continue
+        for a in domain:
+            node2 = (brute_step(moves1, left, a), brute_step(moves2, right, a))
+            if node2 not in parent:
+                parent[node2] = (node, a)
+                queue.append(node2)
+    return True, None
 
 
 def json_document(S):
@@ -132,7 +240,7 @@ def backtrack_match(ast, text):
             if pos < len(text) and text[pos] == node.char:
                 yield pos + 1, groups
         elif isinstance(node, rx.Class):
-            if pos < len(text) and alg.UNICODE.denotes(node.pred, ord(text[pos])):
+            if pos < len(text) and denotes(alg.UNICODE, node.pred, ord(text[pos])):
                 yield pos + 1, groups
         elif isinstance(node, rx.Dot):
             if pos < len(text) and text[pos] != "\n":

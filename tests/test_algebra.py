@@ -21,7 +21,9 @@ from sra.algebra import (
     conj,
 )
 
-from oracles import INT_RANGE, brute_count, brute_is_sat, brute_minterm_bits, enum_denotation
+from oracles import (
+    INT_RANGE, brute_count, brute_is_sat, brute_minterm_bits, denotes, enum_denotation, minterm_of,
+)
 
 
 X_GT_2 = Interval(3, None)
@@ -36,29 +38,29 @@ EXAMPLE_PREDS = (Atom(0), Div(3), And((Interval(0, 10), Div(5))), Not(Interval(0
 
 def test_denotes_interval_and_div():
     p = And((Interval(0, 10), Div(5)))
-    assert INTEGERS.denotes(p, 5)
-    assert INTEGERS.denotes(p, 0)
-    assert not INTEGERS.denotes(p, 3)
+    assert denotes(INTEGERS, p, 5)
+    assert denotes(INTEGERS, p, 0)
+    assert not denotes(INTEGERS, p, 3)
 
 
 def test_denotes_negated_atom():
-    assert not INTEGERS.denotes(Not(Atom(0)), 0)
-    assert INTEGERS.denotes(Not(Atom(0)), 1)
+    assert not denotes(INTEGERS, Not(Atom(0)), 0)
+    assert denotes(INTEGERS, Not(Atom(0)), 1)
 
 
 def test_denotes_empty_language_guard_combination():
     p = And((Div(3), Not(Atom(0)), Div(5), Interval(0, 10)))
     for n in range(0, 11):
-        assert not INTEGERS.denotes(p, n)
+        assert not denotes(INTEGERS, p, n)
 
 
 def test_denotes_rejects_wrong_instance():
     with pytest.raises(AlgebraError):
-        UNICODE.denotes(Div(3), 5)
+        denotes(UNICODE, Div(3), 5)
     with pytest.raises(AlgebraError):
-        UNICODE.denotes(TRUE, -1)
+        denotes(UNICODE, TRUE, -1)
     with pytest.raises(AlgebraError):
-        INTEGERS.denotes(TRUE, "x")
+        denotes(INTEGERS, TRUE, "x")
     # every decision procedure checks its predicate in the walk that finds its period
     for bad in (Div(3), Atom(-1)):
         for decide in (
@@ -206,7 +208,7 @@ def test_witness_of_unbounded_predicates_is_an_int():
 def test_witness_member_of_denotation():
     p = And((Interval(-40, 40), Div(7), Not(Atom(0))))
     w = INTEGERS.witness(p)
-    assert w is not None and INTEGERS.denotes(p, w)
+    assert w is not None and denotes(INTEGERS, p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +227,7 @@ def test_minterms_empty_set_is_top():
     assert len(mts) == 1
     only = mts.minterms[0]
     assert mts.sources == () and only.bits == ()
-    assert INTEGERS.denotes(only.conjunction, 42)
+    assert denotes(INTEGERS, only.conjunction, 42)
 
 
 def test_minterms_of_example_predicate_set_match_bruteforce():
@@ -239,7 +241,7 @@ def test_minterms_of_example_predicate_set_match_bruteforce():
 def test_minterms_partition_the_domain():
     mts = INTEGERS.minterms(EXAMPLE_PREDS)
     for a in list(range(-25, 26)) + [123, -999, 10**9]:
-        holds = [m for m in mts if INTEGERS.denotes(m.conjunction, a)]
+        holds = [m for m in mts if denotes(INTEGERS, m.conjunction, a)]
         assert len(holds) == 1, a
 
 
@@ -303,13 +305,13 @@ def bounded_predicates(draw, depth=3):
 @given(bounded_predicates(), bounded_predicates(), bounded_ints)
 @settings(max_examples=150, deadline=None)
 def test_connectives_agree_with_set_operations(p, q, a):
-    assert INTEGERS.denotes(And((p, q)), a) == (
-        INTEGERS.denotes(p, a) and INTEGERS.denotes(q, a)
+    assert denotes(INTEGERS, And((p, q)), a) == (
+        denotes(INTEGERS, p, a) and denotes(INTEGERS, q, a)
     )
-    assert INTEGERS.denotes(Or((p, q)), a) == (
-        INTEGERS.denotes(p, a) or INTEGERS.denotes(q, a)
+    assert denotes(INTEGERS, Or((p, q)), a) == (
+        denotes(INTEGERS, p, a) or denotes(INTEGERS, q, a)
     )
-    assert INTEGERS.denotes(Not(p), a) != INTEGERS.denotes(p, a)
+    assert denotes(INTEGERS, Not(p), a) != denotes(INTEGERS, p, a)
 
 
 def div_lcm(p):
@@ -356,7 +358,7 @@ def test_witness_is_deterministic_and_valid(p, excluded):
     w2 = INTEGERS.witness(p, excluded)
     assert w1 == w2
     if w1 is not None:
-        assert INTEGERS.denotes(p, w1)
+        assert denotes(INTEGERS, p, w1)
         assert w1 not in excluded
 
 
@@ -374,7 +376,7 @@ def test_witness_is_least_in_canonical_order(p, excluded):
 @settings(max_examples=100, deadline=None)
 def test_minterm_partition_property(preds, a):
     mts = INTEGERS.minterms(preds)
-    holds = [m for m in mts if INTEGERS.denotes(m.conjunction, a)]
+    holds = [m for m in mts if denotes(INTEGERS, m.conjunction, a)]
     assert len(holds) == 1
 
 
@@ -430,8 +432,8 @@ def test_minterms_keep_cells_that_count_and_witness_as_their_conjunctions_do():
                     break
                 excluded.append(w)
         for a in range(-40, 41):
-            holds = [m for m in mts if INTEGERS.denotes(m.conjunction, a)]
-            assert holds == [INTEGERS.minterm_of(mts, a)], (seed, a)
+            holds = [m for m in mts if denotes(INTEGERS, m.conjunction, a)]
+            assert holds == [minterm_of(INTEGERS, mts, a)], (seed, a)
 
 
 def test_inside_table_lists_the_minterms_whose_bit_is_set():
@@ -453,7 +455,7 @@ def test_minterm_of_refuses_an_element_outside_the_domain():
     mts = UNICODE.minterms([Interval(0, 10)])
     for a in (-1, MAX_CODEPOINT + 1, True, "x"):
         with pytest.raises(AlgebraError, match="is not an element of the unicode domain"):
-            UNICODE.minterm_of(mts, a)
+            minterm_of(UNICODE, mts, a)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from sra.single_valued import sv_label_kind, to_single_valued
 from fixtures import (
     digits_sfa, example3, first_symbol_repeats, remark1, remark1_oracle, successors,
 )
-from oracles import brute_membership, words_up_to
+from oracles import brute_membership, denotes, words_up_to
 
 
 def strip_finals(S):
@@ -70,7 +70,7 @@ def test_intersect_label_pairing():
     assert lab.E == frozenset({0})
     assert lab.I == frozenset()
     assert lab.U == frozenset({1})
-    assert INTEGERS.denotes(lab.guard, 10) and not INTEGERS.denotes(lab.guard, 3)
+    assert denotes(INTEGERS, lab.guard, 10) and not denotes(INTEGERS, lab.guard, 3)
 
 
 def test_intersect_builds_only_reachable_pairs():
@@ -196,7 +196,7 @@ def test_complete_adds_negated_guard_to_sink():
     ]
     assert len(gap_fresh) == 1
     g = gap_fresh[0].guard
-    assert INTEGERS.denotes(g, 4) and not INTEGERS.denotes(g, 6)
+    assert denotes(INTEGERS, g, 4) and not denotes(INTEGERS, g, 6)
 
 
 def test_complete_preserves_language():

@@ -30,7 +30,7 @@ from fixtures import (
     remark1_oracle,
     shared_labels,
 )
-from oracles import breadth_first_reach, brute_membership, words_up_to
+from oracles import breadth_first_reach, brute_membership, denotes, minterm_of, words_up_to
 
 
 OUTSIDE = Or((Interval(None, -1), Interval(11, None)))
@@ -110,11 +110,11 @@ def test_pair_basis_refines_each_single_basis():
     sample = range(-20, 21)
     for single in (minterm_basis(S1), minterm_basis(S2)):
         for a in sample:
-            coarse = INTEGERS.minterm_of(single, a)
-            fine = INTEGERS.minterm_of(joint, a)
+            coarse = minterm_of(INTEGERS, single, a)
+            fine = minterm_of(INTEGERS, joint, a)
             for b in sample:
-                if INTEGERS.denotes(fine.conjunction, b):
-                    assert INTEGERS.denotes(coarse.conjunction, b)
+                if denotes(INTEGERS, fine.conjunction, b):
+                    assert denotes(INTEGERS, coarse.conjunction, b)
 
 
 # the partner pairs of the stock benchmarks

@@ -12,7 +12,7 @@ from fixtures import (
     LONG_NONDET_PATTERNS, NON_ASCII, long_nondet_text, mutants, random_pattern, random_word,
     stock_text,
 )
-from oracles import backtrack_match, words_up_to
+from oracles import backtrack_match, denotes, words_up_to
 
 
 def ords(s):
@@ -215,7 +215,7 @@ def test_class_and_escape_denotations():
     for pattern, char, expected in checks:
         node = rx.parse(pattern)
         pred = rx.Atom(ord(node.char)) if isinstance(node, rx.Lit) else node.pred
-        assert UNICODE.denotes(pred, ord(char)) == expected, (pattern, char)
+        assert denotes(UNICODE, pred, ord(char)) == expected, (pattern, char)
 
 
 # ---------------------------------------------------------------------------
