@@ -201,6 +201,12 @@ class Minterm:
         """How many elements the minterm holds, up to cap."""
         return _count(self.cells, cap)
 
+    def __contains__(self, a: int) -> bool:
+        """Is the domain element a one of the minterm's elements?"""
+        return any(
+            a % L == res and any(lo <= a <= hi for lo, hi in ivs) for res, L, ivs in self.cells
+        )
+
 
 @dataclass(frozen=True)
 class MintermSet:

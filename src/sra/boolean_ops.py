@@ -15,7 +15,7 @@ from dataclasses import replace
 from .algebra import And, Not, TRUE, disj
 from .core import Label, Sra, SraError
 from .normal import is_deterministic
-from .single_valued import is_single_valued, sv_label_kind, sv_labels
+from .single_valued import is_single_valued, sv_label_kind, sv_labels, to_single_valued
 
 
 def _require_same_algebra(S1: Sra, S2: Sra):
@@ -150,14 +150,14 @@ def is_complete(S: Sra) -> bool:
 def complete(S: Sra) -> Sra:
     """Total-ized automaton: every input has a move from every state.
 
-    Uncovered inputs are routed to a fresh non-accepting sink that
-    absorbs everything, so the language is unchanged, deterministic or
-    not.  Fresh moves into the sink store nowhere, so the registers
-    stay those of S, even when S has none.  States whose channels leave
-    the same gap share its label.
+    A multi-valued S is translated by `to_single_valued` first; a
+    single-valued one is taken as it is.  Uncovered inputs are routed to
+    a fresh non-accepting sink that absorbs everything, so the language
+    is unchanged, deterministic or not.  Fresh moves into the sink store
+    nowhere, so the registers stay those of S, even when S has none.
+    States whose channels leave the same gap share its label.
     """
-    if not is_single_valued(S):
-        raise SraError("completion requires a single-valued automaton")
+    S = to_single_valued(S)
     nregs = len(S.registers)
     label = sv_labels(nregs)
     sink = len(S.states)

@@ -25,7 +25,7 @@ from .equiv import includes, separating_word
 from .equiv import equivalent  # noqa: F401 - perfbench's tracer pins it here
 from .expand import DEFAULT_MAX_STATES, csv_report, expand_to_sfa, size_report
 from .normal import is_deterministic, is_empty, normalize
-from .single_valued import to_single_valued
+from .single_valued import to_single_valued  # noqa: F401 - perfbench's tracer pins it here
 from . import regex as rx
 
 
@@ -195,7 +195,7 @@ def run(args) -> int:
     if args.verb == "compile":
         S = _load(args.sra_path, args.pattern)
         if args.complete:
-            S = complete(to_single_valued(S))
+            S = complete(S)
         if args.emit_normalized:
             S = normalize(S)
         _write_text(core.dumps(S), args.out)
@@ -241,7 +241,7 @@ def run(args) -> int:
     if args.verb == "complement":
         S = _load(args.sra_path, args.pattern)
         if args.complete:
-            S = complete(to_single_valued(S))
+            S = complete(S)
         _write_text(core.dumps(complement(S)), args.out)
         return 0
 

@@ -23,12 +23,12 @@ refused: inclusion between nondeterministic register automata is
 undecidable in general.  Inclusion and equivalence take one route:
 inclusion runs the one-way simulation, equivalence runs it in both
 directions over one shared basis and one pair of lazily normalized
-automata per view, and both stop at the first failing search.
-`includes` and `separating_word`, the sibling of `equivalent`, replay
-that failure into a separating word: the search's parent map is walked
-back with `normal.path`, the matched steps are turned into the word by
-`normal.replay`, and `membership` checks that the word separates the
-operands.
+automata per view, and both stop at the first failure that stands.
+Each failing search is replayed once: its parent map is walked back
+with `normal.path`, and `normal.replay` turns the matched steps into a
+word, or finds that no word takes them.  `includes` and
+`separating_word`, the sibling of `equivalent`, then check by
+`membership` that the word separates the operands.
 
 Each direction is searched first on the coarse view of
 `normal.LazyNorm`.  Both views give each slot the set of minterms its
@@ -39,10 +39,13 @@ in its slot's set, an input may equal any uncorrelated right value
 whose set holds its minterm, and a value fresh to both sides is always
 assumed to exist.  The correspondence stays exact.  A coarse search
 without failure proves the direction (see below).  A coarse failure may
-be spurious, and all three verbs confirm it by one rule: it stands when
-its path walks with exact slot minterms (`_taken_exactly`).  An
-unconfirmed failure goes to the exact search, so negative answers stay
-exact and shortest.
+be spurious, and all three verbs confirm it by one rule: a coarse
+failure stands when its path replays, each value read lying in its
+step's minterm and each fresh step's minterm having a member left.
+Values of one minterm are interchangeable, so a path that replays is a
+joint run on its word, and its left side accepts alone.  A failure that
+does not replay goes to the exact search, so negative answers stay
+exact and shortest; an exact failure always replays.
 
 Inclusion and equivalence of two equality-only operands, where no move
 excludes a register and none reads more than one, as in every
@@ -217,21 +220,21 @@ class _Simulation:
 
 def _first_failure(S1: Sra, S2: Sra, both: bool):
     """None when S2 simulates S1 and, when both is set, S1 simulates S2;
-    else the first failing direction's search, (sim, parent, goal).
-    Each right side must be deterministic, so S1 must be too only when
-    both is set.
+    else the first failing direction's operands, left and right, and
+    the word its path replays to.  Each right side must be
+    deterministic, so S1 must be too only when both is set.
 
     Both directions share one basis, one table of minterm sizes capped
     at one more than the operands' slots together, counted on the cells
     each minterm keeps from the basis, and one pair of normalized
     automata per view; the exact view takes each base's rows from the
     coarse one.  Each direction is searched on the coarse view first:
-    no failure there means none exists.  A coarse failure stands when
-    its path walks with exact slot minterms (`_taken_exactly`);
-    otherwise the exact search decides, and its failure always stands.
-    For two equality-only operands every search takes an unread input
-    fresh to both sides: the coarse one always, the exact one where the
-    input's minterm has such a value."""
+    no failure there means none exists.  A failing search's path is
+    replayed once by `normal.replay`.  A coarse failure stands when its
+    path replays; otherwise the exact search decides, and its failure
+    must replay.  For two equality-only operands every search takes an
+    unread input fresh to both sides: the coarse one always, the exact
+    one where the input's minterm has such a value."""
     operands = ((S1, "left"), (S2, "right")) if both else ((S2, "right"),)
     for S, side in operands:
         if not is_deterministic(S):
@@ -249,54 +252,22 @@ def _first_failure(S1: Sra, S2: Sra, both: bool):
                     # basis, so the exact view reads the coarse one's
                     for exact, rough in zip(views[False], views[True]):
                         exact._rows = rough._rows
-            sim = _Simulation(views[coarse][i], views[coarse][j], sizes, canonical)
-            parent, goal = sim.reach_accepts_alone()
+            left, right = views[coarse][i], views[coarse][j]
+            parent, goal = _Simulation(left, right, sizes, canonical).reach_accepts_alone()
             if goal is None:
                 break
-            if not coarse or _taken_exactly(sim, parent, goal):
-                return sim, parent, goal
+            word = replay(left, [left.valuation, right.valuation], path(parent, goal)[1])
+            if word is not None:
+                return left.S, right.S, word
+            if not coarse:
+                raise SraError("internal error: an exact failure does not replay")
     return None
 
 
-def _taken_exactly(sim: _Simulation, parent, goal) -> bool:
-    """Does some word take the coarse search's path to goal?
-
-    The path is walked with each slot's exact minterm, read off the
-    initial abstractions and set by every fresh step.  A read needs its
-    slot to hold the step's minterm, and an input fresh to the left side
-    needs a value of the minterm that no moving side holds.  Values of
-    one minterm are interchangeable, so such a walk is a joint run, and
-    its left side accepts alone."""
-    sizes = sim.sizes
-    t1, t2 = ([next(iter(held), -1) for held in ln.initial[1]] for ln in (sim.ln1, sim.ln2))
-    nodes, steps = path(parent, goal)
-    for (_, _, sigma), (m, (side1, side2), *_) in zip(nodes, steps):
-        op1, r = side1
-        op2, s = side2 or (None, -1)
-        if op1 == "read" and t1[r] != m or op2 == "read" and t2[s] != m:
-            return False
-        if op1 == "fresh" and op2 != "read":
-            # distinct values of m held on the left and, unless it has
-            # stopped, on the right
-            held = t1.count(m)
-            if op2 is not None:
-                held += len([s2 for s2, i in enumerate(t2) if i == m and s2 not in sigma])
-            if held >= sizes[m]:
-                return False
-        if op1 == "fresh" and r >= 0:
-            t1[r] = m
-        if op2 == "fresh" and s >= 0:
-            t2[s] = m
-    return True
-
-
-def _separating(sim: _Simulation, parent, goal) -> list:
-    """The word along a failing search's path to goal, replayed by
-    `normal.replay` and checked by `membership` to be accepted by the
-    left operand alone."""
-    left, right = sim.ln1, sim.ln2
-    word = replay(left, [left.valuation, right.valuation], path(parent, goal)[1])
-    if not membership(left.S, word) or membership(right.S, word):
+def _separating(left: Sra, right: Sra, word: list) -> list:
+    """A failing search's replayed word, checked by `membership` to be
+    accepted by the left operand alone."""
+    if not membership(left, word) or membership(right, word):
         raise SraError("internal error: the replayed word does not separate the operands")
     return word
 
@@ -315,15 +286,15 @@ def includes(S1: Sra, S2: Sra) -> Tuple[bool, Optional[list]]:
 def equivalent(S1: Sra, S2: Sra) -> bool:
     """Do both automata accept exactly the same words?
 
-    Each side must simulate the other.  A failure is answered at the
-    goal of the failing simulation, without replaying a word.
+    Each side must simulate the other.  A failure is answered once its
+    path replays, without checking the word by `membership`.
     """
     return _first_failure(S1, S2, both=True) is None
 
 
 def separating_word(S1: Sra, S2: Sra) -> Optional[list]:
     """None when both automata accept the same words, else a word that
-    exactly one accepts: `equivalent`'s one search, with its failure
-    replayed.  Requires deterministic operands."""
+    exactly one accepts: `equivalent`'s one search, with its replayed
+    word checked by `membership`.  Requires deterministic operands."""
     failure = _first_failure(S1, S2, both=True)
     return failure and _separating(*failure)

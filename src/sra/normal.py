@@ -27,12 +27,14 @@ moves to a final state with guards and registers ignored: a consistent
 lower bound, so the path found is still a shortest one.  Without a
 bound, the search is breadth-first.
 A path `reach` finds is walked back from its parent map once (`path`)
-and turned into a concrete word once (`replay`).  The simulation in
-`sra.equiv` is a graph that `reach` walks too, and it reuses `path` and
-`replay` for its failure traces and separating words.  It runs first on
-a coarse view of `LazyNorm`, where a slot's set may hold more than one
-minterm; only a path that walks with exact slot minterms is replayed,
-and a step that finds no member left is an internal error.
+and turned into a concrete word once (`replay`), or found to be taken
+by no word: a value read outside its step's minterm, or a fresh step
+whose minterm has no member left.  The simulation in `sra.equiv` is a
+graph that `reach` walks too, and it reuses `path` and `replay` for its
+failure traces and separating words.  It runs first on a coarse view of
+`LazyNorm`, where a slot's set may hold more than one minterm, and a
+coarse failure stands when its path replays.  On the exact view every
+path replays.
 """
 
 from __future__ import annotations
@@ -264,9 +266,10 @@ def path(parent, goal):
     return nodes, steps
 
 
-def replay(ln: LazyNorm, valuations, steps) -> list:
-    """A concrete word along matched steps over one or more valuations;
-    a step whose minterm has no member left is an internal error.
+def replay(ln: LazyNorm, valuations, steps) -> Optional[list]:
+    """A concrete word along matched steps over one or more valuations,
+    or None where no word takes them: a value read lies outside its
+    step's minterm, or a fresh step's minterm has no member left.
 
     Each step starts (m, sides), with one (op, register) pair per
     valuation, or None for a side that has stopped moving; such a side
@@ -277,6 +280,7 @@ def replay(ln: LazyNorm, valuations, steps) -> list:
     Minterm m's least members are listed once per call, in witness
     order, and the list grows only while every member on it is held.
     """
+    minterms = ln.basis.minterms
     vs = [list(v) for v in valuations]
     least = {}
     word = []
@@ -285,14 +289,16 @@ def replay(ln: LazyNorm, valuations, steps) -> list:
         reads = [v[r] for v, (op, r) in live if op == "read"]
         if reads:
             a = reads[0]
+            if a not in minterms[m]:
+                return None
         else:
             held = {x for v, _ in live for x in v}
             members = least.setdefault(m, [])
             a = next((x for x in members if x not in held), None)
             while a is None:
-                a = ln.algebra.witness(ln.basis.minterms[m], excluded=members)
+                a = ln.algebra.witness(minterms[m], excluded=members)
                 if a is None:
-                    raise SraError("internal error: a replayed minterm has no member left")
+                    return None
                 members.append(a)
                 if a in held:
                     a = None
@@ -353,7 +359,10 @@ def is_empty(S: Sra) -> Tuple[bool, Optional[list]]:
     if goal is None:
         return True, None
     steps = [(m, ((op, r),)) for m, op, r, _, _ in path(parent, goal)[1]]
-    return False, replay(ln, [ln.valuation], steps)
+    word = replay(ln, [ln.valuation], steps)
+    if word is None:
+        raise SraError("internal error: an accepting path does not replay")
+    return False, word
 
 
 def _syntactically_deterministic(S: Sra) -> bool:

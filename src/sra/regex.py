@@ -37,11 +37,12 @@ from .algebra import (
     disj,
 )
 from .core import Label, Moves, Sra, SraError, _accepts, validate
-from .core import membership  # noqa: F401
-from .normal import is_deterministic  # noqa: F401
+from .core import membership  # noqa: F401 - perfbench's tracer pins it here
+from .normal import is_deterministic  # noqa: F401 - perfbench's tracer pins it here
 
 
-# RE2's limit on a repeat count, and a bound on the nodes of one build
+# RE2's limit on a repeat count, and a bound on the nodes and on the
+# transitions of one build
 MAX_REPEAT = 1000
 MAX_NODES = 1 << 16
 
@@ -620,36 +621,35 @@ def _compile(ast_or_pattern) -> CompiledPattern:
     accept = b.build(ast, 0)
 
     # epsilon elimination: kernel states are the start node plus every
-    # target of a consuming edge
-    closures = {i: b.closure(i) for i in range(b.n)}
+    # target of a consuming edge, each closed when it is dequeued
     index = {0: 0}
     order = [0]
     transitions = []
     emitted = set()
-    pos = 0
-    while pos < len(order):
-        i = order[pos]
-        pos += 1
-        for j in closures[i]:
+    finals = set()
+    for pos, i in enumerate(order):
+        closure = b.closure(i)
+        if accept in closure:
+            finals.add(pos)
+        for j in closure:
             for pred, reads, stores, dst in b.edges[j]:
                 if dst not in index:
                     index[dst] = len(order)
                     order.append(dst)
                 lab = Label(pred, frozenset(reads), frozenset(), frozenset(stores))
-                t = (index[i], lab, index[dst])
+                t = (pos, lab, index[dst])
                 if t not in emitted:
                     emitted.add(t)
                     transitions.append(t)
-    finals = frozenset(
-        index[i] for i in order if accept in closures[i]
-    )
+        if len(transitions) > MAX_NODES:
+            raise RegexError(f"whole pattern needs more than {MAX_NODES} transitions", 0)
     sra = Sra(
         algebra=UNICODE,
         registers=tuple(names),
         states=tuple(str(i) for i in range(len(order))),
         initial=0,
         initial_valuation=(None,) * len(names),
-        finals=finals,
+        finals=frozenset(finals),
         transitions=tuple(transitions),
     )
     problems = validate(sra)

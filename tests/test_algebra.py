@@ -21,6 +21,9 @@ from sra.algebra import (
     conj,
 )
 
+from sra import regex as rx
+from sra.normal import minterm_basis
+
 from oracles import (
     INT_RANGE, brute_count, brute_is_sat, brute_minterm_bits, denotes, enum_denotation, minterm_of,
 )
@@ -434,6 +437,26 @@ def test_minterms_keep_cells_that_count_and_witness_as_their_conjunctions_do():
         for a in range(-40, 41):
             holds = [m for m in mts if denotes(INTEGERS, m.conjunction, a)]
             assert holds == [minterm_of(INTEGERS, mts, a)], (seed, a)
+
+
+def test_membership_in_a_minterm_reads_its_cells_as_its_conjunction_denotes():
+    # `a in m` reads the kept cells; the reference evaluator walks the
+    # conjunction.  The random bases' div sources keep cells of period
+    # above 1, and the stock patterns' bases are unicode ones
+    bases = [
+        (INTEGERS, INTEGERS.minterms(random_sources(random.Random(seed))), range(-40, 41))
+        for seed in range(40)
+    ]
+    assert any(L > 1 for _, mts, _ in bases for m in mts for _, L, _ in m.cells)
+    codepoints = [*range(0, 300), 0x2028, 0xFFFF, 0x10000, MAX_CODEPOINT]
+    bases += [
+        (UNICODE, minterm_basis(rx.compile(pattern).sra), codepoints)
+        for pattern in rx.BENCHMARK_PATTERNS.values()
+    ]
+    for algebra, mts, elements in bases:
+        for m in mts:
+            for a in elements:
+                assert (a in m) == denotes(algebra, m.conjunction, a), (m, a)
 
 
 def test_inside_table_lists_the_minterms_whose_bit_is_set():

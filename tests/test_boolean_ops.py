@@ -268,9 +268,14 @@ def test_completion_decides_each_channel_gap_once(monkeypatch):
     assert 0 < len(calls) <= len(keys)
 
 
-def test_complete_rejects_mixed_labels():
-    with pytest.raises(SraError):
-        complete(remark1())  # store label is neither read nor fresh
+def test_complete_translates_a_multi_valued_automaton_first():
+    # remark1's store label is neither read nor fresh
+    S = remark1()
+    T = complete(S)
+    assert is_complete(T)
+    assert dumps(T) == dumps(complete(to_single_valued(S)))
+    for w in words_up_to(range(0, 4), 3):
+        assert membership(T, w) == brute_membership(S, w), w
 
 
 # ---------------------------------------------------------------------------

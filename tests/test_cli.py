@@ -320,6 +320,9 @@ def json_text(**changes):
         ("compile", "--pattern", "a" + "{1}" * 2000),
         ("compile", "--pattern", "a{1001}"),
         ("compile", "--pattern", "(a{1000}){1000}"),
+        ("compile", "--pattern", "(?:a?){1000}"),
+        ("compile", "--pattern", "(?:(?:ab){0,500}){60}"),
+        ("compile", "--pattern", "(?:(?:a?){1000}){2}"),
         ("empty", "--sra", json_text(transitions=[
             {"from": "q0", "guard": "!(" * 2000 + "true" + ")" * 2000,
              "E": [], "I": [], "U": [], "to": "qf"}
@@ -341,7 +344,8 @@ def json_text(**changes):
         ("empty", "--sra", "[" * 100_000),
     ],
     ids=[
-        "groups", "stars", "counts", "big_count", "big_build", "guard", "guard_above_cap",
+        "groups", "stars", "counts", "big_count", "big_build", "optional_copies",
+        "nested_optional_copies", "optional_copies_twice", "guard", "guard_above_cap",
         "div_lcm", "valuation", "anchor", "missing_group", "octal", "class_octal",
         "class_escape_range", "nested_json",
     ],

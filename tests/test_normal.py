@@ -363,17 +363,24 @@ def test_emptiness_agrees_with_brute_force_on_random_automata():
 
 def replay_by_witness(ln, valuations, steps):
     """`normal.replay`'s word, with one witness call per fresh step on the
-    minterm with every held value excluded."""
+    minterm with every held value excluded, and each value read checked
+    against the minterm's conjunction by the reference evaluator; None
+    where a read lies outside its minterm or a witness is missing."""
     vs = [list(v) for v in valuations]
     word = []
     for m, sides, *_ in steps:
+        conjunction = ln.basis.minterms[m].conjunction
         live = [(v, side) for v, side in zip(vs, sides) if side is not None]
         reads = [v[r] for v, (op, r) in live if op == "read"]
         if reads:
             a = reads[0]
+            if not denotes(ln.algebra, conjunction, a):
+                return None
         else:
             excluded = [x for v, _ in live for x in v if x is not None]
-            a = ln.algebra.witness(ln.basis.minterms[m].conjunction, excluded=excluded)
+            a = ln.algebra.witness(conjunction, excluded=excluded)
+            if a is None:
+                return None
         for v, (op, r) in live:
             if op != "read" and r >= 0:
                 v[r] = a
@@ -406,14 +413,17 @@ def test_replay_takes_the_least_free_members_as_a_witness_per_step_does(monkeypa
             includes(S1, S2)
     rx1, rx2 = rx.compile(r"([ab])\1").sra, rx.compile("aa|bb").sra
     includes(rx1, rx2)
-    # one replay per witness and per failing inclusion, 9 of the 10; the
-    # inclusion that holds, and ([ab])\1 in aa|bb, replay nothing
-    assert len(replayed) == 19 + 9
+    # one replay per witness and per failing search: 9 of the 10
+    # inclusions fail, and the one that holds replays nothing.  Spurious
+    # coarse failures replay too, to None: four of the 9, each before its
+    # exact search, and ([ab])\1 in aa|bb, which then holds exactly
+    assert len(replayed) == 19 + 9 + 5
+    assert replayed.count(None) == 5
 
 
 def test_replay_refuses_a_step_whose_minterm_has_no_member_left():
     # three fresh inputs of [0,1] taken apart: the third has no member
-    # left, which no path that the searches replay asks for
+    # left, so no word takes the steps
     g = Interval(0, 1)
     S = make_sra(INTEGERS, ["r", "t"], ["0", "1", "2", "3"], "0", {}, ["3"], [
         ("0", g, (), ("r", "t"), ("r",), "1"),
@@ -424,8 +434,25 @@ def test_replay_refuses_a_step_whose_minterm_has_no_member_left():
     m = next(i for i in range(len(ln.basis.minterms)) if ln.sizes[i] == 2)
     steps = [(m, (("fresh", 0),)), (m, (("fresh", 1),))]
     assert normal.replay(ln, [ln.valuation], steps) == [0, 1]
-    with pytest.raises(SraError, match="internal error"):
-        normal.replay(ln, [ln.valuation], steps + [(m, (("fresh", -1),))])
+    steps.append((m, (("fresh", -1),)))
+    assert normal.replay(ln, [ln.valuation], steps) is None
+    assert replay_by_witness(ln, [ln.valuation], steps) is None
+
+
+def test_replay_refuses_a_read_whose_value_lies_outside_its_minterm():
+    # r starts at 5, inside [0,9] but outside [0,1]: a read of it on the
+    # minterm of [0,1] is taken by no word, on the minterm of the rest of
+    # [0,9] it is
+    S = make_sra(INTEGERS, ["r"], ["0", "1"], "0", {"r": 5}, ["1"], [
+        ("0", Interval(0, 1), ("r",), (), (), "1"),
+        ("0", Interval(0, 9), ("r",), (), (), "1"),
+    ])
+    ln = LazyNorm(S)
+    low, rest = (ln.basis.minterms.index(minterm_of(INTEGERS, ln.basis, a)) for a in (0, 5))
+    for m, expected in ((low, None), (rest, [5])):
+        steps = [(m, (("read", 0),))]
+        assert normal.replay(ln, [ln.valuation], steps) == expected
+        assert replay_by_witness(ln, [ln.valuation], steps) == expected
 
 
 def goal_depths(S):

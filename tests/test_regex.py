@@ -187,6 +187,14 @@ def test_repeat_counts_and_builds_are_bounded():
     assert len(cp.sra.transitions) <= 4000
     assert rx.match(cp, "ab" * 500)
     assert not rx.match(cp, "a" * 1001)
+    # nested optional copies skip one another, so epsilon elimination
+    # emits quadratically many moves: 45,150 for 300 copies, and past
+    # MAX_NODES moves the whole pattern is refused at its start
+    assert len(rx.compile("(?:a?){300}").sra.transitions) == 45150
+    for pattern in ("(?:a?){1000}", "(?:(?:ab){0,500}){60}", "(?:(?:a?){1000}){2}"):
+        with pytest.raises(rx.RegexError, match="more than 65536 transitions") as exc:
+            rx.compile(pattern)
+        assert exc.value.position == 0
 
 
 @pytest.mark.parametrize(
