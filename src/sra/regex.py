@@ -8,9 +8,12 @@ groups, (?:...) groups, which take no number, and back-references
 must be closed.  A referenced capture group must have one
 fixed length: its j-th position compiles to a store into a dedicated
 register and each back-reference replays the group's registers as
-equality reads.  A reference to a group of length 0 is refused: `re`
-fails it where the group took no part, and no register records that.
-Unreferenced groups compile as plain subexpressions.
+equality reads.  One walk over the tree, `_measure`, finds every
+group's length; a referenced group without one is refused with a
+RegexError at its first reference.  A repeat of an item of length 0 has
+length 0, so (a(?:)*)\\1 compiles.  A reference to a group of length 0
+is refused: `re` fails it where the group took no part, and no register
+records that.  Unreferenced groups compile as plain subexpressions.
 
 Patterns are anchored: the automaton's language is the set of whole
 strings the pattern matches.  Forms that `re` reads as something this
@@ -364,51 +367,34 @@ def parse(pattern: str):
 # analysis
 
 
-def _collect(node, groups: dict, referenced: set):
-    """Fill groups, in the order they close, and the referenced indices."""
-    if isinstance(node, Group):
-        _collect(node.item, groups, referenced)
-        groups[node.index] = node.item
-    elif isinstance(node, Backref):
-        referenced.add(node.index)
-    elif isinstance(node, (Concat, Alt)):
-        for item in node.items:
-            _collect(item, groups, referenced)
-    elif isinstance(node, (Star, Plus, Repeat)):
-        _collect(node.item, groups, referenced)
+def _measure(node, lengths: dict, refs: dict) -> Optional[int]:
+    """Length of every word the node matches, or None if not unique.
 
-
-def fixed_length(node, group_lengths: dict) -> Optional[int]:
-    """Length of every word the node matches, or None if not unique."""
+    One post-order walk: lengths gets each group's length in the order
+    groups close, and refs the position of each referenced group's first
+    back-reference.  A group closes before any reference to it, so a
+    reference reads its group's length from lengths."""
     if isinstance(node, (Lit, Class, Dot)):
         return 1
-    if isinstance(node, Concat):
-        total = 0
-        for item in node.items:
-            n = fixed_length(item, group_lengths)
-            if n is None:
-                return None
-            total += n
-        return total
-    if isinstance(node, Alt):
-        lengths = {fixed_length(item, group_lengths) for item in node.items}
-        if len(lengths) == 1 and None not in lengths:
-            return lengths.pop()
-        return None
-    if isinstance(node, (Star, Plus)):
-        return 0 if fixed_length(node.item, group_lengths) == 0 else None
-    if isinstance(node, Repeat):
-        n = fixed_length(node.item, group_lengths)
-        if n is None:
-            return None
-        if node.lo == node.hi or n == 0:
-            return node.lo * n
-        return None
-    if isinstance(node, Group):
-        return fixed_length(node.item, group_lengths)
     if isinstance(node, Backref):
-        return group_lengths[node.index]
-    raise TypeError(node)  # pragma: no cover
+        refs.setdefault(node.index, node.position)
+        return lengths[node.index]
+    if isinstance(node, (Concat, Alt)):
+        ns = [_measure(item, lengths, refs) for item in node.items]
+        if None in ns:
+            return None
+        if isinstance(node, Concat):
+            return sum(ns)
+        return ns[0] if len(set(ns)) == 1 else None
+    n = _measure(node.item, lengths, refs)
+    if isinstance(node, Group):
+        lengths[node.index] = n
+        return n
+    if n == 0:
+        return 0
+    if isinstance(node, Repeat) and node.lo == node.hi and n is not None:
+        return node.lo * n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +425,13 @@ class _Builder:
 
     Nodes are integers; edges are either epsilon or consuming
     (pred, E, U, dst).  While a referenced group is open every consumed
-    position also stores into that group's next register.
+    position also stores into that group's next register.  `_measure`
+    has given every referenced group one length, so inside one the
+    builder can meet only repeats of items of length 0.
     """
 
     def __init__(self, group_lengths: dict, registers: dict):
-        self.group_lengths = group_lengths
+        self.group_lengths = group_lengths  # referenced group -> its length
         self.registers = registers  # (group, offset) -> register index
         self.eps = {0: []}
         self.edges = {0: []}
@@ -474,9 +462,9 @@ class _Builder:
         self.edges[src].append((pred, tuple(reads), stores, dst))
         return dst
 
-    def loop(self, at: int, pred: Predicate, reads=()):
+    def loop(self, at: int, pred: Predicate):
         # single-symbol repetition outside referenced groups
-        self.edges[at].append((pred, tuple(reads), (), at))
+        self.edges[at].append((pred, (), (), at))
 
     def build(self, node, src: int) -> int:
         if isinstance(node, (Lit, Class, Dot)):
@@ -496,10 +484,6 @@ class _Builder:
                 self.eps[end].append(out)
             return out
         if isinstance(node, (Star, Plus)):
-            if self.active:
-                raise SraError(
-                    "referenced capture groups must have a fixed length"
-                )
             atoms = self._atom_items(node.item)
             if atoms is not None and (isinstance(node, Star) or len(atoms) == 1):
                 # repetition of single symbols: self-loops on a node that
@@ -526,8 +510,6 @@ class _Builder:
                 return self.build(Star(node.item), src)
             if node.hi == node.lo:
                 return src
-            if self.active:
-                raise SraError("referenced capture groups must have a fixed length")
             # nested optional copies, (x(x(x)?)?)?, all skipping to one exit
             out = self.node()
             for _ in range(node.hi - node.lo):
@@ -597,22 +579,17 @@ def compile(ast_or_pattern) -> CompiledPattern:
 
 def _compile(ast_or_pattern) -> CompiledPattern:
     ast = parse(ast_or_pattern) if isinstance(ast_or_pattern, str) else ast_or_pattern
-    groups: dict = {}
-    referenced: set = set()
-    _collect(ast, groups, referenced)
-    # a group closes before any reference to it, so the lengths of the
-    # groups its body refers to are known by then
-    group_lengths = {}
-    for g in (g for g in groups if g in referenced):
-        n = fixed_length(groups[g], group_lengths)
+    lengths: dict = {}
+    refs: dict = {}
+    _measure(ast, lengths, refs)
+    group_lengths = {g: n for g, n in lengths.items() if g in refs}
+    for g, n in group_lengths.items():
         if n is None:
-            raise SraError(
-                f"capture group {g} is back-referenced but has no fixed length"
-            )
-        group_lengths[g] = n
+            raise RegexError(f"capture group {g} is back-referenced but has no fixed length",
+                             refs[g])
     registers = {}
     names = []
-    for g in sorted(referenced):
+    for g in sorted(refs):
         for j in range(group_lengths[g]):
             registers[(g, j)] = len(names)
             names.append(f"g{g}.{j}")

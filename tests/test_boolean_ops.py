@@ -177,6 +177,13 @@ def test_complete_of_complete_input_adds_only_the_sink():
         assert membership(T, w) == membership(S, w)
 
 
+def test_complete_names_its_sink_apart_from_every_state():
+    S = make_sra(INTEGERS, [], ["sink", "p"], "sink", {}, ["p"], [("sink", TRUE, (), (), (), "p")])
+    T = complete(S)
+    assert T.states == ("sink", "p", "sink'")
+    assert T.finals == frozenset({1})
+
+
 def test_complete_adds_negated_guard_to_sink():
     S = make_sra(
         INTEGERS,

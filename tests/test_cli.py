@@ -341,13 +341,14 @@ def json_text(**changes):
         ("compile", "--pattern", "(1)(2)(3)(4)(5)(6)(7)(8)(9)(0)(1)(2)\\123"),
         ("compile", "--pattern", "[\\1]"),
         ("compile", "--pattern", "[\\d-z]"),
+        ("compile", "--pattern", "(a*)\\1"),
         ("empty", "--sra", "[" * 100_000),
     ],
     ids=[
         "groups", "stars", "counts", "big_count", "big_build", "optional_copies",
         "nested_optional_copies", "optional_copies_twice", "guard", "guard_above_cap",
         "div_lcm", "valuation", "anchor", "missing_group", "octal", "class_octal",
-        "class_escape_range", "nested_json",
+        "class_escape_range", "no_fixed_length", "nested_json",
     ],
 )
 def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, verb, flag, text):

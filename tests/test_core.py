@@ -106,6 +106,19 @@ def test_validate_checks_each_label_once_and_names_every_transition():
     ]
 
 
+def test_validate_names_out_of_range_states_and_a_short_valuation():
+    S = simple_sra()
+    lab = S.transitions[0][1]
+    S2 = dataclasses.replace(S, initial=2, finals=frozenset({1, 5}), initial_valuation=(),
+                             transitions=((0, lab, 7),))
+    assert validate(S2) == [
+        "initial state index 2 out of range",
+        "final state index 5 out of range",
+        "initial valuation does not cover the register set exactly",
+        "transition #0: target index 7 out of range",
+    ]
+
+
 def test_validate_checks_equal_but_distinct_guards_each(monkeypatch):
     outside = [Atom(0x110000), Atom(0x110000)]  # equal, not the same object
     S = make_sra(UNICODE, [], ["p", "q"], "p", {}, ["q"], [

@@ -117,6 +117,15 @@ def test_overflow_on_a_wide_store_stops_at_the_cap(monkeypatch):
     assert len(labels) < len({lab.guard for _, lab, _ in S.transitions}) + 1
 
 
+@pytest.mark.parametrize("pattern", ["abcd", r"(a)\1\1\1"], ids=["valuation_free", "general"])
+def test_overflow_counts_the_configuration_past_the_cap_on_either_path(pattern):
+    # "abcd" has no registers, so its states take their merged rows; the
+    # overflow in (a)\1\1\1 comes at a state that reads a register
+    ex = expand_to_sfa(rx.compile(pattern).sra, [97], max_states=2)
+    assert ex.overflow and ex.sfa is None
+    assert ex.state_count == 3
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_a_state_limit_below_one_is_refused(cap):
     with pytest.raises(SraError, match="max_states must be at least 1"):

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from sra.algebra import UNICODE
-from sra.core import SraError, membership
+from sra.core import membership
 from sra.normal import is_deterministic
 from sra import core, regex as rx
 
@@ -210,6 +210,25 @@ def test_single_symbol_loops_stay_where_they_belong(pattern):
         assert rx.match(cp, text) == bool(re.fullmatch(pattern, text, re.ASCII)), text
 
 
+@pytest.mark.parametrize(
+    "pattern, alphabet",
+    [
+        ("a{2,}b", "ab"),
+        ("(?:ab){1,}", "ab"),
+        (r"[\-\]\\]+", "-]\\a"),
+        (r"[a\-c]x", "abc-x"),
+        (r"[+-\-]+", "+,-."),
+    ],
+)
+def test_open_counts_and_escapes_in_a_class_agree_with_re(pattern, alphabet):
+    # x{n,} is n copies and a star; an escaped character in a class is
+    # itself, also as a range's end
+    cp = rx.compile(pattern)
+    for w in words_up_to(alphabet, 4):
+        text = "".join(w)
+        assert rx.match(cp, text) == bool(re.fullmatch(pattern, text, re.ASCII)), text
+
+
 def test_class_and_escape_denotations():
     checks = [
         (r"\d", "5", True), (r"\d", "a", False),
@@ -260,10 +279,36 @@ def test_product_code_pattern_worked_examples():
 
 
 def test_referenced_group_must_have_fixed_length():
-    for pattern in [r"(a*)\1", r"(a|bb)\1", r"(a{1,2})\1"]:
-        with pytest.raises(SraError):
+    # refused at the first reference to the first referenced group to
+    # close without one length
+    for pattern, group, position in [
+        (r"(a*)\1", 1, 4),
+        (r"(a|bb)\1", 1, 6),
+        (r"(a{1,2})\1", 1, 8),
+        (r"((a*)b*)\1\2", 2, 10),
+        (r"((a+)b)c\2\1\2", 2, 8),
+        (r"(a)((b)?)\2\1\3", 2, 9),
+    ]:
+        message = f"capture group {group} is back-referenced but has no fixed length"
+        with pytest.raises(rx.RegexError, match=re.escape(message)) as exc:
             rx.compile(pattern)
+        assert exc.value.position == position, pattern
     rx.compile(r"(a|b)\1")  # fixed length one: fine
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r"(a(?:)*)\1", r"(a(?:)+)\1", r"(a(?:){0,3})\1", r"(a(?:b{0})*)\1",
+     r"((){0,2}[a-b1]a)|[a-b1]\1?a"],
+)
+def test_zero_length_repeats_inside_a_referenced_group_agree_with_re(pattern):
+    # a repeat of an item of length 0 has length 0, so the group around
+    # it keeps one length
+    cp = rx.compile(pattern)
+    expected = re.compile(pattern, re.ASCII)
+    for w in words_up_to("ab1c", 6):
+        text = "".join(w)
+        assert rx.match(cp, text) == bool(expected.fullmatch(text)), text
 
 
 def test_unreferenced_groups_use_no_registers():
@@ -346,14 +391,14 @@ def test_backref_patterns_agree_with_backtracker_exhaustively():
 def test_random_patterns_agree_with_re_or_are_refused():
     # differential testing against re (McKeeman 1998): a pattern either
     # matches every text up to length 4 over ab-1 as re.fullmatch does,
-    # or is refused with an SraError where re may accept it
+    # or is refused with a RegexError where re may accept it
     texts = ["".join(w) for w in words_up_to("ab-1", 4)]
     rng = random.Random(0)
     for _ in range(1200):
         pattern = random_pattern(rng)
         try:
             cp = rx.compile(pattern)
-        except SraError:
+        except rx.RegexError:
             continue
         expected = re.compile(pattern, re.ASCII)
         for text in texts:
